@@ -7,7 +7,7 @@ trees (necklaces of full binary trees), all checked against closed-form
 formulas.
 """
 
-from .counting import a_count, catalan, d_count, euler_phi, necklace_count
+from .counting import a_count, catalan, d_cluster_count, d_count, euler_phi, necklace_count
 from .errors import BoundExceededError
 from .polygon import (
     NOTCHED,
@@ -18,6 +18,7 @@ from .polygon import (
     Triangulation,
     all_diagonals,
     class_key,
+    class_representative,
     close_to_border,
     crossing_number,
     enumerate_triangulations,

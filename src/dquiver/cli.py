@@ -77,16 +77,8 @@ def _enumerate_objects(args) -> list:
         bound = args.bound if args.bound is not None else TRIANGULATION_BOUND
         classes: dict[bytes, polygon.Triangulation] = {}
         for t in polygon.enumerate_triangulations(n, max_n=bound):
-            key = polygon.class_key(t)
-            if key not in classes:
-                classes[key] = min(
-                    (
-                        polygon.rotate(base, i)
-                        for base in (t, polygon.invert_tags(t))
-                        for i in range(n)
-                    ),
-                    key=polygon.serialize_triangulation,
-                )
+            key, representative = polygon.class_representative(t)
+            classes.setdefault(key, representative)
         return [
             polygon.triangulation_to_json_obj(classes[key])
             for key in sorted(classes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["euler_phi", "catalan", "necklace_count", "d_count", "a_count"]
+__all__ = ["euler_phi", "catalan", "necklace_count", "d_count", "a_count", "d_cluster_count"]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -86,3 +86,14 @@ def a_count(n: int) -> int:
     if total.denominator != 1:
         raise ArithmeticError(f"a_count({n}) is not integral: {total}")
     return int(total)
+
+
+def d_cluster_count(n: int) -> int:
+    """Number of clusters of a cluster algebra of type D_n.
+
+    (3n - 2) * binom(2n - 2, n - 1) / n (Fomin-Zelevinsky); equals the
+    number of tagged triangulations of the once-punctured n-gon.
+    """
+    if n < 3:
+        raise ValueError(f"d_cluster_count needs n >= 3, got {n}")
+    return _exact_div((3 * n - 2) * math.comb(2 * n - 2, n - 1), n)

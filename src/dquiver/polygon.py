@@ -22,11 +22,21 @@ A triangulation is a maximal set of pairwise non-crossing diagonals and
 always has exactly n of them.  Its radii come in one of two shapes:
 config "A" (two or more radii with the same tag at distinct vertices) or
 config "B" (exactly two radii at one vertex with opposite tags).
+
+Internally a triangulation is a bitmask over a per-n diagonal index
+(``_diagonal_table``): bit i stands for the i-th diagonal in
+``diagonal_sort_key`` order.  The table holds each diagonal's
+compatibility mask (from ``crossing_number``), the index permutations for
+one rotation step and for tag inversion, and each diagonal's serialization
+token, so validation, ``flip``, ``rotate``, ``invert_tags`` and
+``class_key`` are mask and index arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import BoundExceededError
@@ -47,6 +57,7 @@ __all__ = [
     "all_diagonals",
     "chord_lift",
     "class_key",
+    "class_representative",
     "close_to_border",
     "crossing_number",
     "diagonal_sort_key",
@@ -210,6 +221,92 @@ def all_diagonals(n: int) -> list[Diagonal]:
     return out
 
 
+# -- the per-n diagonal table ------------------------------------------------
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask(indices: Iterable[int]) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _token(d: Diagonal) -> str:
+    if isinstance(d, Arc):
+        return f"A{d.a},{d.b}"
+    return f"R{d.a},{'p' if d.tag == PLAIN else 'n'}"
+
+
+class _DiagonalTable:
+    """Index of the diagonals of the punctured n-gon for mask arithmetic.
+
+    ``diagonals`` is in ``diagonal_sort_key`` order, so ascending bit order
+    is ``sorted_diagonals`` order.  ``step`` and ``inverse`` are the index
+    permutations of one clockwise rotation step and of tag inversion, and
+    ``tokens`` holds each diagonal's serialization token.  Compatibility
+    rows are filled one rotation orbit at a time, on first use: the orbit's
+    member at vertex 0 gets its row from ``crossing_number`` and the other
+    members get it by rotation, so no all-pairs table is ever built.
+    """
+
+    __slots__ = ("n", "diagonals", "index", "step", "inverse", "tokens", "_rows")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.diagonals = tuple(all_diagonals(n))
+        self.index = {d: i for i, d in enumerate(self.diagonals)}
+        # tau is one clockwise step that also inverts tags; mu undoes that
+        self.step = tuple(self.index[mu(tau(d, n))] for d in self.diagonals)
+        self.inverse = tuple(self.index[mu(d)] for d in self.diagonals)
+        self.tokens = tuple(_token(d) for d in self.diagonals)
+        # 0 marks a row not built yet: a real row has at least its own bit
+        self._rows = [0] * len(self.diagonals)
+
+    def row(self, i: int) -> int:
+        """Mask of the diagonals compatible with diagonal i, i included."""
+        if not self._rows[i]:
+            self._fill_orbit(self.diagonals[i])
+        return self._rows[i]
+
+    def _fill_orbit(self, d: Diagonal) -> None:
+        n = self.n
+        root = Arc(0, span(d, n)) if isinstance(d, Arc) else Radius(0, d.tag)
+        # one byte per diagonal, 1 where compatible: permuting the bytes and
+        # int(..., 2) run in C, where or-ing in single bits would be
+        # quadratic in the row length
+        row = bytes(crossing_number(root, x, n) == 0 for x in self.diagonals)
+        back = [0] * len(self.diagonals)
+        for k, j in enumerate(self.step):
+            back[j] = k
+        move = itemgetter(*back)
+        i = self.index[root]
+        # rotation preserves crossing numbers, so one step moves the row of
+        # diagonal i onto the row of diagonal step[i]
+        for _ in range(n):
+            self._rows[i] = int(row.translate(_BINARY_DIGITS)[::-1], 2)
+            i = self.step[i]
+            row = bytes(move(row))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _diagonal_table(n: int) -> _DiagonalTable:
+    # typed: a float n must fail in all_diagonals, not get the int n's table
+    return _DiagonalTable(n)
+
+
 # -- triangulations ----------------------------------------------------------
 
 
@@ -232,40 +329,62 @@ def _tag_config(n: int, diagonals) -> tuple[str, tuple[int, ...]]:
 class Triangulation:
     """A maximal set of n pairwise non-crossing diagonals.
 
-    Instances are immutable by convention; equality and hashing use the
-    diagonal set.  Construction validates cardinality, pairwise
-    compatibility and the radius tag structure.
+    Instances are immutable by convention.  ``mask`` has bit i set for the
+    i-th diagonal of the n-gon's table; equality and hashing use it.
+    Construction validates cardinality, pairwise compatibility and the
+    radius tag structure, also when the triangulation is built from a mask.
     """
 
-    __slots__ = ("n", "diagonals", "sorted_diagonals", "config", "radius_bases")
+    __slots__ = ("n", "mask", "diagonals", "sorted_diagonals", "config", "radius_bases")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         ds = frozenset(diagonals)
         for d in ds:
             check_diagonal(d, n)
+        # checked before the table is built, whose size grows as n^2
         if len(ds) != n:
             raise ValueError(f"a triangulation of the {n}-gon needs {n} diagonals, got {len(ds)}")
-        lst = sorted(ds, key=diagonal_sort_key)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if crossing_number(lst[i], lst[j], n):
-                    raise ValueError(f"diagonals cross: {lst[i]} and {lst[j]}")
-        config, bases = _tag_config(n, lst)
+        table = _diagonal_table(n)
+        self._validate(table, _mask(table.index[d] for d in ds))
+
+    @classmethod
+    def _from_mask(cls, n: int, mask: int) -> Triangulation:
+        t = cls.__new__(cls)
+        t._validate(_diagonal_table(n), mask)
+        return t
+
+    def _validate(self, table: _DiagonalTable, mask: int) -> None:
+        n = table.n
+        if mask.bit_count() != n:
+            raise ValueError(
+                f"a triangulation of the {n}-gon needs {n} diagonals, got {mask.bit_count()}"
+            )
+        bits = _bits(mask)
+        for i in bits:
+            crossed = mask & ~table.row(i)
+            if crossed:
+                # the first i with a crossing crosses only later diagonals, so
+                # this is the first crossing pair in sorted order
+                j = (crossed & -crossed).bit_length() - 1
+                raise ValueError(
+                    f"diagonals cross: {table.diagonals[i]} and {table.diagonals[j]}"
+                )
+        lst = tuple(table.diagonals[i] for i in bits)
+        self.config, self.radius_bases = _tag_config(n, lst)
         self.n = n
-        self.diagonals = ds
-        self.sorted_diagonals = tuple(lst)
-        self.config = config
-        self.radius_bases = bases
+        self.mask = mask
+        self.diagonals = frozenset(lst)
+        self.sorted_diagonals = lst
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Triangulation)
             and self.n == other.n
-            and self.diagonals == other.diagonals
+            and self.mask == other.mask
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.diagonals))
+        return hash((self.n, self.mask))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(d) for d in self.sorted_diagonals)
@@ -273,13 +392,8 @@ class Triangulation:
 
 
 def serialize_triangulation(t: Triangulation) -> bytes:
-    parts = []
-    for d in t.sorted_diagonals:
-        if isinstance(d, Arc):
-            parts.append(f"A{d.a},{d.b}")
-        else:
-            parts.append(f"R{d.a},{'p' if d.tag == PLAIN else 'n'}")
-    return f"{t.n}|{';'.join(parts)}".encode()
+    tokens = _diagonal_table(t.n).tokens
+    return f"{t.n}|{';'.join(tokens[i] for i in _bits(t.mask))}".encode()
 
 
 def triangulation_to_json_obj(t: Triangulation) -> dict:
@@ -320,17 +434,15 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
         check_diagonal(d, n)
     if len(set(lst)) != n or len(lst) != n:
         return False
-    return all(
-        crossing_number(lst[i], lst[j], n) == 0
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    table = _diagonal_table(n)
+    mask = _mask(table.index[d] for d in lst)
+    return all(not mask & ~table.row(i) for i in _bits(mask))
 
 
 def enumerate_triangulations(n: int, *, max_n: int = 8) -> set[Triangulation]:
     """All triangulations of the punctured n-gon, by clique search.
 
-    Backtracks over the compatibility graph of all diagonals, looking for
+    Backtracks over the compatibility masks of all diagonals, looking for
     size-n sets of pairwise compatible diagonals (every such set is
     maximal, hence a triangulation).
     """
@@ -338,58 +450,49 @@ def enumerate_triangulations(n: int, *, max_n: int = 8) -> set[Triangulation]:
         raise BoundExceededError(
             f"triangulation enumeration supports 3 <= n <= {max_n}, got {n}"
         )
-    diags = all_diagonals(n)
-    m = len(diags)
-    compat = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if crossing_number(diags[i], diags[j], n) == 0:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    table = _diagonal_table(n)
+    compat = [table.row(i) for i in range(len(table.diagonals))]
     result: set[Triangulation] = set()
-    chosen: list[int] = []
 
-    def extend(cand: int, need: int) -> None:
+    def extend(cand: int, need: int, chosen: int) -> None:
         if need == 0:
-            result.add(Triangulation(n, (diags[i] for i in chosen)))
+            result.add(Triangulation._from_mask(n, chosen))
             return
         if cand.bit_count() < need:
             return
         rest = cand
         while rest:
-            i = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
+            low = rest & -rest
+            rest ^= low
             if rest.bit_count() + 1 < need:
                 return
-            chosen.append(i)
-            extend(rest & compat[i], need - 1)
-            chosen.pop()
+            extend(rest & compat[low.bit_length() - 1], need - 1, chosen | low)
 
-    extend((1 << m) - 1, n)
+    extend((1 << len(compat)) - 1, n, 0)
     return result
 
 
 def flip(t: Triangulation, d: Diagonal) -> Triangulation:
     """Exchange ``d`` for the unique other diagonal completing t - {d}.
 
-    Scans every diagonal of the polygon for compatibility with the
-    remaining set; exactly two candidates must turn up (``d`` and its
-    replacement), anything else signals a defect in the crossing rules.
+    ANDs the compatibility masks of the n - 1 remaining diagonals; exactly
+    two diagonals outside them must survive (``d`` and its replacement),
+    anything else signals a defect in the crossing rules.
     """
     if d not in t.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
-    rest = t.diagonals - {d}
-    candidates = [
-        x
-        for x in all_diagonals(t.n)
-        if x not in rest and all(crossing_number(x, y, t.n) == 0 for y in rest)
-    ]
-    if len(candidates) != 2 or d not in candidates:
+    table = _diagonal_table(t.n)
+    bit = 1 << table.index[d]
+    rest = t.mask ^ bit
+    survivors = ((1 << len(table.diagonals)) - 1) ^ rest
+    for i in _bits(rest):
+        survivors &= table.row(i)
+    if survivors.bit_count() != 2 or not survivors & bit:
+        candidates = [table.diagonals[i] for i in _bits(survivors)]
         raise AssertionError(
             f"flip expected exactly two completions of t - {{{d}}}, got {candidates}"
         )
-    other = candidates[0] if candidates[1] == d else candidates[1]
-    return Triangulation(t.n, rest | {other})
+    return Triangulation._from_mask(t.n, rest | (survivors ^ bit))
 
 
 def triangulations_by_flips(n: int, *, max_n: int = 8) -> set[Triangulation]:
@@ -416,25 +519,38 @@ def triangulations_by_flips(n: int, *, max_n: int = 8) -> set[Triangulation]:
 
 def rotate(t: Triangulation, i: int) -> Triangulation:
     """Rotate ``i`` steps clockwise: border index a becomes (a - i) mod n."""
-    n = t.n
-    moved: list[Diagonal] = []
-    for d in t.sorted_diagonals:
-        if isinstance(d, Arc):
-            moved.append(Arc((d.a - i) % n, (d.b - i) % n))
-        else:
-            moved.append(Radius((d.a - i) % n, d.tag))
-    return Triangulation(n, moved)
+    step = _diagonal_table(t.n).step
+    bits = _bits(t.mask)
+    for _ in range(i % t.n):
+        bits = [step[j] for j in bits]
+    return Triangulation._from_mask(t.n, _mask(bits))
 
 
 def invert_tags(t: Triangulation) -> Triangulation:
     """Flip the tag of every radius; an involution."""
-    moved: list[Diagonal] = []
-    for d in t.sorted_diagonals:
-        if isinstance(d, Radius):
-            moved.append(Radius(d.a, opposite_tag(d.tag)))
-        else:
-            moved.append(d)
-    return Triangulation(t.n, moved)
+    inverse = _diagonal_table(t.n).inverse
+    return Triangulation._from_mask(t.n, _mask(inverse[j] for j in _bits(t.mask)))
+
+
+def _least_image(t: Triangulation) -> tuple[str, list[int]]:
+    """Least serialization (after "n|") over the 2n images of t, and its indices.
+
+    The images are the n rotations of t and of its tag inversion; they are
+    compared as serialized strings, never built as Triangulations.
+    """
+    table = _diagonal_table(t.n)
+    step, tokens = table.step, table.tokens
+    bits = _bits(t.mask)
+    best: tuple[str, list[int]] | None = None
+    for image in (bits, [table.inverse[j] for j in bits]):
+        for _ in range(t.n):
+            image.sort()
+            text = ";".join([tokens[j] for j in image])
+            if best is None or text < best[0]:
+                best = (text, image)
+            image = [step[j] for j in image]
+    assert best is not None
+    return best
 
 
 def class_key(t: Triangulation) -> bytes:
@@ -443,14 +559,13 @@ def class_key(t: Triangulation) -> bytes:
     Two triangulations get equal keys iff one is carried to the other by
     some rotation, possibly composed with inverting all tags.
     """
-    best = None
-    for base in (t, invert_tags(t)):
-        for i in range(t.n):
-            cand = serialize_triangulation(rotate(base, i))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    return f"{t.n}|{_least_image(t)[0]}".encode()
+
+
+def class_representative(t: Triangulation) -> tuple[bytes, Triangulation]:
+    """``class_key(t)`` and the image of t that has that serialization."""
+    text, image = _least_image(t)
+    return f"{t.n}|{text}".encode(), Triangulation._from_mask(t.n, _mask(image))
 
 
 def tau(d: Diagonal, n: int) -> Diagonal:

@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from dquiver.counting import a_count, catalan, d_count, euler_phi, necklace_count
+from dquiver.counting import (
+    a_count,
+    catalan,
+    d_cluster_count,
+    d_count,
+    euler_phi,
+    necklace_count,
+)
 
 KNOWN_D_COUNTS = {
     3: 4,
@@ -69,6 +76,14 @@ def test_d_count_special_case_at_four():
 def test_d_count_rejects_small_n():
     with pytest.raises(ValueError):
         d_count(2)
+
+
+def test_d_cluster_count_values():
+    # clusters of type D_n; D_3 = A_3 has catalan(4) of them
+    assert [d_cluster_count(n) for n in range(3, 9)] == [14, 50, 182, 672, 2508, 9438]
+    assert d_cluster_count(3) == catalan(4)
+    with pytest.raises(ValueError):
+        d_cluster_count(2)
 
 
 # -- independent oracle for a_count: triangulations of a convex polygon ------

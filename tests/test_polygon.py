@@ -1,8 +1,12 @@
 import json
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dquiver import polygon
+from dquiver.counting import d_cluster_count
 from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
     NOTCHED,
@@ -10,9 +14,11 @@ from dquiver.polygon import (
     Arc,
     Radius,
     Triangulation,
+    _diagonal_table,
     all_diagonals,
     chord_lift,
     class_key,
+    class_representative,
     close_to_border,
     crossing_number,
     diagonal_sort_key,
@@ -23,6 +29,7 @@ from dquiver.polygon import (
     invert_tags,
     is_triangulation,
     mu,
+    opposite_tag,
     quiver_of,
     quiver_vertex,
     radius_arc_crossings_via_lift,
@@ -149,9 +156,8 @@ def test_enumeration_matches_flip_closure():
 
 def test_triangulation_totals():
     # total counts agree with the number of clusters in type D_n
-    assert len(enumerate_triangulations(3)) == 14
-    assert len(enumerate_triangulations(4)) == 50
-    assert len(enumerate_triangulations(5)) == 182
+    for n in range(3, 9):
+        assert len(enumerate_triangulations(n)) == d_cluster_count(n)
 
 
 def test_class_counts():
@@ -345,3 +351,157 @@ def test_sort_key_orders_arcs_before_radii():
     kinds = [isinstance(d, Radius) for d in ds]
     assert kinds == sorted(kinds)
     assert ds == sorted(ds, key=diagonal_sort_key)
+
+
+# -- oracles: the diagonal-by-diagonal code the mask arithmetic replaced ------
+
+
+def _serialize(n, diagonals):
+    parts = []
+    for d in sorted(diagonals, key=diagonal_sort_key):
+        if isinstance(d, Arc):
+            parts.append(f"A{d.a},{d.b}")
+        else:
+            parts.append(f"R{d.a},{'p' if d.tag == PLAIN else 'n'}")
+    return f"{n}|{';'.join(parts)}".encode()
+
+
+def _rotated(n, diagonals, i):
+    return frozenset(
+        Arc((d.a - i) % n, (d.b - i) % n) if isinstance(d, Arc) else Radius((d.a - i) % n, d.tag)
+        for d in diagonals
+    )
+
+
+def _inverted(diagonals):
+    return frozenset(
+        Radius(d.a, opposite_tag(d.tag)) if isinstance(d, Radius) else d for d in diagonals
+    )
+
+
+def _class_key_oracle(t):
+    """Least serialization over every rotation of t and of its tag inversion."""
+    return min(
+        _serialize(t.n, _rotated(t.n, base, i))
+        for base in (t.diagonals, _inverted(t.diagonals))
+        for i in range(t.n)
+    )
+
+
+def _first_crossing(n, diagonals):
+    """First crossing pair in sorted order, by pairwise crossing_number."""
+    lst = sorted(diagonals, key=diagonal_sort_key)
+    for i in range(len(lst)):
+        for j in range(i + 1, len(lst)):
+            if crossing_number(lst[i], lst[j], n):
+                return lst[i], lst[j]
+    return None
+
+
+def _flip_oracle(t, d):
+    """Scan every diagonal of the polygon for the completions of t - {d}."""
+    rest = t.diagonals - {d}
+    candidates = [
+        x
+        for x in all_diagonals(t.n)
+        if x not in rest and all(crossing_number(x, y, t.n) == 0 for y in rest)
+    ]
+    assert len(candidates) == 2 and d in candidates
+    other = candidates[0] if candidates[1] == d else candidates[1]
+    return rest | {other}
+
+
+# -- the diagonal table and the mask operations against the oracles ------------
+
+
+def test_table_compatibility_matches_crossing_number():
+    for n in range(3, 13):
+        table = _diagonal_table(n)
+        assert list(table.diagonals) == all_diagonals(n)
+        for i, d in enumerate(table.diagonals):
+            row = table.row(i)
+            for j, e in enumerate(table.diagonals):
+                assert (row >> j & 1) == (crossing_number(d, e, n) == 0), (n, d, e)
+
+
+def test_symmetries_and_class_key_match_oracles():
+    for n in range(3, 7):
+        for t in enumerate_triangulations(n):
+            assert _first_crossing(n, t.diagonals) is None
+            assert [d for d in all_diagonals(n) if d in t.diagonals] == list(t.sorted_diagonals)
+            assert serialize_triangulation(t) == _serialize(n, t.diagonals)
+            key, representative = class_representative(t)
+            assert key == class_key(t) == _class_key_oracle(t)
+            assert serialize_triangulation(representative) == key
+            assert invert_tags(t).diagonals == _inverted(t.diagonals)
+            for i in range(-1, n + 1):
+                assert rotate(t, i).diagonals == _rotated(n, t.diagonals, i)
+
+
+def test_flip_matches_scan_oracle():
+    for n in range(3, 7):
+        for t in enumerate_triangulations(n):
+            for d in t.sorted_diagonals:
+                assert flip(t, d).diagonals == _flip_oracle(t, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(7, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from((PLAIN, NOTCHED)),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=16),
+        )
+    )
+)
+def test_flip_walk_matches_scan_oracle(case):
+    n, tag, steps = case
+    t = fan_triangulation(n, tag)
+    for i in steps:
+        d = t.sorted_diagonals[i]
+        flipped = flip(t, d)
+        assert flipped.diagonals == _flip_oracle(t, d)
+        assert _first_crossing(n, flipped.diagonals) is None
+        t = flipped
+
+
+def test_constructor_agrees_with_pairwise_oracle():
+    for n in (3, 4):
+        for ds in combinations(all_diagonals(n), n):
+            crossing = _first_crossing(n, ds)
+            assert is_triangulation(n, ds) == (crossing is None)
+            if crossing is None:
+                assert Triangulation(n, ds).diagonals == frozenset(ds)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    Triangulation(n, ds)
+                assert str(exc.value) == f"diagonals cross: {crossing[0]} and {crossing[1]}"
+
+
+@pytest.mark.parametrize("corruption", ["hide the replacement", "admit a crossing arc"])
+def test_flip_asserts_unless_exactly_two_completions(monkeypatch, corruption):
+    real = _diagonal_table(5)
+    if corruption == "hide the replacement":
+        change = lambda row: row & ~(1 << real.index[Arc(4, 1)])
+    else:
+        change = lambda row: row | 1 << real.index[Arc(0, 2)]
+    broken = SimpleNamespace(
+        diagonals=real.diagonals, index=real.index, row=lambda i: change(real.row(i))
+    )
+    t = fan_triangulation(5)
+    monkeypatch.setattr(polygon, "_diagonal_table", lambda n: broken)
+    with pytest.raises(AssertionError, match="exactly two completions"):
+        flip(t, Radius(0, PLAIN))
+
+
+def test_fan_at_a_size_no_enumeration_reaches():
+    fan = fan_triangulation(40)
+    notched = fan_triangulation(40, NOTCHED)
+    # "R0,n" sorts before "R0,p": the notched fan is the class representative
+    assert class_key(fan) == class_key(notched) == serialize_triangulation(notched)
+    assert class_key(fan) == _class_key_oracle(fan)
+    flipped = flip(fan, Radius(0, PLAIN))
+    (new,) = flipped.diagonals - fan.diagonals
+    assert new == Arc(39, 1)
+    assert flip(flipped, new) == fan
