@@ -30,6 +30,9 @@ compatibility mask (from ``crossing_number``), the index permutations for
 one rotation step and for tag inversion, and each diagonal's serialization
 token, so validation, ``flip``, ``rotate``, ``invert_tags`` and
 ``class_key`` are mask and index arithmetic.
+
+The region decomposition (``_regions``, ``_triangles``) also lives here:
+``quiver_of`` and the dual-tree maps of ``trees`` all read it.
 """
 
 from __future__ import annotations
@@ -406,17 +409,31 @@ def triangulation_to_json_obj(t: Triangulation) -> dict:
     return {"n": t.n, "diagonals": out}
 
 
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, and a float would be rewritten to the table's
+    # int diagonal: both are rejected rather than reinterpreted
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def triangulation_from_json_obj(obj: dict) -> Triangulation:
     if not isinstance(obj, dict) or "n" not in obj or "diagonals" not in obj:
         raise ValueError('expected an object with "n" and "diagonals"')
-    n = obj["n"]
+    n = _json_int(obj["n"], "n")
+    if not isinstance(obj["diagonals"], list):
+        raise ValueError('"diagonals" must be a list')
     ds: list[Diagonal] = []
     for item in obj["diagonals"]:
-        if "arc" in item:
-            a, b = item["arc"]
-            ds.append(Arc(a, b))
-        elif "radius" in item:
-            ds.append(Radius(item["radius"], item["tag"]))
+        if isinstance(item, dict) and item.keys() == {"arc"}:
+            ends = item["arc"]
+            if not isinstance(ends, list) or len(ends) != 2:
+                raise ValueError(f"an arc needs two endpoints, got {ends!r}")
+            ds.append(Arc(_json_int(ends[0], "arc endpoint"), _json_int(ends[1], "arc endpoint")))
+        elif isinstance(item, dict) and item.keys() == {"radius", "tag"}:
+            if item["tag"] not in _TAGS:
+                raise ValueError(f"unknown radius tag: {item['tag']!r}")
+            ds.append(Radius(_json_int(item["radius"], "radius base"), item["tag"]))
         else:
             raise ValueError(f"unrecognized diagonal entry: {item!r}")
     return Triangulation(n, ds)
@@ -618,6 +635,66 @@ def factor_out(t: Triangulation, d: Diagonal) -> Triangulation:
     return Triangulation(n - 1, moved)
 
 
+# -- the region decomposition ------------------------------------------------
+#
+# The radii cut the polygon into puncture-adjacent regions.  Border positions
+# are absolute (they run past n); the region between cyclically consecutive
+# radius bases u < v is the window (u, v), and in config B the single window
+# (a, a + n) runs once around from the radius pair.  The arcs inside a window
+# triangulate it, and those triangles form a full binary tree: its root is
+# the triangle on side (u, v), whose apex w splits the window into (u, w) and
+# (w, v), and a leaf is a border edge.  The trees in window order are the
+# beads of the dual star tree (``trees.star_tree_of``).
+
+LEAF = "L"
+
+
+def _regions(t: Triangulation) -> list[tuple[int, int, object]]:
+    """(start, end, tree) per puncture-adjacent region, counterclockwise.
+
+    Windows are absolute border positions, starting at the smallest radius
+    base; each tree is ``LEAF`` or a pair of the trees of (start, apex) and
+    (apex, end).
+    """
+    n = t.n
+    arcs = {(d.a, d.b) for d in t.sorted_diagonals if isinstance(d, Arc)}
+
+    def is_side(u: int, v: int) -> bool:
+        return v - u == 1 or (u % n, v % n) in arcs
+
+    def build(u: int, v: int):
+        if v - u == 1:
+            return LEAF
+        for w in range(u + 1, v):
+            if is_side(u, w) and is_side(w, v):
+                return (build(u, w), build(w, v))
+        raise AssertionError(f"no apex between {u} and {v}")
+
+    bases = t.radius_bases
+    ends = bases[1:] + (bases[0] + n,)
+    return [(u, v, build(u, v)) for u, v in zip(bases, ends)]
+
+
+def _triangles(u: int, tree) -> list[tuple[int, int, int]]:
+    """Triangles (u', w, v') of a region tree whose window starts at u.
+
+    Post-order, so the root triangle comes last; w is the apex of the
+    triangle on side (u', v').
+    """
+    out: list[tuple[int, int, int]] = []
+
+    def walk(u: int, tree) -> int:
+        if tree == LEAF:
+            return u + 1
+        w = walk(u, tree[0])
+        v = walk(w, tree[1])
+        out.append((u, w, v))
+        return v
+
+    walk(u, tree)
+    return out
+
+
 # -- the quiver of a triangulation -------------------------------------------
 #
 # Each triangle is traversed with its sides in counterclockwise order; a side
@@ -633,73 +710,6 @@ def factor_out(t: Triangulation, d: Diagonal) -> Triangulation:
 # once (they bound a single region).
 
 
-def _arrow_pairs(t: Triangulation) -> list[tuple[Diagonal, Diagonal]]:
-    """Arrows of the adjacency quiver as (source, target) diagonal pairs."""
-    n = t.n
-    arcs = {(d.a, d.b): d for d in t.sorted_diagonals if isinstance(d, Arc)}
-    radii = {(d.a, d.tag): d for d in t.sorted_diagonals if isinstance(d, Radius)}
-    pairs: list[tuple[Diagonal, Diagonal]] = []
-
-    def side(u: int, v: int) -> Diagonal | None:
-        """Side between absolute positions u < v; None marks a border edge."""
-        if v - u == 1:
-            return None
-        arc = arcs.get((u % n, v % n))
-        if arc is None:
-            raise AssertionError(f"missing side between {u} and {v}")
-        return arc
-
-    def side_exists(u: int, v: int) -> bool:
-        return v - u == 1 or (u % n, v % n) in arcs
-
-    def apex(u: int, v: int) -> int:
-        for w in range(u + 1, v):
-            if side_exists(u, w) and side_exists(w, v):
-                return w
-        raise AssertionError(f"no apex between {u} and {v}")
-
-    def emit(tri: tuple[Diagonal | None, ...]) -> None:
-        for pos in range(3):
-            s, pred = tri[pos], tri[pos - 1]
-            if s is not None and pred is not None:
-                pairs.append((s, pred))
-
-    def fill_region(u: int, v: int) -> None:
-        if v - u == 1:
-            return
-        w = apex(u, v)
-        emit((side(u, w), side(w, v), side(u, v)))
-        fill_region(u, w)
-        fill_region(w, v)
-
-    if t.config == "A":
-        bases = list(t.radius_bases)
-        tag = next(iter(radii))[1]
-        m = len(bases)
-        for i in range(m):
-            u = bases[i]
-            v = bases[(i + 1) % m] if i + 1 < m else bases[0] + n
-            emit((radii[(u % n, tag)], side(u, v), radii[(v % n, tag)]))
-            fill_region(u, v)
-    else:
-        a = t.radius_bases[0]
-        w = apex(a, a + n)
-        before, after = side(a, w), side(w, a + n)
-        for tag in _TAGS:
-            # ccw triple is (before, after, radius); the (after -> before)
-            # arrow is shared by the two copies and added once below
-            r = radii[(a, tag)]
-            if before is not None:
-                pairs.append((before, r))
-            if after is not None:
-                pairs.append((r, after))
-        if before is not None and after is not None:
-            pairs.append((after, before))
-        fill_region(a, w)
-        fill_region(w, a + n)
-    return pairs
-
-
 def quiver_of(t: Triangulation) -> Quiver:
     """Adjacency quiver of a triangulation.
 
@@ -708,11 +718,44 @@ def quiver_of(t: Triangulation) -> Quiver:
     counterclockwise about their shared corner; oriented 2-cycles cancel.
     """
     n = t.n
-    index = {d: i for i, d in enumerate(t.sorted_diagonals)}
+    # keyed by endpoints: (a, b) for an arc, (a, tag) for a radius
+    index = {
+        (d.a, d.b if isinstance(d, Arc) else d.tag): i
+        for i, d in enumerate(t.sorted_diagonals)
+    }
     b = [[0] * n for _ in range(n)]
-    for s, target in _arrow_pairs(t):
-        b[index[s]][index[target]] += 1
-        b[index[target]][index[s]] -= 1
+
+    def side(u: int, v: int) -> int | None:
+        """Vertex of the side between u < v; None marks a border edge."""
+        return None if v - u == 1 else index[(u % n, v % n)]
+
+    def arrow(s: int | None, target: int | None) -> None:
+        if s is not None and target is not None:
+            b[s][target] += 1
+            b[target][s] -= 1
+
+    def emit(x: int | None, y: int | None, z: int | None) -> None:
+        """Arrows of a triangle whose sides x, y, z are in ccw order."""
+        arrow(x, z)
+        arrow(y, x)
+        arrow(z, y)
+
+    tag = t.sorted_diagonals[-1].tag  # radii sort last
+    for u, v, tree in _regions(t):
+        triangles = _triangles(u, tree)
+        if t.config == "A":
+            emit(index[(u % n, tag)], side(u, v), index[(v % n, tag)])
+        else:
+            # the root triangle's third side is the loop: one copy per radius
+            _, w, _ = triangles.pop()
+            before, after = side(u, w), side(w, v)
+            for radius_tag in _TAGS:
+                r = index[(u, radius_tag)]
+                arrow(before, r)
+                arrow(r, after)
+            arrow(after, before)
+        for x, y, z in triangles:
+            emit(side(x, y), side(y, z), side(x, z))
     if any(abs(e) > 1 for row in b for e in row):
         raise AssertionError("triangulation quiver acquired a multiple arrow")
     return Quiver(n, tuple(tuple(row) for row in b))

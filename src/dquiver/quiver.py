@@ -81,10 +81,16 @@ class Quiver:
     def from_json_obj(cls, obj: dict) -> "Quiver":
         if not isinstance(obj, dict) or "rank" not in obj or "arrows" not in obj:
             raise ValueError('expected an object with "rank" and "arrows"')
-        rank = obj["rank"]
-        if not isinstance(rank, int) or rank < 1:
+        rank, arrows = obj["rank"], obj["arrows"]
+        # type(...) is int: a bool or a float is rejected, not reinterpreted
+        if type(rank) is not int or rank < 1:
             raise ValueError(f"invalid rank: {rank!r}")
-        return cls.from_arrows(rank, (tuple(a) for a in obj["arrows"]))
+        if not isinstance(arrows, list):
+            raise ValueError(f'"arrows" must be a list, got {arrows!r}')
+        for a in arrows:
+            if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
+                raise ValueError(f"an arrow is a pair of integer vertices, got {a!r}")
+        return cls.from_arrows(rank, (tuple(a) for a in arrows))
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]

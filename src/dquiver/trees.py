@@ -10,27 +10,31 @@ Star trees with n leaves are in bijection with triangulations of the
 once-punctured n-gon up to rotation and tag inversion: ``star_tree_of``
 is the dual-tree construction (tree edges cross every triangulation side
 except the radii) and ``triangulation_of`` rebuilds a triangulation from
-a star tree.  Three local moves on star trees match diagonal flips:
-``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
+a star tree.  Both, and ``tree_move_for_flip``, read the region
+decomposition of ``polygon._regions`` and ``polygon._triangles``; ``LEAF``
+is defined there too.  Three local moves on star trees match diagonal
+flips: ``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Union
 
 from .errors import BoundExceededError
 from .polygon import (
+    LEAF,
     NOTCHED,
     PLAIN,
     Arc,
     Diagonal,
     Radius,
     Triangulation,
+    _regions,
+    _triangles,
     span,
 )
-
-LEAF = "L"
 
 BinaryTree = Union[str, tuple]
 StarTree = tuple  # nonempty tuple of BinaryTree beads
@@ -159,54 +163,19 @@ def enumerate_star_trees(n: int, *, max_n: int = 16) -> set[bytes]:
 #
 # Tree edges cross the arcs of the triangulation (and, in config B, the
 # loop around the puncture) but never a radius; the regions touching the
-# puncture merge into the root.  In config A each segment between two
-# cyclically consecutive radii contributes one bead, the dual binary tree
-# of the segment's arc triangulation, in counterclockwise segment order
-# starting at the smallest radius base.  In config B the whole outside of
-# the loop is a single bead rooted at the loop crossing.
-
-
-def _segment_walls(t: Triangulation) -> list[tuple[int, int]]:
-    """Absolute (start, end) windows of the puncture-adjacent regions."""
-    if t.config == "A":
-        bases = list(t.radius_bases)
-        m = len(bases)
-        return [
-            (bases[i], bases[i + 1] if i + 1 < m else bases[0] + t.n)
-            for i in range(m)
-        ]
-    a = t.radius_bases[0]
-    return [(a, a + t.n)]
-
-
-def _dual_tree_builder(t: Triangulation):
-    n = t.n
-    arcs = {(d.a, d.b) for d in t.diagonals if isinstance(d, Arc)}
-
-    def side_exists(u: int, v: int) -> bool:
-        return v - u == 1 or (u % n, v % n) in arcs
-
-    def build(u: int, v: int) -> BinaryTree:
-        if v - u == 1:
-            return LEAF
-        for w in range(u + 1, v):
-            if side_exists(u, w) and side_exists(w, v):
-                return (build(u, w), build(w, v))
-        raise AssertionError(f"no apex between {u} and {v}")
-
-    return build
+# puncture merge into the root.  Each region of ``polygon._regions``
+# contributes its binary tree as one bead, in counterclockwise region order
+# starting at the smallest radius base: in config A one bead per segment
+# between cyclically consecutive radii, in config B a single bead for the
+# whole outside of the loop, rooted at the loop crossing.
 
 
 def star_tree_of(t: Triangulation) -> StarTree:
     """Dual star tree of a triangulation; rotation/tag inversion invariant."""
-    build = _dual_tree_builder(t)
-    if t.config == "A":
-        return tuple(build(u, v) for u, v in _segment_walls(t))
-    (a, end), = _segment_walls(t)
-    bead = build(a, end)
-    if bead == LEAF:
+    star = tuple(tree for _, _, tree in _regions(t))
+    if t.config == "B" and star[0] == LEAF:
         raise AssertionError("loop region of a config-B triangulation is degenerate")
-    return (bead,)
+    return star
 
 
 def triangulation_of(star: StarTree, n: int) -> Triangulation:
@@ -225,39 +194,33 @@ def triangulation_of(star: StarTree, n: int) -> Triangulation:
     if sum(counts) != n:
         raise ValueError(f"star tree has {sum(counts)} leaves, expected {n}")
 
-    diagonals: list[Diagonal] = []
-
-    def unfold(u: int, v: int, tree: BinaryTree) -> None:
-        """Emit the arcs strictly inside the region below side (u, v)."""
-        if tree == LEAF:
-            return
-        w = u + leaf_count(tree[0])
-        if w - u >= 2:
-            diagonals.append(Arc(u % n, w % n))
-        if v - w >= 2:
-            diagonals.append(Arc(w % n, v % n))
-        unfold(u, w, tree[0])
-        unfold(w, v, tree[1])
-
+    starts = list(accumulate(counts, initial=0))[:-1]
     if len(star) == 1:
-        diagonals.append(Radius(0, PLAIN))
-        diagonals.append(Radius(0, NOTCHED))
-        bead = star[0]
-        if bead == LEAF:
+        if star[0] == LEAF:
             raise ValueError("a single leaf bead does not define a triangulation")
-        unfold(0, n, bead)
+        diagonals: list[Diagonal] = [Radius(0, PLAIN), Radius(0, NOTCHED)]
     else:
-        pos = 0
-        for bead, c in zip(star, counts):
-            diagonals.append(Radius(pos % n, PLAIN))
-            if c >= 2:
-                diagonals.append(Arc(pos % n, (pos + c) % n))
-            unfold(pos, pos + c, bead)
-            pos += c
+        diagonals = [Radius(u, PLAIN) for u in starts]
+    # every triangle side that is neither a border edge (span 1) nor the
+    # loop of a single bead (span n) is an arc
+    arcs = {
+        (p % n, q % n)
+        for u, bead in zip(starts, star)
+        for x, w, y in _triangles(u, bead)
+        for p, q in ((x, w), (w, y), (x, y))
+        if 2 <= q - p < n
+    }
+    diagonals.extend(Arc(a, b) for a, b in arcs)
     return Triangulation(n, diagonals)
 
 
 # -- bead mutations -----------------------------------------------------------
+
+
+def _check_bead_index(star: StarTree, i: int) -> None:
+    # a negative index would slice from the end and silently duplicate beads
+    if not 0 <= i < len(star):
+        raise IndexError(f"bead {i} out of range for {len(star)} beads (0..{len(star) - 1})")
 
 
 def split_bead(star: StarTree, i: int) -> StarTree:
@@ -266,6 +229,7 @@ def split_bead(star: StarTree, i: int) -> StarTree:
     Matches flipping the arc at the base of the i-th puncture-adjacent
     triangle (config A) or flipping either tagged radius (single bead).
     """
+    _check_bead_index(star, i)
     bead = star[i]
     if bead == LEAF:
         raise ValueError("a leaf bead sits on a border edge and cannot be split")
@@ -280,6 +244,7 @@ def merge_beads(star: StarTree, i: int) -> StarTree:
     k = len(star)
     if k < 2:
         raise ValueError("need at least two beads to merge")
+    _check_bead_index(star, i)
     j = (i + 1) % k
     if j == 0:
         return ((star[i], star[0]),) + star[1:i]
@@ -294,6 +259,7 @@ def rotate_inner_edge(star: StarTree, i: int, path: str) -> StarTree:
     (x, (y, z)) with ((x, y), z), matching the flip of the arc the edge
     crosses.
     """
+    _check_bead_index(star, i)
     if not path:
         raise ValueError("the empty path names the bead's root edge; use split/merge")
 
@@ -330,42 +296,33 @@ def tree_move_for_flip(t: Triangulation, d: Diagonal) -> tuple:
     if d not in t.diagonals:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     n = t.n
-    walls = _segment_walls(t)
+    regions = _regions(t)
 
     if isinstance(d, Radius):
         if t.config == "B":
             return ("split", 0)
-        j = list(t.radius_bases).index(d.a)
-        return ("merge", (j - 1) % len(walls))
+        j = t.radius_bases.index(d.a)
+        return ("merge", (j - 1) % len(regions))
 
-    if t.config == "A":
-        bases = t.radius_bases
-        for i, (u, v) in enumerate(walls):
-            if d.a == u % n and d.b == v % n:
-                return ("split", i)
-
-    star = star_tree_of(t)
-    for i, (u, v) in enumerate(walls):
-        offset = (d.a - u) % n
-        s, e = u + offset, u + offset + span(d, n)
+    for i, (u, v, tree) in enumerate(regions):
+        s = u + (d.a - u) % n
+        e = s + span(d, n)
         if e > v:
             continue
-        path = ""
-        node, lo, hi = star[i], u, v
-        while True:
-            w = lo + leaf_count(node[0])
-            if (s, e) == (lo, w):
-                return ("rotate", i, path + "L")
-            if (s, e) == (w, hi):
-                return ("rotate", i, path + "R")
+        apex = {(lo, hi): w for lo, w, hi in _triangles(u, tree)}
+        path, lo, hi = "", u, v
+        while (lo, hi) != (s, e):
+            w = apex[(lo, hi)]
             if e <= w:
                 path += "L"
-                node, hi = node[0], w
+                hi = w
             elif s >= w:
                 path += "R"
-                node, lo = node[1], w
+                lo = w
             else:
                 raise AssertionError(f"{d} straddles the apex of its region")
+        # the arc on a config-A region's own side (u, v) is its bead's base
+        return ("rotate", i, path) if path else ("split", i)
     raise AssertionError(f"{d} not located in any segment")
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dquiver import polygon, trees
+from dquiver import counting, polygon, quiver, trees
 from dquiver.cli import main
 from dquiver.quiver import Quiver, canonical_key, dynkin_d
 
@@ -187,6 +187,65 @@ def test_mutate_tree(capsys, tmp_path):
     assert trees.star_from_json_obj(json.loads(out)) == (("L", "L"), "L")
 
 
+@pytest.mark.parametrize(
+    "at, index",
+    [("split:-1", -1), ("split:3", 3), ("merge:-1", -1), ("merge:7", 7),
+     ("rotate:-1:R", -1), ("rotate:3:L", 3)],
+)
+def test_mutate_tree_rejects_out_of_range_beads(capsys, tmp_path, at, index):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(trees.star_to_json_obj((trees.LEAF, trees.LEAF, (trees.LEAF, trees.LEAF)))))
+    code, out, err = run(capsys, "mutate", "--what", "tree", str(src), "--at", at)
+    assert code == 2 and out == ""
+    assert err == f"error: bead {index} out of range for 3 beads (0..2)\n"
+
+
+@pytest.mark.parametrize("at", ["-1", "5"])
+def test_mutate_triangulation_rejects_out_of_range_diagonals(capsys, tmp_path, at):
+    src = write_fan(tmp_path, 5)
+    code, out, err = run(capsys, "mutate", "--what", "triangulation", str(src), "--at", at)
+    assert code == 2 and out == ""
+    assert err == f"error: diagonal {at} out of range for 5 diagonals (0..4)\n"
+
+
+def test_mutate_quiver_rejects_out_of_range_vertex(capsys, tmp_path):
+    src = tmp_path / "d4.json"
+    src.write_text(json.dumps(dynkin_d(4).to_json_obj()))
+    code, _, err = run(capsys, "mutate", "--what", "quiver", str(src), "--at", "-1")
+    assert code == 2 and err == "error: vertex -1 out of range for rank 4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("convert", "--from", "tree", "--to", "triangulation"),
+     ("mutate", "--what", "tree", "--at", "split:0")],
+)
+def test_deeply_nested_input_exits_2(capsys, tmp_path, argv):
+    depth = 5000
+    src = tmp_path / "deep.json"
+    src.write_text('{"beads": [' + "[" * depth + '"L"' + ', "L"]' * depth + "]}")
+    code, out, err = run(capsys, *argv, str(src))
+    assert code == 2 and out == ""
+    assert err == f"error: {src}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize(
+    "what, obj",
+    [("triangulation", {"n": 4, "diagonals": [
+        {"radius": 0.0, "tag": "plain"}, {"radius": 1, "tag": "plain"},
+        {"radius": 2, "tag": "plain"}, {"radius": 3, "tag": "plain"}]}),
+     ("triangulation", {"n": 4, "diagonals": [
+        {"radius": True, "tag": "plain"}, {"radius": 2, "tag": "plain"},
+        {"radius": 3, "tag": "plain"}, {"radius": 0, "tag": "plain"}]}),
+     ("quiver", {"rank": True, "arrows": []})],
+)
+def test_mutate_rejects_bool_and_float_numbers(capsys, tmp_path, what, obj):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "mutate", "--what", what, str(src), "--at", "0")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_mutate_bad_position(capsys, tmp_path):
     src = tmp_path / "r3.json"
     src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(3))))
@@ -233,3 +292,41 @@ def test_verify_skips_out_of_bound_methods(capsys, tmp_path):
 def test_verify_rejects_bad_range(capsys):
     assert run(capsys, "verify", "6", "5")[0] == 2
     assert run(capsys, "verify", "1", "5")[0] == 2
+
+
+def test_verify_catches_a_wrong_formula(capsys, monkeypatch):
+    # the tree route agrees with the necklace sum, so only trees_vs_formula
+    # can see that the closed form is off by one
+    real = counting.d_count
+    monkeypatch.setattr(counting, "d_count", lambda n: real(n) + 1)
+    code, out, _ = run(capsys, "verify", "11", "12")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        " 11      32067    skipped  skipped    32066  FAIL: trees",
+        " 12     112721    skipped  skipped   112720  FAIL: trees",
+    ]
+
+
+def _one_fewer(real):
+    return lambda *args, **kwargs: set(sorted(real(*args, **kwargs))[1:])
+
+
+@pytest.mark.parametrize(
+    "n, module, name, fake, route",
+    [
+        (5, quiver, "mutation_class", _one_fewer, "quiver_bfs"),
+        # keyed by the serialization itself, triangulations are not merged
+        # into classes: 182 and 50 keys instead of 26 and 10
+        (5, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
+        (4, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
+        (5, trees, "enumerate_star_trees", _one_fewer, "trees"),
+        (4, trees, "enumerate_star_trees", _one_fewer, "trees"),
+    ],
+)
+def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n, module, name, fake, route):
+    # at n = 4 this also checks that the allowed divergence covers only the
+    # documented count 10
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    code, out, _ = run(capsys, "verify", str(n), str(n))
+    assert code == 1
+    assert out.splitlines()[2].endswith(f"FAIL: {route}")

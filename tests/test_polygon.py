@@ -505,3 +505,85 @@ def test_fan_at_a_size_no_enumeration_reaches():
     (new,) = flipped.diagonals - fan.diagonals
     assert new == Arc(39, 1)
     assert flip(flipped, new) == fan
+
+
+# -- oracle: the region recursion quiver_of used before the region decomposition
+
+
+def _arrow_pairs_oracle(t):
+    """Arrows of the adjacency quiver as (source, target) diagonal pairs."""
+    n = t.n
+    arcs = {(d.a, d.b): d for d in t.sorted_diagonals if isinstance(d, Arc)}
+    radii = {(d.a, d.tag): d for d in t.sorted_diagonals if isinstance(d, Radius)}
+    pairs = []
+
+    def side(u, v):
+        if v - u == 1:
+            return None
+        arc = arcs.get((u % n, v % n))
+        if arc is None:
+            raise AssertionError(f"missing side between {u} and {v}")
+        return arc
+
+    def side_exists(u, v):
+        return v - u == 1 or (u % n, v % n) in arcs
+
+    def apex(u, v):
+        for w in range(u + 1, v):
+            if side_exists(u, w) and side_exists(w, v):
+                return w
+        raise AssertionError(f"no apex between {u} and {v}")
+
+    def emit(tri):
+        for pos in range(3):
+            s, pred = tri[pos], tri[pos - 1]
+            if s is not None and pred is not None:
+                pairs.append((s, pred))
+
+    def fill_region(u, v):
+        if v - u == 1:
+            return
+        w = apex(u, v)
+        emit((side(u, w), side(w, v), side(u, v)))
+        fill_region(u, w)
+        fill_region(w, v)
+
+    if t.config == "A":
+        bases = list(t.radius_bases)
+        tag = next(iter(radii))[1]
+        m = len(bases)
+        for i in range(m):
+            u = bases[i]
+            v = bases[(i + 1) % m] if i + 1 < m else bases[0] + n
+            emit((radii[(u % n, tag)], side(u, v), radii[(v % n, tag)]))
+            fill_region(u, v)
+    else:
+        a = t.radius_bases[0]
+        w = apex(a, a + n)
+        before, after = side(a, w), side(w, a + n)
+        for tag in (PLAIN, NOTCHED):
+            r = radii[(a, tag)]
+            if before is not None:
+                pairs.append((before, r))
+            if after is not None:
+                pairs.append((r, after))
+        if before is not None and after is not None:
+            pairs.append((after, before))
+        fill_region(a, w)
+        fill_region(w, a + n)
+    return pairs
+
+
+def _quiver_of_oracle(t):
+    index = {d: i for i, d in enumerate(t.sorted_diagonals)}
+    b = [[0] * t.n for _ in range(t.n)]
+    for s, target in _arrow_pairs_oracle(t):
+        b[index[s]][index[target]] += 1
+        b[index[target]][index[s]] -= 1
+    return tuple(tuple(row) for row in b)
+
+
+def test_quiver_of_matches_region_recursion_oracle():
+    for n in range(3, 8):
+        for t in enumerate_triangulations(n):
+            assert quiver_of(t).b == _quiver_of_oracle(t)

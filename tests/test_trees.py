@@ -256,3 +256,129 @@ def test_json_rejects_junk():
         star_from_json_obj({"beads": [["L"]]})
     with pytest.raises(ValueError):
         star_from_json_obj({})
+
+
+# -- oracles: the dual-tree code the region decomposition replaced ----------------
+
+
+def _segment_walls_oracle(t):
+    """Absolute (start, end) windows of the puncture-adjacent regions."""
+    if t.config == "A":
+        bases = list(t.radius_bases)
+        m = len(bases)
+        return [
+            (bases[i], bases[i + 1] if i + 1 < m else bases[0] + t.n)
+            for i in range(m)
+        ]
+    a = t.radius_bases[0]
+    return [(a, a + t.n)]
+
+
+def _dual_tree_builder_oracle(t):
+    n = t.n
+    arcs = {(d.a, d.b) for d in t.diagonals if isinstance(d, Arc)}
+
+    def side_exists(u, v):
+        return v - u == 1 or (u % n, v % n) in arcs
+
+    def build(u, v):
+        if v - u == 1:
+            return LEAF
+        for w in range(u + 1, v):
+            if side_exists(u, w) and side_exists(w, v):
+                return (build(u, w), build(w, v))
+        raise AssertionError(f"no apex between {u} and {v}")
+
+    return build
+
+
+def _star_tree_of_oracle(t):
+    build = _dual_tree_builder_oracle(t)
+    return tuple(build(u, v) for u, v in _segment_walls_oracle(t))
+
+
+def _triangulation_of_oracle(star, n):
+    """Unfold each bead below its side, placing apexes by leaf counts."""
+    diagonals = []
+
+    def unfold(u, v, tree):
+        if tree == LEAF:
+            return
+        w = u + leaf_count(tree[0])
+        if w - u >= 2:
+            diagonals.append(Arc(u % n, w % n))
+        if v - w >= 2:
+            diagonals.append(Arc(w % n, v % n))
+        unfold(u, w, tree[0])
+        unfold(w, v, tree[1])
+
+    if len(star) == 1:
+        diagonals += [Radius(0, PLAIN), Radius(0, NOTCHED)]
+        unfold(0, n, star[0])
+    else:
+        pos = 0
+        for bead in star:
+            c = leaf_count(bead)
+            diagonals.append(Radius(pos % n, PLAIN))
+            if c >= 2:
+                diagonals.append(Arc(pos % n, (pos + c) % n))
+            unfold(pos, pos + c, bead)
+            pos += c
+    return Triangulation(n, diagonals)
+
+
+def _tree_move_for_flip_oracle(t, d):
+    n = t.n
+    walls = _segment_walls_oracle(t)
+    if isinstance(d, Radius):
+        if t.config == "B":
+            return ("split", 0)
+        j = list(t.radius_bases).index(d.a)
+        return ("merge", (j - 1) % len(walls))
+    if t.config == "A":
+        for i, (u, v) in enumerate(walls):
+            if d.a == u % n and d.b == v % n:
+                return ("split", i)
+    star = _star_tree_of_oracle(t)
+    for i, (u, v) in enumerate(walls):
+        offset = (d.a - u) % n
+        s, e = u + offset, u + offset + (d.b - d.a) % n
+        if e > v:
+            continue
+        path = ""
+        node, lo, hi = star[i], u, v
+        while True:
+            w = lo + leaf_count(node[0])
+            if (s, e) == (lo, w):
+                return ("rotate", i, path + "L")
+            if (s, e) == (w, hi):
+                return ("rotate", i, path + "R")
+            if e <= w:
+                path += "L"
+                node, hi = node[0], w
+            elif s >= w:
+                path += "R"
+                node, lo = node[1], w
+            else:
+                raise AssertionError(f"{d} straddles the apex of its region")
+    raise AssertionError(f"{d} not located in any segment")
+
+
+def test_dual_tree_maps_match_oracles():
+    for n in range(3, 8):
+        for t in enumerate_triangulations(n):
+            star = star_tree_of(t)
+            assert star == _star_tree_of_oracle(t)
+            assert triangulation_of(star, n) == _triangulation_of_oracle(star, n)
+            for d in t.sorted_diagonals:
+                assert tree_move_for_flip(t, d) == _tree_move_for_flip_oracle(t, d)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [("split", -1), ("split", 3), ("merge", -1), ("merge", 7), ("rotate", -1, "R"), ("rotate", 3, "L")],
+)
+def test_bead_moves_reject_out_of_range_indices(move):
+    star = (LEAF, LEAF, (LEAF, LEAF))
+    with pytest.raises(IndexError, match=rf"bead {move[1]} out of range for 3 beads \(0\.\.2\)"):
+        apply_tree_move(star, move)
