@@ -8,6 +8,7 @@ deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -47,56 +48,61 @@ def _json_text(obj) -> str:
 
 
 def _cmd_count(args) -> int:
-    try:
-        if args.type == "D":
-            value = counting.d_count(args.n)
-        else:
-            value = counting.a_count(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(value)
+    value = counting.d_count(args.n) if args.type == "D" else counting.a_count(args.n)
+    # str(int) refuses values past 4300 digits and a Decimal prints them
+    # exactly; sys.set_int_max_str_digits would change the whole process
+    print(decimal.Decimal(value))
     return 0
+
+
+# -- the classes of one route ------------------------------------------------
+
+
+def _class_map(what: str, n: int, bound: int, seed_orientation: str | None) -> dict:
+    """``{class key: representative}`` for one route at n.
+
+    ``enumerate`` writes the representatives in key order and ``verify``
+    counts the keys, so the two report the same classes.
+    """
+    if what == "quivers":
+        if not 3 <= n <= bound:
+            raise BoundExceededError(
+                f"quiver enumeration supports 3 <= n <= {bound}, got {n}"
+            )
+        orientation = _parse_orientation(seed_orientation, n - 1)
+        return quiver.mutation_class_representatives(quiver.dynkin_d(n, orientation))
+    if what == "triangulations":
+        classes: dict[bytes, polygon.Triangulation] = {}
+        for t in polygon.enumerate_triangulations(n, max_n=bound):
+            # class_key builds no Triangulation: only a new class builds one
+            key = polygon.class_key(t)
+            if key not in classes:
+                classes[key] = polygon.class_representative(t)[1]
+        return classes
+    return trees.star_tree_classes(n, max_n=bound)
 
 
 # -- enumerate ----------------------------------------------------------------
 
 
 def _enumerate_objects(args) -> list:
-    n = args.n
-    if args.what == "quivers":
-        bound = args.bound if args.bound is not None else QUIVER_BOUND
-        if not 3 <= n <= bound:
-            raise BoundExceededError(
-                f"quiver enumeration supports 3 <= n <= {bound}, got {n}"
-            )
-        orientation = _parse_orientation(args.seed_orientation, n - 1)
-        reps = quiver.mutation_class_representatives(quiver.dynkin_d(n, orientation))
-        return [reps[key].to_json_obj() for key in sorted(reps)]
-    if args.what == "triangulations":
-        bound = args.bound if args.bound is not None else TRIANGULATION_BOUND
-        classes: dict[bytes, polygon.Triangulation] = {}
-        for t in polygon.enumerate_triangulations(n, max_n=bound):
-            key, representative = polygon.class_representative(t)
-            classes.setdefault(key, representative)
-        return [
-            polygon.triangulation_to_json_obj(classes[key])
-            for key in sorted(classes)
-        ]
-    bound = args.bound if args.bound is not None else TREE_BOUND
-    classes_t = trees.star_tree_classes(n, max_n=bound)
-    return [trees.star_to_json_obj(classes_t[key]) for key in sorted(classes_t)]
+    bound, to_json = {
+        "quivers": (QUIVER_BOUND, quiver.Quiver.to_json_obj),
+        "triangulations": (TRIANGULATION_BOUND, polygon.triangulation_to_json_obj),
+        "trees": (TREE_BOUND, trees.star_to_json_obj),
+    }[args.what]
+    if args.bound is not None:
+        bound = args.bound
+    # only the JSON objects outlive this call, so the class map is not held
+    # in memory while the JSON text is built
+    classes = _class_map(args.what, args.n, bound, args.seed_orientation)
+    return [to_json(classes[key]) for key in sorted(classes)]
 
 
 def _cmd_enumerate(args) -> int:
     objs = _enumerate_objects(args)
-    text = _json_text(objs)
-    if args.out is None:
-        sys.stdout.write(text)
-        print(len(objs), file=sys.stderr)
-    else:
-        _write_output(text, args.out)
-        print(len(objs))
+    _write_output(_json_text(objs), args.out)
+    print(len(objs), file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -116,28 +122,23 @@ def _load_json(path: str):
 
 
 def _cmd_convert(args) -> int:
-    try:
-        obj = _load_json(args.input)
-        if args.source == "triangulation":
-            t = polygon.triangulation_from_json_obj(obj)
-            if args.to == "quiver":
-                q = polygon.quiver_of(t)
-                text = q.to_dot() if args.format == "dot" else _json_text(q.to_json_obj())
-            elif args.to == "tree":
-                text = _json_text(trees.star_to_json_obj(trees.star_tree_of(t)))
-            else:
-                raise ValueError("conversion triangulation -> triangulation is not defined")
+    obj = _load_json(args.input)
+    if args.source == "triangulation":
+        t = polygon.triangulation_from_json_obj(obj)
+        if args.to == "quiver":
+            q = polygon.quiver_of(t)
+            text = q.to_dot() if args.format == "dot" else _json_text(q.to_json_obj())
+        elif args.to == "tree":
+            text = _json_text(trees.star_to_json_obj(trees.star_tree_of(t)))
         else:
-            star = trees.star_from_json_obj(obj)
-            if args.to != "triangulation":
-                raise ValueError(f"conversion tree -> {args.to} is not defined")
-            n = sum(trees.leaf_count(bead) for bead in star)
-            text = _json_text(
-                polygon.triangulation_to_json_obj(trees.triangulation_of(star, n))
-            )
-    except (ValueError, KeyError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError("conversion triangulation -> triangulation is not defined")
+    else:
+        star = trees.star_from_json_obj(obj)
+        if args.to != "triangulation":
+            raise ValueError(f"conversion tree -> {args.to} is not defined")
+        n = sum(trees.leaf_count(bead) for bead in star)
+        t = trees.triangulation_of(star, n)
+        text = _json_text(polygon.triangulation_to_json_obj(t))
     _write_output(text, args.out)
     return 0
 
@@ -162,33 +163,35 @@ def _parse_tree_move(text: str) -> tuple:
 
 
 def _cmd_mutate(args) -> int:
-    try:
-        obj = _load_json(args.input)
-        if args.what == "quiver":
-            q = quiver.Quiver.from_json_obj(obj)
-            text = _json_text(quiver.mutate(q, int(args.at)).to_json_obj())
-        elif args.what == "triangulation":
-            t = polygon.triangulation_from_json_obj(obj)
-            i = int(args.at)
-            if not 0 <= i < t.n:
-                raise IndexError(f"diagonal {i} out of range for {t.n} diagonals (0..{t.n - 1})")
-            d = t.sorted_diagonals[i]
-            text = _json_text(
-                polygon.triangulation_to_json_obj(polygon.flip(t, d))
-            )
-        else:
-            star = trees.star_from_json_obj(obj)
-            moved = trees.apply_tree_move(star, _parse_tree_move(args.at))
-            text = _json_text(trees.star_to_json_obj(moved))
-    except (ValueError, KeyError, TypeError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obj = _load_json(args.input)
+    if args.what == "quiver":
+        q = quiver.Quiver.from_json_obj(obj)
+        text = _json_text(quiver.mutate(q, int(args.at)).to_json_obj())
+    elif args.what == "triangulation":
+        t = polygon.triangulation_from_json_obj(obj)
+        i = int(args.at)
+        if not 0 <= i < t.n:
+            raise IndexError(f"diagonal {i} out of range for {t.n} diagonals (0..{t.n - 1})")
+        d = t.sorted_diagonals[i]
+        text = _json_text(polygon.triangulation_to_json_obj(polygon.flip(t, d)))
+    else:
+        star = trees.star_from_json_obj(obj)
+        moved = trees.apply_tree_move(star, _parse_tree_move(args.at))
+        text = _json_text(trees.star_to_json_obj(moved))
     _write_output(text, args.out)
     return 0
 
 
 # -- verify -------------------------------------------------------------------
 
+
+# route -> the report field holding its count, its wall_time entry and the
+# option bounding its n
+_ROUTES = (
+    ("quivers", "quiver_bfs_count", "quiver_bfs", "quiver_bound"),
+    ("triangulations", "triangulation_class_count", "triangulations", "triangulation_bound"),
+    ("trees", "tree_count", "trees", "tree_bound"),
+)
 
 # agreement key -> the report field holding a route's count, the reference
 # it must equal, and the route that fails when it does not
@@ -217,32 +220,14 @@ def _verify_one(n: int, args) -> dict:
     report["formula_count"] = formula
     report["wall_time"]["formula"] = time.perf_counter() - start
 
-    if n <= args.quiver_bound:
+    for what, field, timer, bound_option in _ROUTES:
+        bound = getattr(args, bound_option)
+        if n > bound:
+            report[field] = "skipped"
+            continue
         start = time.perf_counter()
-        orientation = _parse_orientation(args.seed_orientation, n - 1)
-        seed = quiver.dynkin_d(n, orientation)
-        report["quiver_bfs_count"] = len(quiver.mutation_class(seed))
-        report["wall_time"]["quiver_bfs"] = time.perf_counter() - start
-    else:
-        report["quiver_bfs_count"] = "skipped"
-
-    if n <= args.triangulation_bound:
-        start = time.perf_counter()
-        keys = {
-            polygon.class_key(t)
-            for t in polygon.enumerate_triangulations(n, max_n=args.triangulation_bound)
-        }
-        report["triangulation_class_count"] = len(keys)
-        report["wall_time"]["triangulations"] = time.perf_counter() - start
-    else:
-        report["triangulation_class_count"] = "skipped"
-
-    if n <= args.tree_bound:
-        start = time.perf_counter()
-        report["tree_count"] = len(trees.enumerate_star_trees(n, max_n=args.tree_bound))
-        report["wall_time"]["trees"] = time.perf_counter() - start
-    else:
-        report["tree_count"] = "skipped"
+        report[field] = len(_class_map(what, n, bound, args.seed_orientation))
+        report["wall_time"][timer] = time.perf_counter() - start
 
     references = {"formula": formula, "necklace": necklace}
     agreement = report["agreement"]
@@ -271,11 +256,9 @@ def _verify_one(n: int, args) -> dict:
 
 def _cmd_verify(args) -> int:
     if args.nmin > args.nmax:
-        print("error: nmin must not exceed nmax", file=sys.stderr)
-        return 2
+        raise ValueError("nmin must not exceed nmax")
     if args.nmin < 3:
-        print("error: verification starts at n = 3", file=sys.stderr)
-        return 2
+        raise ValueError("verification starts at n = 3")
     reports = [_verify_one(n, args) for n in range(args.nmin, args.nmax + 1)]
 
     header = f"{'n':>3} {'formula':>10} {'quiver_bfs':>10} {'triang':>8} {'trees':>8}  status"
@@ -354,7 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, IndexError, OSError) as exc:
+        # bad input, out-of-range positions, unreadable or unwritable files;
+        # exit 1 stays reserved for failed verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,10 +22,19 @@ def _exact_div(a: int, b: int) -> int:
 
 
 def euler_phi(m: int) -> int:
-    """Euler's totient: how many of 1..m are coprime to m."""
+    """Euler's totient: how many of 1..m are coprime to m (by trial division)."""
     if m < 1:
         raise ValueError(f"euler_phi needs m >= 1, got {m}")
-    return sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+    phi, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
 
 
 def catalan(i: int) -> int:

@@ -217,12 +217,13 @@ def canonical_key(q: Quiver) -> bytes:
     return _canonical(q.b, q.rank)[0]
 
 
+def _relabel(q: Quiver, perm: Sequence[int]) -> Quiver:
+    return Quiver(q.rank, tuple(tuple(q.b[pi][pj] for pj in perm) for pi in perm))
+
+
 def canonical_form(q: Quiver) -> Quiver:
     """The relabeling of ``q`` whose serialization is canonical_key(q)."""
-    _, perm = _canonical(q.b, q.rank)
-    return Quiver(
-        q.rank, tuple(tuple(q.b[pi][pj] for pj in perm) for pi in perm)
-    )
+    return _relabel(q, _canonical(q.b, q.rank)[1])
 
 
 # -- mutation classes --------------------------------------------------------
@@ -233,27 +234,28 @@ def mutation_class_representatives(
 ) -> dict[bytes, Quiver]:
     """All isomorphism classes reachable from ``seed`` by mutation.
 
-    Breadth-first search over canonical keys; the stored representative of
-    each class is its canonical form, so the result is deterministic.  The
-    cap guards against seeds of non-finite mutation type.
+    Breadth-first search over canonical keys, one canonicalization per
+    quiver; the stored representative of each class is its canonical form,
+    so the result is deterministic.  The cap guards against seeds of
+    non-finite mutation type.
     """
     if not is_connected(seed):
         raise ValueError("seed quiver must be connected")
-    rep = canonical_form(seed)
-    reps = {canonical_key(seed): rep}
-    queue = deque([rep])
+    key, perm = _canonical(seed.b, seed.rank)
+    reps = {key: _relabel(seed, perm)}
+    queue = deque(reps.values())
     while queue:
         q = queue.popleft()
         for k in range(q.rank):
             m = mutate(q, k)
-            key = canonical_key(m)
+            key, perm = _canonical(m.b, m.rank)
             if key not in reps:
                 if len(reps) >= max_classes:
                     raise BoundExceededError(
                         f"mutation class exceeded {max_classes} classes; "
                         "the seed is probably not of finite mutation type"
                     )
-                form = canonical_form(m)
+                form = _relabel(m, perm)
                 reps[key] = form
                 queue.append(form)
     return reps

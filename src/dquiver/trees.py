@@ -90,23 +90,25 @@ def _serialize_bead(tree: BinaryTree) -> bytes:
     return b"(" + _serialize_bead(tree[0]) + _serialize_bead(tree[1]) + b")"
 
 
-def _serialize_star(star: StarTree) -> bytes:
-    return b"[" + b",".join(_serialize_bead(bead) for bead in star) + b"]"
+def _least_rotation(star: StarTree) -> tuple[bytes, StarTree]:
+    """``tree_key(star)`` and the rotation of ``star`` it serializes."""
+    if not star:
+        raise ValueError("star tree needs at least one bead")
+    codes = [_serialize_bead(bead) for bead in star]
+    # bead codes are prefix-free (each is "L" or a balanced bracket word), so
+    # comparing rotations as sequences of codes orders them as serializations
+    i = min(range(len(star)), key=lambda i: codes[i:] + codes[:i])
+    return b"[" + b",".join(codes[i:] + codes[:i]) + b"]", star[i:] + star[:i]
 
 
 def canonical_star(star: StarTree) -> StarTree:
     """The cyclic rotation of ``star`` with the smallest serialization."""
-    if not star:
-        raise ValueError("star tree needs at least one bead")
-    k = len(star)
-    return min(
-        (star[i:] + star[:i] for i in range(k)), key=_serialize_star
-    )
+    return _least_rotation(star)[1]
 
 
 def tree_key(star: StarTree) -> bytes:
     """Byte string equal for two star trees iff they are rotations of each other."""
-    return _serialize_star(canonical_star(star))
+    return _least_rotation(star)[0]
 
 
 # -- enumeration -------------------------------------------------------------
@@ -138,8 +140,8 @@ def _bead_sequences(total: int) -> Iterator[StarTree]:
 def star_tree_classes(n: int, *, max_n: int = 16) -> dict[bytes, StarTree]:
     """Rotation classes of star trees with n leaves, keyed by tree_key.
 
-    The stored representative is the canonical rotation, so iteration
-    order and contents are deterministic.
+    The stored representative is the canonical rotation.  Classes come in
+    the order of their first bead sequence, not in key order.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 leaves, got {n}")
@@ -149,9 +151,9 @@ def star_tree_classes(n: int, *, max_n: int = 16) -> dict[bytes, StarTree]:
         )
     classes: dict[bytes, StarTree] = {}
     for star in _bead_sequences(n):
-        rep = canonical_star(star)
-        classes.setdefault(_serialize_star(rep), rep)
-    return dict(sorted(classes.items()))
+        key, rep = _least_rotation(star)
+        classes.setdefault(key, rep)
+    return classes
 
 
 def enumerate_star_trees(n: int, *, max_n: int = 16) -> set[bytes]:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -34,6 +35,15 @@ def test_count_a(capsys):
 def test_count_invalid_n(capsys):
     code, _, err = run(capsys, "count", "1", "--type", "D")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("kind, n", [("D", 7200), ("A", 20000)])
+def test_count_prints_values_past_the_str_digit_limit(capsys, kind, n):
+    # both values have more than 4300 digits, so compare as Decimal, not str
+    code, out, _ = run(capsys, "count", str(n), "--type", kind)
+    assert code == 0
+    assert out.endswith("\n") and out[:-1].isdigit()
+    assert Decimal(out) == (counting.d_count(n) if kind == "D" else counting.a_count(n))
 
 
 def test_usage_error_exits_2():
@@ -99,6 +109,52 @@ def test_enumerate_deterministic(capsys, tmp_path):
     run(capsys, "enumerate", "5", "--what", "triangulations", "--out", str(f1))
     run(capsys, "enumerate", "5", "--what", "triangulations", "--out", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def _representative_key(what, obj):
+    """The class key of an object enumerate wrote; fails unless it is the
+    class's canonical representative."""
+    if what == "quivers":
+        q = Quiver.from_json_obj(obj)
+        assert quiver.canonical_form(q) == q
+        return canonical_key(q)
+    if what == "triangulations":
+        key, rep = polygon.class_representative(polygon.triangulation_from_json_obj(obj))
+        assert polygon.triangulation_to_json_obj(rep) == obj
+        return key
+    star = trees.star_from_json_obj(obj)
+    assert trees.canonical_star(star) == star
+    return trees.tree_key(star)
+
+
+def test_enumerate_writes_the_classes_verify_counts(capsys, tmp_path):
+    report_file = tmp_path / "report.json"
+    assert run(capsys, "verify", "3", "7", "--json", str(report_file))[0] == 0
+    reports = {r["n"]: r for r in json.loads(report_file.read_text())}
+    routes = {
+        "quivers": "quiver_bfs_count",
+        "triangulations": "triangulation_class_count",
+        "trees": "tree_count",
+    }
+    for what, field in routes.items():
+        for n in range(3, 8):
+            out_file = tmp_path / f"{what}{n}.json"
+            code, out, _ = run(capsys, "enumerate", str(n), "--what", what, "--out", str(out_file))
+            assert code == 0
+            keys = [_representative_key(what, obj) for obj in json.loads(out_file.read_text())]
+            # one representative per class, in key order
+            assert keys == sorted(set(keys))
+            assert int(out) == reports[n][field] == len(keys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "4", "--what", "trees", "--out"], ["verify", "3", "3", "--json"]],
+)
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # -- convert -------------------------------------------------------------------
@@ -314,13 +370,13 @@ def _one_fewer(real):
 @pytest.mark.parametrize(
     "n, module, name, fake, route",
     [
-        (5, quiver, "mutation_class", _one_fewer, "quiver_bfs"),
+        (5, quiver, "mutation_class_representatives", _one_fewer, "quiver_bfs"),
         # keyed by the serialization itself, triangulations are not merged
         # into classes: 182 and 50 keys instead of 26 and 10
         (5, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
         (4, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
-        (5, trees, "enumerate_star_trees", _one_fewer, "trees"),
-        (4, trees, "enumerate_star_trees", _one_fewer, "trees"),
+        (5, trees, "star_tree_classes", _one_fewer, "trees"),
+        (4, trees, "star_tree_classes", _one_fewer, "trees"),
     ],
 )
 def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n, module, name, fake, route):

@@ -38,6 +38,16 @@ def test_euler_phi_rejects_zero():
         euler_phi(0)
 
 
+def _euler_phi_oracle(m):
+    """The gcd count that trial division replaced."""
+    return sum(1 for j in range(1, m + 1) if math.gcd(j, m) == 1)
+
+
+def test_euler_phi_matches_the_gcd_count():
+    for m in range(1, 3001):
+        assert euler_phi(m) == _euler_phi_oracle(m)
+
+
 @given(st.integers(1, 60), st.integers(1, 60))
 def test_euler_phi_multiplicative(a, b):
     if math.gcd(a, b) == 1:

@@ -1,8 +1,11 @@
 import json
+from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dquiver import quiver as quiver_module
 from dquiver.counting import d_count
 from dquiver.errors import BoundExceededError
 from dquiver.quiver import (
@@ -164,6 +167,39 @@ def test_class_representatives_are_canonical_and_connected():
     for key, rep in reps.items():
         assert canonical_key(rep) == key
         assert is_connected(rep)
+
+
+def _two_pass_bfs_oracle(seed):
+    """The BFS that ran canonical_key and then canonical_form on a new class."""
+    rep = canonical_form(seed)
+    reps = {canonical_key(seed): rep}
+    queue = deque([rep])
+    while queue:
+        q = queue.popleft()
+        for k in range(q.rank):
+            m = mutate(q, k)
+            key = canonical_key(m)
+            if key not in reps:
+                reps[key] = canonical_form(m)
+                queue.append(reps[key])
+    return reps
+
+
+def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
+    for bits in product((True, False), repeat=4):
+        seed = dynkin_d(5, bits)
+        got = mutation_class_representatives(seed)
+        assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
+    calls = []
+    real = quiver_module._canonical
+    monkeypatch.setattr(quiver_module, "_canonical", lambda b, rank: calls.append(rank) or real(b, rank))
+    reps = mutation_class_representatives(dynkin_d(n))
+    # the seed, then every mutation of every class representative
+    assert len(calls) == 1 + n * len(reps)
 
 
 def test_class_cap_is_enforced():

@@ -19,6 +19,8 @@ from dquiver.polygon import (
 )
 from dquiver.trees import (
     LEAF,
+    _bead_sequences,
+    _least_rotation,
     apply_tree_move,
     canonical_star,
     enumerate_star_trees,
@@ -256,6 +258,44 @@ def test_json_rejects_junk():
         star_from_json_obj({"beads": [["L"]]})
     with pytest.raises(ValueError):
         star_from_json_obj({})
+
+
+# -- oracles: the star canonicalization _least_rotation replaced -------------------
+
+
+def _serialize_bead_oracle(tree):
+    if tree == LEAF:
+        return b"L"
+    return b"(" + _serialize_bead_oracle(tree[0]) + _serialize_bead_oracle(tree[1]) + b")"
+
+
+def _serialize_star_oracle(star):
+    return b"[" + b",".join(_serialize_bead_oracle(bead) for bead in star) + b"]"
+
+
+def _canonical_star_oracle(star):
+    """Serialize every rotation and keep the least."""
+    return min((star[i:] + star[:i] for i in range(len(star))), key=_serialize_star_oracle)
+
+
+def _star_tree_classes_oracle(n):
+    classes = {}
+    for star in _bead_sequences(n):
+        rep = _canonical_star_oracle(star)
+        classes.setdefault(_serialize_star_oracle(rep), rep)
+    return dict(sorted(classes.items()))
+
+
+def test_least_rotation_matches_the_serialize_every_rotation_oracle():
+    for n in range(1, 11):
+        for star in _bead_sequences(n):
+            rep = _canonical_star_oracle(star)
+            assert _least_rotation(star) == (_serialize_star_oracle(rep), rep)
+
+
+def test_star_tree_classes_match_the_sorted_oracle():
+    for n in range(1, 11):
+        assert star_tree_classes(n) == _star_tree_classes_oracle(n)
 
 
 # -- oracles: the dual-tree code the region decomposition replaced ----------------
