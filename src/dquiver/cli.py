@@ -8,8 +8,11 @@ deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
 import json
+import os
+import stat
 import sys
 import time
 from typing import Sequence
@@ -17,9 +20,16 @@ from typing import Sequence
 from . import counting, polygon, quiver, trees
 from .errors import BoundExceededError
 
-QUIVER_BOUND = 9
-TRIANGULATION_BOUND = 7
-TREE_BOUND = 12
+# route -> its desk-scale bound on n (overridden by --bound and the
+# --*-bound options), its JSON writer, the verify report field holding its
+# count and its wall_time entry.  The library enumerations take only n.
+_ROUTES = {
+    "quivers": (9, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
+    "triangulations": (
+        7, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
+    ),
+    "trees": (12, trees.star_to_json_obj, "tree_count", "trees"),
+}
 
 
 def _parse_orientation(text: str | None, edges: int) -> list[bool] | None:
@@ -32,12 +42,31 @@ def _parse_orientation(text: str | None, edges: int) -> list[bool] | None:
     return [c == "1" for c in text]
 
 
-def _write_output(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Yield a write function for ``out``, or for stdout when it is None.
+
+    The file is opened on entry, so a bad path fails before any work done
+    inside the block; if the block raises, the file is removed, so a failed
+    command leaves no partial output behind.  ``convert`` and ``mutate``
+    enter it only after reading their input, which ``out`` may name.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        yield sys.stdout.write
+        return
+    fh = open(out, "w", encoding="utf-8")
+    opened = os.fstat(fh.fileno())
+    try:
+        with fh:
+            yield fh.write
+    except BaseException:
+        # remove only the regular file opened here: never a device such as
+        # /dev/null, nor a symlink such as /dev/stdout; a failed removal
+        # must not hide the error that caused it
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.lstat(out)):
+                os.remove(out)
+        raise
 
 
 def _json_text(obj) -> str:
@@ -62,35 +91,32 @@ def _class_map(what: str, n: int, bound: int, seed_orientation: str | None) -> d
     """``{class key: representative}`` for one route at n.
 
     ``enumerate`` writes the representatives in key order and ``verify``
-    counts the keys, so the two report the same classes.
+    counts the keys, so the two report the same classes.  The domain is
+    checked here, before any work, the same way for every route.
     """
+    if n < 3:
+        raise ValueError(f"enumeration starts at n = 3, got {n}")
+    if n > bound:
+        raise BoundExceededError(f"{what[:-1]} enumeration supports n <= {bound}, got {n}")
     if what == "quivers":
-        if not 3 <= n <= bound:
-            raise BoundExceededError(
-                f"quiver enumeration supports 3 <= n <= {bound}, got {n}"
-            )
         orientation = _parse_orientation(seed_orientation, n - 1)
         return quiver.mutation_class_representatives(quiver.dynkin_d(n, orientation))
     if what == "triangulations":
         classes: dict[bytes, polygon.Triangulation] = {}
-        for t in polygon.enumerate_triangulations(n, max_n=bound):
+        for t in polygon.enumerate_triangulations(n):
             # class_key builds no Triangulation: only a new class builds one
             key = polygon.class_key(t)
             if key not in classes:
                 classes[key] = polygon.class_representative(t)[1]
         return classes
-    return trees.star_tree_classes(n, max_n=bound)
+    return trees.star_tree_classes(n)
 
 
 # -- enumerate ----------------------------------------------------------------
 
 
 def _enumerate_objects(args) -> list:
-    bound, to_json = {
-        "quivers": (QUIVER_BOUND, quiver.Quiver.to_json_obj),
-        "triangulations": (TRIANGULATION_BOUND, polygon.triangulation_to_json_obj),
-        "trees": (TREE_BOUND, trees.star_to_json_obj),
-    }[args.what]
+    bound, to_json, _, _ = _ROUTES[args.what]
     if args.bound is not None:
         bound = args.bound
     # only the JSON objects outlive this call, so the class map is not held
@@ -100,8 +126,11 @@ def _enumerate_objects(args) -> list:
 
 
 def _cmd_enumerate(args) -> int:
-    objs = _enumerate_objects(args)
-    _write_output(_json_text(objs), args.out)
+    if args.seed_orientation is not None and args.what != "quivers":
+        raise ValueError("--seed-orientation applies only to --what quivers")
+    with _output(args.out) as write:
+        objs = _enumerate_objects(args)
+        write(_json_text(objs))
     print(len(objs), file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
@@ -139,7 +168,8 @@ def _cmd_convert(args) -> int:
         n = sum(trees.leaf_count(bead) for bead in star)
         t = trees.triangulation_of(star, n)
         text = _json_text(polygon.triangulation_to_json_obj(t))
-    _write_output(text, args.out)
+    with _output(args.out) as write:
+        write(text)
     return 0
 
 
@@ -178,20 +208,13 @@ def _cmd_mutate(args) -> int:
         star = trees.star_from_json_obj(obj)
         moved = trees.apply_tree_move(star, _parse_tree_move(args.at))
         text = _json_text(trees.star_to_json_obj(moved))
-    _write_output(text, args.out)
+    with _output(args.out) as write:
+        write(text)
     return 0
 
 
 # -- verify -------------------------------------------------------------------
 
-
-# route -> the report field holding its count, its wall_time entry and the
-# option bounding its n
-_ROUTES = (
-    ("quivers", "quiver_bfs_count", "quiver_bfs", "quiver_bound"),
-    ("triangulations", "triangulation_class_count", "triangulations", "triangulation_bound"),
-    ("trees", "tree_count", "trees", "tree_bound"),
-)
 
 # agreement key -> the report field holding a route's count, the reference
 # it must equal, and the route that fails when it does not
@@ -220,8 +243,8 @@ def _verify_one(n: int, args) -> dict:
     report["formula_count"] = formula
     report["wall_time"]["formula"] = time.perf_counter() - start
 
-    for what, field, timer, bound_option in _ROUTES:
-        bound = getattr(args, bound_option)
+    for what, (_, _, field, timer) in _ROUTES.items():
+        bound = getattr(args, f"{what[:-1]}_bound")
         if n > bound:
             report[field] = "skipped"
             continue
@@ -259,20 +282,22 @@ def _cmd_verify(args) -> int:
         raise ValueError("nmin must not exceed nmax")
     if args.nmin < 3:
         raise ValueError("verification starts at n = 3")
-    reports = [_verify_one(n, args) for n in range(args.nmin, args.nmax + 1)]
+    json_output = _output(args.json) if args.json is not None else contextlib.nullcontext()
+    with json_output as write:
+        reports = [_verify_one(n, args) for n in range(args.nmin, args.nmax + 1)]
 
-    header = f"{'n':>3} {'formula':>10} {'quiver_bfs':>10} {'triang':>8} {'trees':>8}  status"
-    print(header)
-    print("-" * len(header))
-    for r in reports:
-        print(
-            f"{r['n']:>3} {r['formula_count']:>10} "
-            f"{str(r['quiver_bfs_count']):>10} "
-            f"{str(r['triangulation_class_count']):>8} "
-            f"{str(r['tree_count']):>8}  {r['status']}"
-        )
-    if args.json is not None:
-        _write_output(_json_text(reports), args.json)
+        header = f"{'n':>3} {'formula':>10} {'quiver_bfs':>10} {'triang':>8} {'trees':>8}  status"
+        print(header)
+        print("-" * len(header))
+        for r in reports:
+            print(
+                f"{r['n']:>3} {r['formula_count']:>10} "
+                f"{str(r['quiver_bfs_count']):>10} "
+                f"{str(r['triangulation_class_count']):>8} "
+                f"{str(r['tree_count']):>8}  {r['status']}"
+            )
+        if write is not None:
+            write(_json_text(reports))
     return 1 if any(r["failures"] for r in reports) else 0
 
 
@@ -319,9 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check all counting methods")
     p.add_argument("nmin", type=int)
     p.add_argument("nmax", type=int)
-    p.add_argument("--quiver-bound", type=int, default=QUIVER_BOUND)
-    p.add_argument("--triangulation-bound", type=int, default=TRIANGULATION_BOUND)
-    p.add_argument("--tree-bound", type=int, default=TREE_BOUND)
+    for what, (bound, _, _, _) in _ROUTES.items():
+        p.add_argument(f"--{what[:-1]}-bound", type=int, default=bound)
     p.add_argument("--seed-orientation", help="0/1 string choosing the D_n seed orientation")
     p.add_argument("--json", help="also write the verification report as JSON here")
     p.set_defaults(func=_cmd_verify)

@@ -42,7 +42,6 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .errors import BoundExceededError
 from .quiver import Quiver
 
 PLAIN = "plain"
@@ -318,8 +317,7 @@ def _tag_config(n: int, diagonals) -> tuple[str, tuple[int, ...]]:
     radii = [d for d in diagonals if isinstance(d, Radius)]
     bases = sorted({r.a for r in radii})
     if len(radii) == 2 and len(bases) == 1:
-        if radii[0].tag == radii[1].tag:
-            raise ValueError("two radii at one vertex must carry opposite tags")
+        # two distinct radii at one vertex: their tags differ
         return ("B", tuple(bases))
     if len(radii) >= 2 and len(bases) == len(radii) and len({r.tag for r in radii}) == 1:
         return ("A", tuple(bases))
@@ -456,17 +454,13 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
     return all(not mask & ~table.row(i) for i in _bits(mask))
 
 
-def enumerate_triangulations(n: int, *, max_n: int = 8) -> set[Triangulation]:
+def enumerate_triangulations(n: int) -> set[Triangulation]:
     """All triangulations of the punctured n-gon, by clique search.
 
     Backtracks over the compatibility masks of all diagonals, looking for
     size-n sets of pairwise compatible diagonals (every such set is
     maximal, hence a triangulation).
     """
-    if not 3 <= n <= max_n:
-        raise BoundExceededError(
-            f"triangulation enumeration supports 3 <= n <= {max_n}, got {n}"
-        )
     table = _diagonal_table(n)
     compat = [table.row(i) for i in range(len(table.diagonals))]
     result: set[Triangulation] = set()
@@ -512,12 +506,8 @@ def flip(t: Triangulation, d: Diagonal) -> Triangulation:
     return Triangulation._from_mask(t.n, rest | (survivors ^ bit))
 
 
-def triangulations_by_flips(n: int, *, max_n: int = 8) -> set[Triangulation]:
+def triangulations_by_flips(n: int) -> set[Triangulation]:
     """Flip-closure of the plain fan; independent route to all of them."""
-    if not 3 <= n <= max_n:
-        raise BoundExceededError(
-            f"flip closure supports 3 <= n <= {max_n}, got {n}"
-        )
     start = fan_triangulation(n)
     seen = {start}
     frontier = [start]

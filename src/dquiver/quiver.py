@@ -20,6 +20,11 @@ from .errors import BoundExceededError
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# largest rank a JSON quiver may declare: its dense matrix is allocated
+# before any arrow is read, and mutating a quiver of this rank takes about
+# half a second
+MAX_JSON_RANK = 1000
+
 __all__ = [
     "Quiver",
     "mutate",
@@ -90,6 +95,8 @@ class Quiver:
         for a in arrows:
             if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
                 raise ValueError(f"an arrow is a pair of integer vertices, got {a!r}")
+        if rank > MAX_JSON_RANK:
+            raise BoundExceededError(f"rank {rank} exceeds the JSON rank limit {MAX_JSON_RANK}")
         return cls.from_arrows(rank, (tuple(a) for a in arrows))
 
     def to_dot(self) -> str:

@@ -22,7 +22,6 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Union
 
-from .errors import BoundExceededError
 from .polygon import (
     LEAF,
     NOTCHED,
@@ -137,7 +136,7 @@ def _bead_sequences(total: int) -> Iterator[StarTree]:
                 yield (bead,) + rest
 
 
-def star_tree_classes(n: int, *, max_n: int = 16) -> dict[bytes, StarTree]:
+def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     """Rotation classes of star trees with n leaves, keyed by tree_key.
 
     The stored representative is the canonical rotation.  Classes come in
@@ -145,10 +144,6 @@ def star_tree_classes(n: int, *, max_n: int = 16) -> dict[bytes, StarTree]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1 leaves, got {n}")
-    if n > max_n:
-        raise BoundExceededError(
-            f"star tree enumeration supports n <= {max_n}, got {n}"
-        )
     classes: dict[bytes, StarTree] = {}
     for star in _bead_sequences(n):
         key, rep = _least_rotation(star)
@@ -156,9 +151,9 @@ def star_tree_classes(n: int, *, max_n: int = 16) -> dict[bytes, StarTree]:
     return classes
 
 
-def enumerate_star_trees(n: int, *, max_n: int = 16) -> set[bytes]:
+def enumerate_star_trees(n: int) -> set[bytes]:
     """Keys of all rotation classes of star trees with n leaves."""
-    return set(star_tree_classes(n, max_n=max_n))
+    return set(star_tree_classes(n))
 
 
 # -- the dual star tree of a triangulation -----------------------------------

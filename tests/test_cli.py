@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from dquiver import counting, polygon, quiver, trees
+from dquiver import cli, counting, polygon, quiver, trees
 from dquiver.cli import main
 from dquiver.quiver import Quiver, canonical_key, dynkin_d
 
@@ -88,6 +88,16 @@ def test_enumerate_respects_bounds(capsys):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("what, bound", [("quivers", 9), ("triangulations", 7), ("trees", 12)])
+def test_enumerate_checks_the_domain_the_same_way_on_every_route(capsys, what, bound):
+    # n < 3 is malformed input (exit 2); past the desk-scale bound is a
+    # resource limit (exit 3)
+    for n, expected in ((1, 2), (2, 2), (bound + 1, 3)):
+        code, out, err = run(capsys, "enumerate", str(n), "--what", what)
+        assert (code, out) == (expected, ""), n
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_enumerate_bound_override(capsys):
     code, out, _ = run(capsys, "enumerate", "8", "--what", "triangulations", "--bound", "8")
     assert code == 0
@@ -155,6 +165,61 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "x.json"))
     assert code == 2
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "8", "--what", "quivers", "--out"], ["verify", "3", "8", "--json"]],
+)
+def test_unwritable_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*args):
+        raise AssertionError("a class map was built before the output path was opened")
+
+    monkeypatch.setattr(cli, "_class_map", no_work)
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["enumerate", "10", "--what", "quivers", "--out"], 3),
+     (["enumerate", "2", "--what", "trees", "--out"], 2),
+     (["verify", "5", "5", "--seed-orientation", "01", "--json"], 2)],
+)
+def test_a_failed_command_leaves_no_output_file(capsys, tmp_path, argv, expected):
+    out_file = tmp_path / "x.json"
+    code, _, err = run(capsys, *argv, str(out_file))
+    assert code == expected and err.startswith("error: ")
+    assert not out_file.exists()
+
+
+def test_a_failed_command_keeps_a_symlinked_output_path(capsys, tmp_path):
+    # only a regular file opened at the path itself is removed, so a link
+    # such as /dev/stdout survives a failed command
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "enumerate", "10", "--what", "quivers", "--out", str(link))
+    assert code == 3
+    assert link.is_symlink() and target.exists()
+
+
+@pytest.mark.parametrize(
+    "what, orientation", [("trees", "zz"), ("triangulations", "01"), ("triangulations", "0110")]
+)
+def test_enumerate_rejects_seed_orientation_off_the_quiver_route(capsys, what, orientation):
+    code, out, err = run(capsys, "enumerate", "5", "--what", what, "--seed-orientation", orientation)
+    assert code == 2 and out == ""
+    assert err == "error: --seed-orientation applies only to --what quivers\n"
+
+
+@pytest.mark.parametrize("orientation", ["011", "01101", "01x0"])
+def test_enumerate_rejects_a_malformed_seed_orientation(capsys, orientation):
+    code, out, err = run(capsys, "enumerate", "5", "--what", "quivers", "--seed-orientation", orientation)
+    assert code == 2 and out == ""
+    assert err == f"error: --seed-orientation needs 4 characters of 0/1, got {orientation!r}\n"
 
 
 # -- convert -------------------------------------------------------------------
@@ -307,6 +372,28 @@ def test_mutate_bad_position(capsys, tmp_path):
     src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(3))))
     code, _, err = run(capsys, "mutate", "--what", "tree", str(src), "--at", "frob:1")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("at", ["split:x", "merge:1.5", "rotate:x:L"])
+def test_mutate_tree_rejects_a_non_integer_bead_index(capsys, tmp_path, at):
+    src = tmp_path / "r3.json"
+    src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(3))))
+    code, out, err = run(capsys, "mutate", "--what", "tree", str(src), "--at", at)
+    assert code == 2 and out == ""
+    assert err == f"error: bad tree position {at!r}; use split:I, merge:I or rotate:I:PATH\n"
+
+
+@pytest.mark.parametrize("rank", [quiver.MAX_JSON_RANK + 1, 10**9])
+def test_mutate_quiver_rejects_a_rank_past_the_json_limit(capsys, monkeypatch, tmp_path, rank):
+    def no_matrix(*args):
+        raise AssertionError("a rank x rank matrix was allocated before the rank was checked")
+
+    monkeypatch.setattr(Quiver, "from_arrows", no_matrix)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"rank": rank, "arrows": []}))
+    code, out, err = run(capsys, "mutate", "--what", "quiver", str(src), "--at", "0")
+    assert code == 3 and out == ""
+    assert err == f"error: rank {rank} exceeds the JSON rank limit {quiver.MAX_JSON_RANK}\n"
 
 
 # -- verify --------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dquiver import polygon
 from dquiver.counting import d_cluster_count
-from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
     NOTCHED,
     PLAIN,
@@ -164,11 +163,6 @@ def test_class_counts():
     count = lambda n: len({class_key(t) for t in enumerate_triangulations(n)})
     assert count(4) == 10  # differs from the mutation class count 6
     assert count(5) == 26
-
-
-def test_enumeration_bound():
-    with pytest.raises(BoundExceededError):
-        enumerate_triangulations(9)
 
 
 # -- flips -------------------------------------------------------------------------

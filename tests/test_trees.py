@@ -3,7 +3,6 @@ import json
 import pytest
 
 from dquiver.counting import necklace_count
-from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
     NOTCHED,
     PLAIN,
@@ -70,11 +69,6 @@ def test_enumeration_counts(n, count):
 def test_enumeration_matches_necklace_formula():
     for n in range(1, 10):
         assert len(enumerate_star_trees(n)) == necklace_count(n)
-
-
-def test_enumeration_bound():
-    with pytest.raises(BoundExceededError):
-        enumerate_star_trees(5, max_n=4)
 
 
 def test_all_leaf_beads_is_the_unique_flat_star():
