@@ -282,6 +282,18 @@ def _cmd_verify(args) -> int:
         raise ValueError("nmin must not exceed nmax")
     if args.nmin < 3:
         raise ValueError("verification starts at n = 3")
+    if args.seed_orientation is not None:
+        # one orientation string fits one n, and only the quiver route reads it
+        if args.nmin != args.nmax:
+            raise ValueError(
+                f"--seed-orientation needs a single n, got the range {args.nmin}..{args.nmax}"
+            )
+        _parse_orientation(args.seed_orientation, args.nmin - 1)
+        if args.nmin > args.quiver_bound:
+            raise ValueError(
+                f"--seed-orientation is for the quiver route, which skips n = {args.nmin} "
+                f"(quiver bound {args.quiver_bound})"
+            )
     json_output = _output(args.json) if args.json is not None else contextlib.nullcontext()
     with json_output as write:
         reports = [_verify_one(n, args) for n in range(args.nmin, args.nmax + 1)]

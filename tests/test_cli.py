@@ -437,6 +437,33 @@ def test_verify_rejects_bad_range(capsys):
     assert run(capsys, "verify", "1", "5")[0] == 2
 
 
+def test_verify_with_a_seed_orientation(capsys):
+    code, out, err = run(capsys, "verify", "5", "5", "--seed-orientation", "0110")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "verify", "5", "5")[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["5", "5", "--seed-orientation", "01x0"],
+      "--seed-orientation needs 4 characters of 0/1, got '01x0'"),
+     (["3", "4", "--seed-orientation", "01"],
+      "--seed-orientation needs a single n, got the range 3..4"),
+     (["10", "10", "--seed-orientation", "000000000"],
+      "--seed-orientation is for the quiver route, which skips n = 10 (quiver bound 9)"),
+     (["6", "6", "--quiver-bound", "5", "--seed-orientation", "01010"],
+      "--seed-orientation is for the quiver route, which skips n = 6 (quiver bound 5)")],
+)
+def test_verify_rejects_a_seed_orientation_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("verify did work before checking --seed-orientation")
+
+    monkeypatch.setattr(cli, "_verify_one", no_work)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_catches_a_wrong_formula(capsys, monkeypatch):
     # the tree route agrees with the necklace sum, so only trees_vs_formula
     # can see that the closed form is off by one

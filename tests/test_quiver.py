@@ -1,4 +1,5 @@
 import json
+import random
 from collections import deque
 from itertools import product
 
@@ -134,6 +135,197 @@ def test_canonical_form_realizes_the_key(q):
     assert form.rank == q.rank
 
 
+# -- the dense canonicalizer, kept as the oracle -------------------------------
+#
+# The canonicalizer and the mutation that worked on dense matrices: each
+# refinement round sorts, for every vertex, its (colour, entry) pairs over
+# all other vertices.  The sparse-row versions in dquiver.quiver must give
+# the same keys, forms and mutations, byte for byte.
+
+
+def _normalize(values):
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(rank[v] for v in values)
+
+
+def _refine_oracle(b, n, colors):
+    colors = _normalize(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            row = b[v]
+            around = sorted((colors[u], row[u]) for u in range(n) if u != v)
+            sigs.append((colors[v], tuple(around)))
+        new = _normalize(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _serialize_oracle(b, n, perm):
+    rows = ";".join(",".join(str(b[pi][pj]) for pj in perm) for pi in perm)
+    return f"{n}:{rows}".encode()
+
+
+def _canonical_oracle(b, n):
+    best = best_perm = None
+    stack = [_refine_oracle(b, n, (0,) * n)]
+    while stack:
+        colors = stack.pop()
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = next((c for c in sorted(counts) if counts[c] > 1), None)
+        if target is None:
+            perm = tuple(sorted(range(n), key=colors.__getitem__))
+            cand = _serialize_oracle(b, n, perm)
+            if best is None or cand < best:
+                best, best_perm = cand, perm
+            continue
+        for v in range(n):
+            if colors[v] == target:
+                pushed = tuple((colors[u], 0 if u == v else 1) for u in range(n))
+                stack.append(_refine_oracle(b, n, pushed))
+    return best, best_perm
+
+
+def _relabel(q, perm):
+    return Quiver(q.rank, tuple(tuple(q.b[pi][pj] for pj in perm) for pi in perm))
+
+
+def _mutate_oracle(q, k):
+    b, n = q.b, q.rank
+    return Quiver(n, tuple(
+        tuple(
+            -b[i][j] if k in (i, j)
+            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(n)
+    ))
+
+
+def _assert_matches_the_oracle(q):
+    key, perm = _canonical_oracle(q.b, q.rank)
+    assert canonical_key(q) == key
+    assert canonical_form(q) == _relabel(q, perm)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_mutation_of_every_representative_matches_the_oracle(n):
+    for rep in mutation_class_representatives(dynkin_d(n)).values():
+        for k in range(n):
+            m = mutate(rep, k)
+            assert m == _mutate_oracle(rep, k)
+            _assert_matches_the_oracle(m)
+
+
+MULTI_ARROW_ENTRIES = (1, -1, 2, -2, 10, -10, 12, -12)
+
+
+@st.composite
+def multi_arrow_quivers(draw):
+    """Connected quivers of rank 1..8 with entries in MULTI_ARROW_ENTRIES.
+
+    Either arrows along the path 0 - 1 - ... - n-1 and then any entries, or
+    a circulant (b[i][j] depends on j - i mod n) around the cycle
+    0 -> 1 -> ... -> n-1 -> 0.  Circulants are vertex-transitive, so the
+    refinement leaves them one cell and their searches reach many leaves.
+    Neither canonicalizer prunes its search by automorphisms, and the path
+    or the cycle keeps out quivers with huge automorphism groups: the
+    rank-8 quiver with no arrows has 8! leaves.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 8))
+        step = {}
+        for d in range(1, n // 2 + 1):
+            entries = MULTI_ARROW_ENTRIES if d == 1 else MULTI_ARROW_ENTRIES + (0,)
+            x = 0 if 2 * d == n else draw(st.sampled_from(entries))
+            step[d], step[n - d] = x, -x
+        return Quiver(n, tuple(
+            tuple(0 if i == j else step[(j - i) % n] for j in range(n)) for i in range(n)
+        ))
+    n = draw(st.integers(1, 8))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries = MULTI_ARROW_ENTRIES if j == i + 1 else MULTI_ARROW_ENTRIES + (0,)
+            x = draw(st.sampled_from(entries))
+            b[i][j], b[j][i] = x, -x
+    return Quiver(n, tuple(map(tuple, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_arrow_quivers(), st.data())
+def test_multi_arrow_quivers_match_the_oracle(q, data):
+    _assert_matches_the_oracle(q)
+    perm = data.draw(st.permutations(range(q.rank)))
+    assert canonical_key(_relabel(q, perm)) == canonical_key(q)
+    assert canonical_form(_relabel(q, perm)) == canonical_form(q)
+    k = data.draw(st.integers(0, q.rank - 1))
+    assert mutate(q, k) == _mutate_oracle(q, k)
+
+
+# Every vertex of these quivers has one arrow in and one arrow out of each
+# of two weights, so the refinement splits no cell and the search reaches
+# leaves whose serializations differ; the key is the least of them as bytes,
+# where "10" < "2" and "-1;" sorts after "-12".
+@pytest.mark.parametrize(
+    "b",
+    [
+        ((0, -10, -2, 2, 0, 10), (10, 0, 2, 0, -10, -2), (2, -2, 0, -10, 10, 0),
+         (-2, 0, 10, 0, 2, -10), (0, 10, -10, -2, 0, 2), (-10, 2, 0, 10, -2, 0)),
+        ((0, 0, -12, 0, -1, 12, 1), (0, 0, 1, 0, 12, -1, -12), (12, -1, 0, -12, 1, 0, 0),
+         (0, 0, 12, 0, -12, 1, -1), (1, -12, -1, 12, 0, 0, 0), (-12, 1, 0, -1, 0, 0, 12),
+         (-1, 12, 0, 1, 0, -12, 0)),
+    ],
+)
+def test_search_keeps_the_least_of_leaves_that_differ(b):
+    _assert_matches_the_oracle(Quiver(len(b), b))
+
+
+def test_keys_are_equal_iff_the_quivers_are_isomorphic():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2014)
+
+    def digraph(q):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(q.rank))
+        g.add_edges_from(
+            (i, j, {"arrows": q.b[i][j]})
+            for i in range(q.rank) for j in range(q.rank) if q.b[i][j] > 0
+        )
+        return g
+
+    def relabeled(q):
+        return _relabel(q, rng.sample(range(q.rank), q.rank))
+
+    def walk():
+        q = dynkin_d(6)
+        for _ in range(rng.randrange(16)):
+            q = mutate(q, rng.randrange(6))
+        return relabeled(q)
+
+    def multi_arrow():
+        n = rng.randint(3, 6)
+        arrows = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.3]
+        return Quiver.from_arrows(n, arrows + rng.sample(arrows, len(arrows) // 3))
+
+    outcomes = set()
+    for make in (walk, multi_arrow):
+        for _ in range(150):
+            a = make()
+            b = relabeled(a) if rng.random() < 0.3 else make()
+            if a.rank != b.rank:
+                continue
+            iso = nx.is_isomorphic(
+                digraph(a), digraph(b), edge_match=lambda x, y: x["arrows"] == y["arrows"]
+            )
+            assert (canonical_key(a) == canonical_key(b)) == iso, (a, b)
+            outcomes.add((make.__name__, iso))
+    assert len(outcomes) == 4
+
+
 # -- mutation classes ----------------------------------------------------------
 
 
@@ -196,10 +388,14 @@ def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
 def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
     calls = []
     real = quiver_module._canonical
-    monkeypatch.setattr(quiver_module, "_canonical", lambda b, rank: calls.append(rank) or real(b, rank))
+    monkeypatch.setattr(
+        quiver_module, "_canonical", lambda rows, rank: calls.append(rank) or real(rows, rank)
+    )
     reps = mutation_class_representatives(dynkin_d(n))
-    # the seed, then every mutation of every class representative
-    assert len(calls) == 1 + n * len(reps)
+    r = len(reps)
+    # the seed, then every mutation of every class representative except
+    # the one leading back to the class it was reached from
+    assert len(calls) == 1 + n * r - (r - 1)
 
 
 def test_class_cap_is_enforced():
