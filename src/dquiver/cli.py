@@ -76,11 +76,49 @@ def _json_text(obj) -> str:
 # -- count --------------------------------------------------------------------
 
 
+# below this many bits Decimal(int) is fast enough to convert directly
+_DECIMAL_LEAF_BITS = 1024
+
+
+def _decimal(value: int) -> decimal.Decimal:
+    """``value >= 0`` as an exact Decimal, by divide and conquer.
+
+    ``Decimal(value)`` converts digit by digit, in time quadratic in the
+    length.  Splitting at a power of two 2^k, converting the halves and
+    joining them with ``hi * 2^k + lo`` in libmpdec, whose multiplication
+    is fast on large operands, is much quicker past a few thousand digits.
+    The context is exact (``MAX_PREC``, and rounding would raise), so the
+    digits are those of ``str(Decimal(value))``.
+    """
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    powers: dict[int, decimal.Decimal] = {}  # k -> 2^k
+
+    def power(k: int) -> decimal.Decimal:
+        if k not in powers:
+            if k <= _DECIMAL_LEAF_BITS:
+                powers[k] = decimal.Decimal(1 << k)
+            else:
+                powers[k] = ctx.multiply(power(k // 2), power(k - k // 2))
+        return powers[k]
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        # 0 <= v < 2^bits
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(v)
+        k = bits // 2
+        hi = v >> k
+        return ctx.add(ctx.multiply(convert(hi, bits - k), power(k)), convert(v - (hi << k), k))
+
+    return convert(value, value.bit_length())
+
+
 def _cmd_count(args) -> int:
     value = counting.d_count(args.n) if args.type == "D" else counting.a_count(args.n)
     # str(int) refuses values past 4300 digits and a Decimal prints them
     # exactly; sys.set_int_max_str_digits would change the whole process
-    print(decimal.Decimal(value))
+    print(_decimal(value))
     return 0
 
 
@@ -372,6 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (ValueError, IndexError, OSError) as exc:
         # bad input, out-of-range positions, unreadable or unwritable files;

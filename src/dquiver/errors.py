@@ -2,4 +2,5 @@
 
 
 class BoundExceededError(RuntimeError):
-    """An enumeration grew past its configured resource bound."""
+    """An enumeration grew past its configured resource bound, or a count
+    past what its prime sieve can address."""

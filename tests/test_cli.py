@@ -1,4 +1,5 @@
 import json
+import random
 from decimal import Decimal
 
 import pytest
@@ -44,6 +45,40 @@ def test_count_prints_values_past_the_str_digit_limit(capsys, kind, n):
     assert code == 0
     assert out.endswith("\n") and out[:-1].isdigit()
     assert Decimal(out) == (counting.d_count(n) if kind == "D" else counting.a_count(n))
+
+
+@pytest.mark.parametrize("kind", ["D", "A"])
+def test_count_past_the_sieve_reach_exits_3(capsys, kind):
+    code, out, err = run(capsys, "count", str(10**19), "--type", kind)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_out_of_memory_exits_3(capsys, monkeypatch):
+    def no_memory(m):
+        raise MemoryError
+
+    monkeypatch.setattr(counting, "_sieve", no_memory)
+    code, out, err = run(capsys, "count", "100")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _decimal_cases():
+    rng = random.Random(8)
+    for k in (0, 1, 10, 1023, 1024, 1025, 4096, 100_000, 200_000):
+        yield 2**k
+    for k in (1, 308, 309, 4300, 4301, 30_000, 60_198):
+        yield 10**k
+        yield 10**k - 1
+    for bits in (1, 64, 1000, 5000, 50_000, 200_000):
+        yield rng.getrandbits(bits)
+        yield rng.getrandbits(bits) | (1 << (bits - 1))
+
+
+def test_decimal_conversion_prints_the_same_digits():
+    for value in _decimal_cases():
+        assert str(cli._decimal(value)) == str(Decimal(value))
 
 
 def test_usage_error_exits_2():

@@ -1,10 +1,17 @@
+import hashlib
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dquiver import counting, polygon, quiver, trees
 from dquiver.counting import (
+    _central_binomial,
+    _divisors_with_phi,
+    _sieve,
     a_count,
     catalan,
     d_cluster_count,
@@ -12,6 +19,9 @@ from dquiver.counting import (
     euler_phi,
     necklace_count,
 )
+from dquiver.errors import BoundExceededError
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 KNOWN_D_COUNTS = {
     3: 4,
@@ -153,3 +163,94 @@ def test_a_count_values():
     assert a_count(1) == 1
     assert a_count(3) == 4  # 14/6 + 1 + 2/3
     assert a_count(5) == 19  # 132/8 + 5/2
+
+
+# -- prime-exponent binomials against the math.comb oracle --------------------
+
+
+def _necklace_oracle(n):
+    """The divisor scan over 1..n with math.comb that the sieve replaced."""
+    total = sum(
+        euler_phi(n // d) * math.comb(2 * d, d)
+        for d in range(1, n + 1)
+        if n % d == 0
+    )
+    return total // (2 * n)
+
+
+def test_sieve_marks_exactly_the_primes():
+    for m in range(0, 300):
+        sieve = _sieve(m)
+        assert len(sieve) == m + 1
+        assert [k for k in range(m + 1) if sieve[k]] == [
+            k for k in range(2, m + 1) if all(k % j for j in range(2, math.isqrt(k) + 1))
+        ]
+
+
+def test_central_binomial_matches_math_comb():
+    # math.comb at every d would take seconds; the exact step
+    # binom(2d + 2, d + 1) = binom(2d, d) * 2 (2d + 1) / (d + 1) walks
+    # from one math.comb value to the next
+    sieve = _sieve(10000)
+    expected = math.comb(0, 0)
+    for d in range(5001):
+        if d % 500 == 0:
+            assert expected == math.comb(2 * d, d)
+        assert _central_binomial(d, sieve) == expected, d
+        expected = expected * 2 * (2 * d + 1) // (d + 1)
+
+
+def test_catalan_and_d_cluster_count_match_math_comb():
+    for i in range(2001):
+        assert catalan(i) == math.comb(2 * i, i) // (i + 1)
+    for n in range(3, 2001):
+        assert d_cluster_count(n) == (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n
+
+
+def test_necklace_count_matches_the_divisor_scan():
+    for n in [*range(1, 2001), 5040, 7200]:
+        assert necklace_count(n) == _necklace_oracle(n), n
+
+
+def test_divisors_with_phi_match_the_scan():
+    sieve = _sieve(2 * 3000)
+    for n in range(1, 3001):
+        assert sorted(_divisors_with_phi(n, sieve)) == [
+            (d, euler_phi(n // d)) for d in range(1, n + 1) if n % d == 0
+        ]
+
+
+@pytest.mark.parametrize("key", ["D 7100", "D 7200", "D 55440", "D 100000", "A 20000"])
+def test_large_counts_match_the_benchmark_digests(key):
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["large_counts"][key]
+    kind, n = key.split()
+    value = d_count(int(n)) if kind == "D" else a_count(int(n))
+    digest = hashlib.sha256(value.to_bytes((value.bit_length() + 7) // 8, "big")).hexdigest()
+    assert digest == expected["sha256"]
+
+
+@pytest.mark.parametrize("count", [d_count, necklace_count, a_count, catalan, d_cluster_count])
+def test_counts_past_the_sieve_reach_are_bound_errors(count):
+    # a sieve to 2n would need more than sys.maxsize bytes: refused before
+    # anything is allocated
+    with pytest.raises(BoundExceededError):
+        count(10**19)
+
+
+# -- the enumeration routes never use the closed forms -------------------------
+
+
+def test_routes_run_without_the_closed_forms(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a route called the closed forms")
+
+    originals = {name: getattr(counting, name) for name in [*counting.__all__, "_central_binomial"]}
+    for name in originals:
+        monkeypatch.setattr(counting, name, refuse)
+    # nor may a route hold its own reference to one of them
+    for module in (trees, polygon, quiver):
+        held = [v for v in vars(module).values() if any(v is f for f in originals.values())]
+        assert held == [], module.__name__
+    assert len(trees.star_tree_classes(7)) == KNOWN_D_COUNTS[7]
+    assert len(list(polygon.enumerate_triangulations(6))) == 672
+    assert len(quiver.mutation_class_representatives(quiver.dynkin_d(6))) == KNOWN_D_COUNTS[6]
