@@ -56,6 +56,7 @@ from .trees import (
     merge_beads,
     rotate_inner_edge,
     split_bead,
+    star_tree_class_count,
     star_tree_classes,
     star_tree_of,
     tree_key,

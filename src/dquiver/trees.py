@@ -4,7 +4,11 @@ A binary tree is either the leaf marker ``"L"`` or a pair
 ``(left, right)`` of binary trees; a star tree is a nonempty tuple of
 such trees ("beads") hanging counterclockwise off a common root.  Two
 star trees are the same object of study when one is a cyclic rotation of
-the other, which is what ``tree_key`` quotients by.
+the other, which is what ``tree_key`` quotients by.  The rotation
+classes with n leaves are enumerated by generating each class's least
+rotation once, as a prenecklace over the bead codes; nothing is
+canonicalized after the fact, and ``star_tree_class_count`` counts them
+without holding any.
 
 Star trees with n leaves are in bijection with triangulations of the
 once-punctured n-gon up to rotation and tag inversion: ``star_tree_of``
@@ -18,8 +22,9 @@ flips: ``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import Iterator, Union
 
 from .polygon import (
@@ -52,6 +57,7 @@ __all__ = [
     "split_bead",
     "star_from_json_obj",
     "star_to_json_obj",
+    "star_tree_class_count",
     "star_tree_classes",
     "star_tree_of",
     "tree_key",
@@ -113,47 +119,112 @@ def tree_key(star: StarTree) -> bytes:
 # -- enumeration -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _binary_trees(m: int) -> tuple[BinaryTree, ...]:
-    """All full binary trees with m leaves (there are catalan(m-1) of them)."""
+def _compose(m: int) -> Iterator[tuple[bytes, BinaryTree]]:
+    """``(code, bead)`` for every full binary tree with m leaves, in code order.
+
+    A bead's code is its serialization, built once from its subtrees'
+    codes as ``"(" + left + right + ")"``.  Codes are prefix-free (each is
+    "L" or a balanced bracket word), so code order is the order of (left
+    code, right code): the left subtree runs over the smaller beads of
+    every leaf count in code order, and the right over the beads with the
+    remaining leaves.  Nothing with m leaves is stored.
+    """
     if m == 1:
-        return (LEAF,)
-    out = []
-    for left_leaves in range(1, m):
-        for left in _binary_trees(left_leaves):
-            for right in _binary_trees(m - left_leaves):
-                out.append((left, right))
-    return tuple(out)
-
-
-def _bead_sequences(total: int) -> Iterator[StarTree]:
-    if total == 0:
-        yield ()
+        yield b"L", LEAF
         return
-    for first_leaves in range(1, total + 1):
-        for bead in _binary_trees(first_leaves):
-            for rest in _bead_sequences(total - first_leaves):
-                yield (bead,) + rest
+    lefts = sorted(chain.from_iterable(zip(*_beads(k), repeat(k)) for k in range(1, m)))
+    for left_code, left, k in lefts:
+        start = b"(" + left_code
+        right_codes, rights = _beads(m - k)
+        for right_code, right in zip(right_codes, rights):
+            yield start + right_code + b")", (left, right)
+
+
+@lru_cache(maxsize=None)
+def _beads(m: int) -> tuple[tuple[bytes, ...], tuple[BinaryTree, ...]]:
+    """The codes and the trees of ``_compose(m)``, kept for later calls."""
+    codes, beads = zip(*_compose(m))
+    return codes, beads
+
+
+def _least_rotations(n: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
+    """``(codes, star)`` for the least rotation of every star tree class.
+
+    A star is compared bead by bead on the bead codes, which orders its
+    rotations as their serializations, so the least rotation is the one
+    ``tree_key`` writes.  The beads are generated as a prenecklace
+    (Cattell, Ruskey, Sawada, Serra and Miers, *Fast algorithms to generate
+    necklaces, unlabeled necklaces and irreducible polynomials over GF(2)*,
+    2000): with p the length of the longest Lyndon prefix, the next bead is
+    never less than the bead p places back.  So no bead is less than the
+    first, and a complete star is its own least rotation exactly when p
+    divides its bead count; periodic stars are kept.  Any prefix completes
+    with leaf beads, the greatest code, so no branch is a dead end.  Each
+    class comes once, ordered bead by bead by (leaf count, code).  The
+    n-leaf beads are single-bead stars only, so they are streamed, not kept.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1 leaves, got {n}")
+    prefix: list[bytes] = []
+    star: list[BinaryTree] = []
+
+    def extend(left: int, p: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
+        # prefix is a prenecklace whose longest Lyndon prefix has length p
+        t = len(prefix)
+        floor = prefix[t - p]
+        for m in range(1, left):
+            codes, beads = _beads(m)
+            for j in range(bisect_left(codes, floor), len(codes)):
+                code = codes[j]
+                prefix.append(code)
+                star.append(beads[j])
+                yield from extend(left - m, p if code == floor else t + 1)
+                prefix.pop()
+                star.pop()
+        # a last bead above floor makes a Lyndon word; floor itself keeps p
+        codes, beads = _beads(left)
+        j = bisect_left(codes, floor)
+        if j < len(codes) and codes[j] == floor:
+            if (t + 1) % p == 0:
+                yield (*prefix, floor), (*star, beads[j])
+            j += 1
+        for j in range(j, len(codes)):
+            yield (*prefix, codes[j]), (*star, beads[j])
+
+    for m in range(1, n):
+        for code, bead in zip(*_beads(m)):
+            prefix.append(code)
+            star.append(bead)
+            yield from extend(n - m, 1)
+            prefix.pop()
+            star.pop()
+    # a single bead is its own least rotation
+    for code, bead in _compose(n):
+        yield (code,), (bead,)
+
+
+def _star_key(codes: tuple[bytes, ...]) -> bytes:
+    return b"[" + b",".join(codes) + b"]"
 
 
 def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     """Rotation classes of star trees with n leaves, keyed by tree_key.
 
     The stored representative is the canonical rotation.  Classes come in
-    the order of their first bead sequence, not in key order.
+    the order of their canonical rotations compared bead by bead by leaf
+    count, then serialization; that is not key order.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 leaves, got {n}")
-    classes: dict[bytes, StarTree] = {}
-    for star in _bead_sequences(n):
-        key, rep = _least_rotation(star)
-        classes.setdefault(key, rep)
-    return classes
+    return {_star_key(codes): star for codes, star in _least_rotations(n)}
+
+
+def star_tree_class_count(n: int) -> int:
+    """``len(star_tree_classes(n))``, holding no class in memory."""
+    return sum(1 for _ in _least_rotations(n))
 
 
 def enumerate_star_trees(n: int) -> set[bytes]:
     """Keys of all rotation classes of star trees with n leaves."""
-    return set(star_tree_classes(n))
+    return {_star_key(codes) for codes, _ in _least_rotations(n)}
 
 
 # -- the dual star tree of a triangulation -----------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from decimal import Decimal
@@ -516,6 +517,10 @@ def _one_fewer(real):
     return lambda *args, **kwargs: set(sorted(real(*args, **kwargs))[1:])
 
 
+def _first_dropped(real):
+    return lambda *args, **kwargs: itertools.islice(real(*args, **kwargs), 1, None)
+
+
 @pytest.mark.parametrize(
     "n, module, name, fake, route",
     [
@@ -524,8 +529,10 @@ def _one_fewer(real):
         # into classes: 182 and 50 keys instead of 26 and 10
         (5, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
         (4, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
-        (5, trees, "star_tree_classes", _one_fewer, "trees"),
-        (4, trees, "star_tree_classes", _one_fewer, "trees"),
+        # one generator feeds both the class map and the count, so the lost
+        # class reaches enumerate and verify alike
+        (5, trees, "_least_rotations", _first_dropped, "trees"),
+        (4, trees, "_least_rotations", _first_dropped, "trees"),
     ],
 )
 def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n, module, name, fake, route):
@@ -535,3 +542,27 @@ def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n,
     code, out, _ = run(capsys, "verify", str(n), str(n))
     assert code == 1
     assert out.splitlines()[2].endswith(f"FAIL: {route}")
+
+
+def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypatch):
+    monkeypatch.setattr(trees, "_least_rotations", _first_dropped(trees._least_rotations))
+    code, out, err = run(capsys, "enumerate", "5", "--what", "trees")
+    assert code == 0 and err == "25\n"
+    assert len(json.loads(out)) == 25
+
+
+@pytest.mark.parametrize(
+    "n, row",
+    [
+        (5, "  5         26         26       26       26  ok"),
+        (12, " 12     112720    skipped  skipped   112720  ok"),
+    ],
+)
+def test_verify_counts_the_tree_route_without_its_class_map(capsys, monkeypatch, n, row):
+    def no_map(n):
+        raise AssertionError("verify built the tree class map")
+
+    monkeypatch.setattr(trees, "star_tree_classes", no_map)
+    code, out, err = run(capsys, "verify", str(n), str(n))
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == [row]

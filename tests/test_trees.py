@@ -18,7 +18,8 @@ from dquiver.polygon import (
 )
 from dquiver.trees import (
     LEAF,
-    _bead_sequences,
+    _beads,
+    _compose,
     _least_rotation,
     apply_tree_move,
     canonical_star,
@@ -30,6 +31,7 @@ from dquiver.trees import (
     split_bead,
     star_from_json_obj,
     star_to_json_obj,
+    star_tree_class_count,
     star_tree_classes,
     star_tree_of,
     tree_key,
@@ -254,7 +256,29 @@ def test_json_rejects_junk():
         star_from_json_obj({})
 
 
-# -- oracles: the star canonicalization _least_rotation replaced -------------------
+# -- oracles: every bead sequence, and the star canonicalization they fed ----------
+
+
+def _binary_trees_oracle(m):
+    if m == 1:
+        return [LEAF]
+    return [
+        (left, right)
+        for left_leaves in range(1, m)
+        for left in _binary_trees_oracle(left_leaves)
+        for right in _binary_trees_oracle(m - left_leaves)
+    ]
+
+
+def _bead_sequences(total):
+    """Every sequence of beads with ``total`` leaves, each rotation separately."""
+    if total == 0:
+        yield ()
+        return
+    for first_leaves in range(1, total + 1):
+        for bead in _binary_trees_oracle(first_leaves):
+            for rest in _bead_sequences(total - first_leaves):
+                yield (bead,) + rest
 
 
 def _serialize_bead_oracle(tree):
@@ -287,9 +311,32 @@ def test_least_rotation_matches_the_serialize_every_rotation_oracle():
             assert _least_rotation(star) == (_serialize_star_oracle(rep), rep)
 
 
+def test_bead_codes_are_the_serializations_in_code_order():
+    for m in range(1, 10):
+        codes, beads = _beads(m)
+        assert list(codes) == sorted(codes)
+        assert sorted(zip(codes, beads)) == sorted(
+            (_serialize_bead_oracle(bead), bead) for bead in _binary_trees_oracle(m)
+        )
+        assert list(_compose(m)) == list(zip(codes, beads))
+
+
 def test_star_tree_classes_match_the_sorted_oracle():
     for n in range(1, 11):
-        assert star_tree_classes(n) == _star_tree_classes_oracle(n)
+        oracle = _star_tree_classes_oracle(n)
+        assert star_tree_classes(n) == oracle
+        # the count sees a class generated twice, which the dict would merge
+        assert star_tree_class_count(n) == len(oracle)
+        assert enumerate_star_trees(n) == set(oracle)
+
+
+def test_star_tree_classes_come_bead_by_bead_in_leaf_count_then_code_order():
+    for n in range(1, 9):
+        order = [
+            [(leaf_count(bead), _serialize_bead_oracle(bead)) for bead in star]
+            for star in star_tree_classes(n).values()
+        ]
+        assert order == sorted(order)
 
 
 # -- oracles: the dual-tree code the region decomposition replaced ----------------
