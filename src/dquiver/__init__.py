@@ -32,6 +32,8 @@ from .polygon import (
     quiver_vertex,
     rotate,
     tau,
+    triangulation_class_count,
+    triangulation_classes,
     triangulations_by_flips,
 )
 from .quiver import (

@@ -26,7 +26,7 @@ from .errors import BoundExceededError
 _ROUTES = {
     "quivers": (9, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
     "triangulations": (
-        7, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
+        9, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
     ),
     "trees": (12, trees.star_to_json_obj, "tree_count", "trees"),
 }
@@ -137,29 +137,27 @@ def _class_map(what: str, n: int, bound: int, seed_orientation: str | None) -> d
     """``{class key: representative}`` for one route at n.
 
     ``enumerate`` writes the representatives in key order and ``verify``
-    counts the keys (``_class_count``), so the two report the same classes.
+    counts the classes (``_class_count``) from the same class search, so the
+    two report the same classes.
     """
     _check_domain(what, n, bound)
     if what == "quivers":
         orientation = _parse_orientation(seed_orientation, n - 1)
         return quiver.mutation_class_representatives(quiver.dynkin_d(n, orientation))
     if what == "triangulations":
-        classes: dict[bytes, polygon.Triangulation] = {}
-        for t in polygon.enumerate_triangulations(n):
-            # class_key builds no Triangulation: only a new class builds one
-            key = polygon.class_key(t)
-            if key not in classes:
-                classes[key] = polygon.class_representative(t)[1]
-        return classes
+        return polygon.triangulation_classes(n)
     return trees.star_tree_classes(n)
 
 
 def _class_count(what: str, n: int, bound: int, seed_orientation: str | None) -> int:
-    """``len(_class_map(...))``; the tree route counts without holding its classes."""
-    if what == "trees":
-        _check_domain(what, n, bound)
-        return trees.star_tree_class_count(n)
-    return len(_class_map(what, n, bound, seed_orientation))
+    """``len(_class_map(...))``; the triangulation and tree routes count
+    without building their classes."""
+    if what == "quivers":
+        return len(_class_map(what, n, bound, seed_orientation))
+    _check_domain(what, n, bound)
+    if what == "triangulations":
+        return polygon.triangulation_class_count(n)
+    return trees.star_tree_class_count(n)
 
 
 # -- enumerate ----------------------------------------------------------------

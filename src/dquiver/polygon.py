@@ -29,7 +29,16 @@ Internally a triangulation is a bitmask over a per-n diagonal index
 compatibility mask (from ``crossing_number``), the index permutations for
 one rotation step and for tag inversion, and each diagonal's serialization
 token, so validation, ``flip``, ``rotate``, ``invert_tags`` and
-``class_key`` are mask and index arithmetic.
+``class_key`` are mask and index arithmetic.  A triangulation's radius
+bits are the top 2n indices, ``n(n - 2) + 2a`` plus one when notched, and
+its ``config`` and ``radius_bases`` are read off them.
+
+The classes up to rotation and tag inversion (``triangulation_classes``,
+``triangulation_class_count``) come from the same clique search as
+``enumerate_triangulations``: each diagonal contributes one integer that
+packs its 2n images, so every enumerated mask arrives with its whole orbit
+and is sorted into its class by integer comparison.  A ``Triangulation``
+is built only per class.
 
 The region decomposition (``_regions``, ``_triangles``) also lives here:
 ``quiver_of`` and the dual-tree maps of ``trees`` all read it.
@@ -40,9 +49,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
+from .errors import BoundExceededError
 from .quiver import Quiver
+
+# largest n a JSON triangulation may declare: checking it builds the n-gon's
+# diagonal table and a compatibility row for every rotation orbit its
+# diagonals meet, about n^2 crossing numbers per orbit.  The worst input
+# meets all n orbits (arcs of every span from one vertex and the tagged
+# radius pair there): at n = 50 its cold `convert --to tree` takes 1.5-1.7 s
+# on a shared 2-core host, and a plain fan of this size 0.1 s
+MAX_JSON_N = 50
 
 PLAIN = "plain"
 NOTCHED = "notched"
@@ -78,6 +96,8 @@ __all__ = [
     "serialize_triangulation",
     "span",
     "tau",
+    "triangulation_class_count",
+    "triangulation_classes",
     "triangulation_from_json_obj",
     "triangulation_to_json_obj",
     "triangulations_by_flips",
@@ -252,6 +272,11 @@ def _token(d: Diagonal) -> str:
     return f"R{d.a},{'p' if d.tag == PLAIN else 'n'}"
 
 
+def _arc_index(n: int, a: int, b: int) -> int:
+    """Index of ``Arc(a, b)``: the arcs from a come in order of b, skipping a and a + 1."""
+    return a * (n - 2) + b - (b > a) - (b > (a + 1) % n)
+
+
 class _DiagonalTable:
     """Index of the diagonals of the punctured n-gon for mask arithmetic.
 
@@ -270,9 +295,16 @@ class _DiagonalTable:
         self.n = n
         self.diagonals = tuple(all_diagonals(n))
         self.index = {d: i for i, d in enumerate(self.diagonals)}
-        # tau is one clockwise step that also inverts tags; mu undoes that
-        self.step = tuple(self.index[mu(tau(d, n))] for d in self.diagonals)
-        self.inverse = tuple(self.index[mu(d)] for d in self.diagonals)
+        arcs = n * (n - 2)
+        # one step takes arc (a, b) to (a - 1, b - 1) and radius (a, tag) to
+        # (a - 1, tag); the radii are the top 2n indices, two per base
+        self.step = tuple(
+            _arc_index(n, (a - 1) % n, (b - 1) % n)
+            for a in range(n)
+            for b in range(n)
+            if (b - a) % n >= 2
+        ) + tuple(arcs + (j - 2) % (2 * n) for j in range(2 * n))
+        self.inverse = tuple(range(arcs)) + tuple(arcs + (j ^ 1) for j in range(2 * n))
         self.tokens = tuple(_token(d) for d in self.diagonals)
         # 0 marks a row not built yet: a real row has at least its own bit
         self._rows = [0] * len(self.diagonals)
@@ -312,19 +344,46 @@ def _diagonal_table(n: int) -> _DiagonalTable:
 # -- triangulations ----------------------------------------------------------
 
 
-def _tag_config(n: int, diagonals) -> tuple[str, tuple[int, ...]]:
-    """Return ("A", sorted bases) or ("B", (base,)); raise if malformed."""
-    radii = [d for d in diagonals if isinstance(d, Radius)]
-    bases = sorted({r.a for r in radii})
-    if len(radii) == 2 and len(bases) == 1:
-        # two distinct radii at one vertex: their tags differ
-        return ("B", tuple(bases))
-    if len(radii) >= 2 and len(bases) == len(radii) and len({r.tag for r in radii}) == 1:
-        return ("A", tuple(bases))
+def _radius_config(n: int, mask: int) -> tuple[str, tuple[int, ...]]:
+    """Return ("A", sorted bases) or ("B", (base,)); raise if malformed.
+
+    Reads the radius bits of a triangulation mask: radius (a, tag) is bit
+    n(n - 2) + 2a, plus one when it is notched.
+    """
+    radii = mask >> n * (n - 2)
+    plain = radii & ((1 << 2 * n) - 1) // 3
+    count = radii.bit_count()
+    if count == 2 and radii == 3 * plain:
+        # a plain radius and the notched one at its base
+        return ("B", ((plain.bit_length() - 1) >> 1,))
+    if count >= 2 and plain in (0, radii):
+        # one tag, so one radius per base
+        return ("A", tuple(i >> 1 for i in _bits(radii)))
     raise ValueError(
         "radii must form either a same-tag fan at >= 2 vertices or an "
         "opposite-tag pair at one vertex"
     )
+
+
+def _check_mask(table: _DiagonalTable, mask: int) -> tuple[str, tuple[int, ...]]:
+    """Validate a triangulation mask; return its ``(config, radius_bases)``.
+
+    Checks the number of diagonals, pairwise compatibility and the radius
+    tag structure, and raises ValueError on the first failure.
+    """
+    n = table.n
+    if mask.bit_count() != n:
+        raise ValueError(
+            f"a triangulation of the {n}-gon needs {n} diagonals, got {mask.bit_count()}"
+        )
+    for i in _bits(mask):
+        crossed = mask & ~table.row(i)
+        if crossed:
+            # the first i with a crossing crosses only later diagonals, so
+            # this is the first crossing pair in sorted order
+            j = (crossed & -crossed).bit_length() - 1
+            raise ValueError(f"diagonals cross: {table.diagonals[i]} and {table.diagonals[j]}")
+    return _radius_config(n, mask)
 
 
 class Triangulation:
@@ -334,9 +393,11 @@ class Triangulation:
     i-th diagonal of the n-gon's table; equality and hashing use it.
     Construction validates cardinality, pairwise compatibility and the
     radius tag structure, also when the triangulation is built from a mask.
+    ``sorted_diagonals`` and ``diagonals`` are derived from the mask on
+    first use.
     """
 
-    __slots__ = ("n", "mask", "diagonals", "sorted_diagonals", "config", "radius_bases")
+    __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_set")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         ds = frozenset(diagonals)
@@ -355,27 +416,24 @@ class Triangulation:
         return t
 
     def _validate(self, table: _DiagonalTable, mask: int) -> None:
-        n = table.n
-        if mask.bit_count() != n:
-            raise ValueError(
-                f"a triangulation of the {n}-gon needs {n} diagonals, got {mask.bit_count()}"
-            )
-        bits = _bits(mask)
-        for i in bits:
-            crossed = mask & ~table.row(i)
-            if crossed:
-                # the first i with a crossing crosses only later diagonals, so
-                # this is the first crossing pair in sorted order
-                j = (crossed & -crossed).bit_length() - 1
-                raise ValueError(
-                    f"diagonals cross: {table.diagonals[i]} and {table.diagonals[j]}"
-                )
-        lst = tuple(table.diagonals[i] for i in bits)
-        self.config, self.radius_bases = _tag_config(n, lst)
-        self.n = n
+        self.config, self.radius_bases = _check_mask(table, mask)
+        self.n = table.n
         self.mask = mask
-        self.diagonals = frozenset(lst)
-        self.sorted_diagonals = lst
+        self._sorted = self._set = None
+
+    @property
+    def sorted_diagonals(self) -> tuple[Diagonal, ...]:
+        """The diagonals in ``diagonal_sort_key`` order."""
+        if self._sorted is None:
+            diagonals = _diagonal_table(self.n).diagonals
+            self._sorted = tuple([diagonals[i] for i in _bits(self.mask)])
+        return self._sorted
+
+    @property
+    def diagonals(self) -> frozenset[Diagonal]:
+        if self._set is None:
+            self._set = frozenset(self.sorted_diagonals)
+        return self._set
 
     def __eq__(self, other) -> bool:
         return (
@@ -390,6 +448,14 @@ class Triangulation:
     def __repr__(self) -> str:
         inner = ", ".join(repr(d) for d in self.sorted_diagonals)
         return f"Triangulation({self.n}, [{inner}])"
+
+
+def _member_bit(t: Triangulation, d: Diagonal) -> int:
+    """The mask bit of ``d`` in t; ValueError unless d is one of t's diagonals."""
+    i = _diagonal_table(t.n).index.get(d)
+    if i is None or not t.mask >> i & 1:
+        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    return 1 << i
 
 
 def serialize_triangulation(t: Triangulation) -> bytes:
@@ -419,6 +485,8 @@ def triangulation_from_json_obj(obj: dict) -> Triangulation:
     if not isinstance(obj, dict) or "n" not in obj or "diagonals" not in obj:
         raise ValueError('expected an object with "n" and "diagonals"')
     n = _json_int(obj["n"], "n")
+    if n > MAX_JSON_N:
+        raise BoundExceededError(f"n = {n} exceeds the JSON triangulation limit {MAX_JSON_N}")
     if not isinstance(obj["diagonals"], list):
         raise ValueError('"diagonals" must be a list')
     ds: list[Diagonal] = []
@@ -454,33 +522,40 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
     return all(not mask & ~table.row(i) for i in _bits(mask))
 
 
-def enumerate_triangulations(n: int) -> set[Triangulation]:
-    """All triangulations of the punctured n-gon, by clique search.
+def _cliques(table: _DiagonalTable, weights: list[int]) -> Iterator[int]:
+    """The OR of ``weights`` over each triangulation, by clique search.
 
     Backtracks over the compatibility masks of all diagonals, looking for
     size-n sets of pairwise compatible diagonals (every such set is
-    maximal, hence a triangulation).
+    maximal, hence a triangulation), and ORs ``weights[i]`` in for each
+    chosen diagonal i; with ``weights[i] = 1 << i`` it yields the masks.
     """
-    table = _diagonal_table(n)
-    compat = [table.row(i) for i in range(len(table.diagonals))]
-    result: set[Triangulation] = set()
-
-    def extend(cand: int, need: int, chosen: int) -> None:
-        if need == 0:
-            result.add(Triangulation._from_mask(n, chosen))
-            return
+    n = table.n
+    compat = [table.row(i) for i in range(len(weights))]
+    stack = [((1 << len(compat)) - 1, n, 0)]
+    while stack:
+        cand, need, acc = stack.pop()
         if cand.bit_count() < need:
-            return
+            continue
+        if need == 1:
+            for i in _bits(cand):
+                yield acc | weights[i]
+            continue
         rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
             if rest.bit_count() + 1 < need:
-                return
-            extend(rest & compat[low.bit_length() - 1], need - 1, chosen | low)
+                break
+            i = low.bit_length() - 1
+            stack.append((rest & compat[i], need - 1, acc | weights[i]))
 
-    extend((1 << len(compat)) - 1, n, 0)
-    return result
+
+def enumerate_triangulations(n: int) -> set[Triangulation]:
+    """All triangulations of the punctured n-gon, by clique search."""
+    table = _diagonal_table(n)
+    masks = _cliques(table, [1 << i for i in range(len(table.diagonals))])
+    return {Triangulation._from_mask(n, mask) for mask in masks}
 
 
 def flip(t: Triangulation, d: Diagonal) -> Triangulation:
@@ -490,10 +565,8 @@ def flip(t: Triangulation, d: Diagonal) -> Triangulation:
     two diagonals outside them must survive (``d`` and its replacement),
     anything else signals a defect in the crossing rules.
     """
-    if d not in t.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    bit = _member_bit(t, d)
     table = _diagonal_table(t.n)
-    bit = 1 << table.index[d]
     rest = t.mask ^ bit
     survivors = ((1 << len(table.diagonals)) - 1) ^ rest
     for i in _bits(rest):
@@ -575,6 +648,71 @@ def class_representative(t: Triangulation) -> tuple[bytes, Triangulation]:
     return f"{t.n}|{text}".encode(), Triangulation._from_mask(t.n, _mask(image))
 
 
+def _orbit_images(table: _DiagonalTable) -> list[int]:
+    """Per diagonal, its 2n images packed as one bit in each of 2n fields.
+
+    Field k < n holds the image under k rotation steps and field n + k the
+    image under tag inversion and k steps; a field is as wide as a mask.
+    ORed over a triangulation's diagonals, field k is the mask of that
+    image of the triangulation, and field 0 is its own mask.
+    """
+    n, size = table.n, len(table.diagonals)
+    images = []
+    for i in range(size):
+        packed, shift = 0, 0
+        for j in (i, table.inverse[i]):
+            for _ in range(n):
+                packed |= 1 << shift + j
+                shift += size
+                j = table.step[j]
+        images.append(packed)
+    return images
+
+
+def _orbit_key(images: int, n: int) -> int:
+    """Least image mask packed in ``images`` (see ``_orbit_images``).
+
+    Rotation and tag inversion commute, so the 2n images are the whole
+    orbit, and two triangulations get the same key iff they share a class.
+    """
+    size = n * n
+    full = (1 << size) - 1
+    return min([images >> shift & full for shift in range(0, 2 * n * size, size)])
+
+
+def _class_masks(n: int) -> Iterator[int]:
+    """The first mask of each triangulation class, by clique search.
+
+    The search ORs each chosen diagonal's packed images, so every
+    triangulation comes with all its images, and ``_orbit_key`` sorts it
+    into its class by integer comparison.  Every mask is validated.
+    """
+    table = _diagonal_table(n)
+    full = (1 << len(table.diagonals)) - 1
+    seen: set[int] = set()
+    for images in _cliques(table, _orbit_images(table)):
+        mask = images & full
+        _check_mask(table, mask)
+        key = _orbit_key(images, n)
+        if key not in seen:
+            seen.add(key)
+            yield mask
+
+
+def triangulation_classes(n: int) -> dict[bytes, Triangulation]:
+    """``{class_key(t): class representative}`` over all triangulations of the n-gon.
+
+    A ``Triangulation`` is built only for the first member of each class,
+    which ``class_representative`` turns into the key and the representative.
+    """
+    return dict(class_representative(Triangulation._from_mask(n, mask)) for mask in _class_masks(n))
+
+
+def triangulation_class_count(n: int) -> int:
+    """Number of triangulation classes, without building any of them."""
+    return sum(1 for _ in _class_masks(n))
+
+
 def tau(d: Diagonal, n: int) -> Diagonal:
     """Clockwise rotation by one step; radii also flip their tag."""
     check_diagonal(d, n)
@@ -603,8 +741,7 @@ def factor_out(t: Triangulation, d: Diagonal) -> Triangulation:
     remaining vertices, producing a triangulation of the (n-1)-gon.
     """
     n = t.n
-    if d not in t.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    _member_bit(t, d)
     if not close_to_border(d, n):
         raise ValueError(f"{d} is not close to the border")
     if n < 4:

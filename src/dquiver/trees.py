@@ -35,6 +35,7 @@ from .polygon import (
     Diagonal,
     Radius,
     Triangulation,
+    _member_bit,
     _regions,
     _triangles,
     span,
@@ -361,8 +362,7 @@ def tree_move_for_flip(t: Triangulation, d: Diagonal) -> tuple:
     Returns ("split", i), ("merge", i) or ("rotate", i, path), with bead
     indices in the segment order used by star_tree_of.
     """
-    if d not in t.diagonals:
-        raise ValueError(f"{d} is not a diagonal of the triangulation")
+    _member_bit(t, d)
     n = t.n
     regions = _regions(t)
 

@@ -124,7 +124,7 @@ def test_enumerate_respects_bounds(capsys):
     assert code == 3 and "error" in err
 
 
-@pytest.mark.parametrize("what, bound", [("quivers", 9), ("triangulations", 7), ("trees", 12)])
+@pytest.mark.parametrize("what, bound", [("quivers", 9), ("triangulations", 9), ("trees", 12)])
 def test_enumerate_checks_the_domain_the_same_way_on_every_route(capsys, what, bound):
     # n < 3 is malformed input (exit 2); past the desk-scale bound is a
     # resource limit (exit 3)
@@ -432,6 +432,32 @@ def test_mutate_quiver_rejects_a_rank_past_the_json_limit(capsys, monkeypatch, t
     assert err == f"error: rank {rank} exceeds the JSON rank limit {quiver.MAX_JSON_RANK}\n"
 
 
+def _plain_fan_file(tmp_path, n):
+    src = tmp_path / f"fan{n}.json"
+    src.write_text(json.dumps({"n": n, "diagonals": [{"radius": a, "tag": "plain"} for a in range(n)]}))
+    return str(src)
+
+
+def test_convert_rejects_a_triangulation_past_the_json_limit(capsys, monkeypatch, tmp_path):
+    def no_table(n):
+        raise AssertionError("the diagonal table was built before n was checked")
+
+    n = polygon.MAX_JSON_N + 1
+    src = _plain_fan_file(tmp_path, n)
+    monkeypatch.setattr(polygon, "_diagonal_table", no_table)
+    code, out, err = run(capsys, "convert", "--from", "triangulation", "--to", "tree", src)
+    assert code == 3 and out == ""
+    assert err == f"error: n = {n} exceeds the JSON triangulation limit {polygon.MAX_JSON_N}\n"
+
+
+def test_convert_takes_a_triangulation_at_the_json_limit(capsys, tmp_path):
+    n = polygon.MAX_JSON_N
+    code, out, _ = run(capsys, "convert", "--from", "triangulation", "--to", "tree",
+                       _plain_fan_file(tmp_path, n))
+    assert code == 0
+    assert json.loads(out) == {"beads": ["L"] * n}
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -517,6 +543,10 @@ def _one_fewer(real):
     return lambda *args, **kwargs: set(sorted(real(*args, **kwargs))[1:])
 
 
+def _identity_image(images, n):
+    return images & ((1 << n * n) - 1)
+
+
 def _first_dropped(real):
     return lambda *args, **kwargs: itertools.islice(real(*args, **kwargs), 1, None)
 
@@ -525,10 +555,10 @@ def _first_dropped(real):
     "n, module, name, fake, route",
     [
         (5, quiver, "mutation_class_representatives", _one_fewer, "quiver_bfs"),
-        # keyed by the serialization itself, triangulations are not merged
-        # into classes: 182 and 50 keys instead of 26 and 10
-        (5, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
-        (4, polygon, "class_key", lambda real: polygon.serialize_triangulation, "triangulations"),
+        # keyed by the mask itself, triangulations are not merged into
+        # classes: 182 and 50 keys instead of 26 and 10
+        (5, polygon, "_orbit_key", lambda real: _identity_image, "triangulations"),
+        (4, polygon, "_orbit_key", lambda real: _identity_image, "triangulations"),
         # one generator feeds both the class map and the count, so the lost
         # class reaches enumerate and verify alike
         (5, trees, "_least_rotations", _first_dropped, "trees"),
@@ -560,9 +590,10 @@ def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypat
 )
 def test_verify_counts_the_tree_route_without_its_class_map(capsys, monkeypatch, n, row):
     def no_map(n):
-        raise AssertionError("verify built the tree class map")
+        raise AssertionError("verify built a class map")
 
     monkeypatch.setattr(trees, "star_tree_classes", no_map)
+    monkeypatch.setattr(polygon, "triangulation_classes", no_map)
     code, out, err = run(capsys, "verify", str(n), str(n))
     assert code == 0 and err == ""
     assert out.splitlines()[2:] == [row]

@@ -14,6 +14,9 @@ from dquiver.polygon import (
     Radius,
     Triangulation,
     _diagonal_table,
+    _orbit_images,
+    _orbit_key,
+    _radius_config,
     all_diagonals,
     chord_lift,
     class_key,
@@ -35,10 +38,13 @@ from dquiver.polygon import (
     rotate,
     serialize_triangulation,
     tau,
+    triangulation_class_count,
+    triangulation_classes,
     triangulation_from_json_obj,
     triangulation_to_json_obj,
     triangulations_by_flips,
 )
+from dquiver.trees import tree_move_for_flip
 from dquiver.quiver import Quiver, canonical_key, mutate, mutation_class, dynkin_d
 
 
@@ -149,7 +155,7 @@ def test_config_detection():
 
 
 def test_enumeration_matches_flip_closure():
-    for n in (3, 4, 5):
+    for n in range(3, 9):
         assert enumerate_triangulations(n) == triangulations_by_flips(n)
 
 
@@ -193,8 +199,11 @@ def test_flip_two_radius_fan_to_tagged_pair():
 
 
 def test_flip_requires_membership():
-    with pytest.raises(ValueError):
-        flip(fan_triangulation(5), Arc(0, 2))
+    # Arc(0, 7) is a diagonal of no 5-gon
+    for move in (flip, tree_move_for_flip):
+        for d in (Arc(0, 2), Arc(0, 7)):
+            with pytest.raises(ValueError, match="is not a diagonal of the triangulation"):
+                move(fan_triangulation(5), d)
 
 
 # -- the quiver map -----------------------------------------------------------------
@@ -405,7 +414,117 @@ def _flip_oracle(t, d):
     return rest | {other}
 
 
+def _tag_config_oracle(diagonals):
+    """("A", sorted bases) or ("B", (base,)) from Diagonal objects; raise if malformed."""
+    radii = [d for d in diagonals if isinstance(d, Radius)]
+    bases = sorted({r.a for r in radii})
+    if len(radii) == 2 and len(bases) == 1:
+        return ("B", tuple(bases))
+    if len(radii) >= 2 and len(bases) == len(radii) and len({r.tag for r in radii}) == 1:
+        return ("A", tuple(bases))
+    raise ValueError("malformed radii")
+
+
+def _class_map_oracle(n):
+    """The class map with one class_key per triangulation, as the CLI once built it."""
+    classes = {}
+    for t in enumerate_triangulations(n):
+        key = class_key(t)
+        if key not in classes:
+            classes[key] = class_representative(t)[1]
+    return classes
+
+
+def _orbit_key_of(t, images):
+    packed = 0
+    for i, image in enumerate(images):
+        if t.mask >> i & 1:
+            packed |= image
+    return _orbit_key(packed, t.n)
+
+
 # -- the diagonal table and the mask operations against the oracles ------------
+
+
+def test_step_and_inverse_match_tau_and_mu():
+    for n in range(3, 41):
+        table = _diagonal_table(n)
+        assert table.step == tuple(table.index[mu(tau(d, n))] for d in table.diagonals)
+        assert table.inverse == tuple(table.index[mu(d)] for d in table.diagonals)
+
+
+def test_views_and_radius_config_from_the_mask_match_the_oracle():
+    for n in range(3, 9):
+        ordered = all_diagonals(n)
+        for t in enumerate_triangulations(n):
+            lst = tuple(d for i, d in enumerate(ordered) if t.mask >> i & 1)
+            assert t.sorted_diagonals == lst
+            assert t.diagonals == frozenset(lst)
+            assert (t.config, t.radius_bases) == _tag_config_oracle(lst)
+
+
+def test_radius_config_matches_the_oracle_on_every_radius_set():
+    # past the crossing check only well-formed radius sets are left, so
+    # every malformed one is tried here directly on the radius bits
+    for n in (3, 4, 5):
+        radii = [d for d in all_diagonals(n) if isinstance(d, Radius)]
+        for subset in range(1 << 2 * n):
+            ds = [r for j, r in enumerate(radii) if subset >> j & 1]
+            mask = subset << n * (n - 2)
+            try:
+                expected = _tag_config_oracle(ds)
+            except ValueError:
+                with pytest.raises(ValueError, match="^radii must form either"):
+                    _radius_config(n, mask)
+            else:
+                assert _radius_config(n, mask) == expected
+
+
+@pytest.mark.parametrize(
+    "n, diagonals, message",
+    [
+        (5, [Radius(a, PLAIN) for a in range(4)],
+         "a triangulation of the 5-gon needs 5 diagonals, got 4"),
+        (4, [Arc(0, 2), Arc(1, 3), Radius(0, PLAIN), Radius(2, PLAIN)],
+         "diagonals cross: Arc(a=0, b=2) and Arc(a=1, b=3)"),
+        # radii with different tags at different bases cross, so mixed tags,
+        # an opposite-tag pair at two bases and a tagged pair plus one more
+        # radius all fail the crossing check first
+        (4, [Radius(0, PLAIN), Radius(1, PLAIN), Radius(2, NOTCHED), Radius(3, PLAIN)],
+         "diagonals cross: Radius(a=0, tag='plain') and Radius(a=2, tag='notched')"),
+        (4, [Arc(0, 2), Arc(2, 0), Radius(0, PLAIN), Radius(2, NOTCHED)],
+         "diagonals cross: Radius(a=0, tag='plain') and Radius(a=2, tag='notched')"),
+        (4, [Arc(0, 2), Radius(0, PLAIN), Radius(0, NOTCHED), Radius(2, PLAIN)],
+         "diagonals cross: Radius(a=0, tag='notched') and Radius(a=2, tag='plain')"),
+    ],
+)
+def test_mask_validation_messages(n, diagonals, message):
+    index = _diagonal_table(n).index
+    with pytest.raises(ValueError) as exc:
+        Triangulation._from_mask(n, sum(1 << index[d] for d in diagonals))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_class_map_matches_the_per_triangulation_oracle(n):
+    classes = triangulation_classes(n)
+    assert classes == _class_map_oracle(n)
+    assert all(serialize_triangulation(t) == key for key, t in classes.items())
+    assert triangulation_class_count(n) == len(classes)
+
+
+def test_orbit_key_is_one_key_per_class():
+    for n in range(3, 8):
+        images = _orbit_images(_diagonal_table(n))
+        keys = {}
+        for t in enumerate_triangulations(n):
+            key = _orbit_key_of(t, images)
+            for base in (t, invert_tags(t)):
+                for i in range(n):
+                    assert _orbit_key_of(rotate(base, i), images) == key
+            keys.setdefault(class_key(t), set()).add(key)
+        assert all(len(found) == 1 for found in keys.values())
+        assert len(set().union(*keys.values())) == len(keys)
 
 
 def test_table_compatibility_matches_crossing_number():
