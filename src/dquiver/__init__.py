@@ -45,7 +45,6 @@ from .quiver import (
     dynkin_d,
     is_connected,
     mutate,
-    mutation_class,
     mutation_class_representatives,
 )
 from .trees import (

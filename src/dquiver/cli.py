@@ -24,7 +24,7 @@ from .errors import BoundExceededError
 # --*-bound options), its JSON writer, the verify report field holding its
 # count and its wall_time entry.  The library enumerations take only n.
 _ROUTES = {
-    "quivers": (9, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
+    "quivers": (10, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
     "triangulations": (
         9, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
     ),

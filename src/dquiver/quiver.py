@@ -31,7 +31,6 @@ __all__ = [
     "mutate",
     "canonical_form",
     "canonical_key",
-    "mutation_class",
     "mutation_class_representatives",
     "delete_vertex",
     "is_connected",
@@ -211,10 +210,20 @@ def is_connected(q: Quiver) -> bool:
 # Colour refinement (the 1-dimensional refinement of McKay and Piperno,
 # "Practical graph isomorphism II", 2014) of an ordered partition of the
 # vertices, then a search that individualizes one vertex of the first
-# non-singleton cell at a time, re-refines, and keeps the least matrix
-# serialization over all discrete partitions reached.  The refinement and
-# the choice of the split cell are relabeling-invariant, so the winning
-# serialization is a canonical form.
+# cell holding two vertices with different rows at a time, re-refines, and
+# keeps the least matrix serialization over all leaves reached.  The
+# refinement and the choice of the split cell are relabeling-invariant, so
+# the winning serialization is a canonical form.
+#
+# Twins are two vertices with equal rows: they have the same entries to
+# every other vertex and none between them, so swapping them and fixing
+# every other vertex is an automorphism.  A cell of twins is never split:
+# individualizing one of them would refine nothing, since every vertex has
+# equal entries to all of them, and every order of the cell serializes the
+# same.  So a node whose cells are each one vertex or twins is a leaf, and
+# its labeling is the cells in order.  This is the cheapest exact case of
+# the automorphism pruning of McKay and Piperno; it ends the search on a
+# quiver with no arrows at its first node, where it would reach n! leaves.
 #
 # A round splits every cell at once, against the partition the round
 # started from, and puts the parts in place of the cell, ordered by
@@ -285,14 +294,19 @@ def _canonical(rows: Rows, n: int) -> tuple[bytes, tuple[int, ...]]:
     stack = [_equitable(rows, [list(range(n))], slot)]
     while stack:
         cells = stack.pop()
-        if len(cells) == n:
-            perm = tuple(cell[0] for cell in cells)
+        # split the first cell holding two vertices with different rows; a
+        # node whose every cell is one vertex or twins is a leaf
+        for t, cell in enumerate(cells):
+            if len(cell) > 1:
+                row = rows[cell[0]]
+                if any(rows[u] != row for u in cell):
+                    break
+        else:
+            perm = tuple(v for cell in cells for v in cell)
             cand = _serialize(rows, perm)
             if best is None or cand < best:
                 best, best_perm = cand, perm
             continue
-        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
-        cell = cells[t]
         for v in cell:
             split = cells[:t] + [[v], [u for u in cell if u != v]] + cells[t + 1 :]
             stack.append(_equitable(rows, split, slot))
@@ -319,46 +333,50 @@ def mutation_class_representatives(
 ) -> dict[bytes, Quiver]:
     """All isomorphism classes reachable from ``seed`` by mutation.
 
-    Breadth-first search over canonical keys.  Each class representative is
-    mutated at every vertex but the one it was reached by, since that
-    mutation leads back to a known class, and each mutated quiver is
-    canonicalized once, on sparse rows; a validated ``Quiver`` is built
-    only for a new class.  The stored representative of each class is its
-    canonical form, so the result is deterministic.  The cap guards against
-    seeds of non-finite mutation type.
+    Breadth-first search over canonical keys, in which each edge of the
+    exchange graph between two classes is canonicalized once.  A queued
+    class keeps the set of its vertices whose mutation is known to lead to
+    a known class, and is mutated only at the others: when mutating at k
+    reaches a class by the labeling ``perm``, mutating that class's stored
+    form at ``perm.index(k)`` leads back, since the stored form is the
+    mutated quiver relabeled by ``perm`` (equal keys give equal forms) and
+    mutation is an involution.  Each mutated quiver is canonicalized once,
+    on sparse rows; a validated ``Quiver`` is built only for a new class.
+    The stored representative of each class is its canonical form, so the
+    result is deterministic.  The cap guards against seeds of non-finite
+    mutation type.
     """
     if not is_connected(seed):
         raise ValueError("seed quiver must be connected")
     n = seed.rank
     rows = _rows(seed.b)
     key, perm = _canonical(rows, n)
-    form = Quiver(n, _dense(rows, perm))
-    reps = {key: form}
-    # each representative waits with the vertex it was reached by
-    queue: deque[tuple[Quiver, int | None]] = deque([(form, None)])
+    reps = {key: Quiver(n, _dense(rows, perm))}
+    # queued class -> the set of its vertices whose mutation leads to a
+    # known class, as a bitmask
+    known = {key: 0}
+    queue = deque([key])
     while queue:
-        q, back = queue.popleft()
-        rows = _rows(q.b)
+        here = queue.popleft()
+        skip = known.pop(here)
+        rows = _rows(reps[here].b)
         for k in range(n):
-            if k == back:
+            if skip >> k & 1:
                 continue
             m = _mutate_rows(rows, k)
             key, perm = _canonical(m, n)
-            if key not in reps:
+            if key in known:
+                known[key] |= 1 << perm.index(k)
+            elif key not in reps:
                 if len(reps) >= max_classes:
                     raise BoundExceededError(
                         f"mutation class exceeded {max_classes} classes; "
                         "the seed is probably not of finite mutation type"
                     )
-                form = Quiver(n, _dense(m, perm))
-                reps[key] = form
-                queue.append((form, perm.index(k)))
+                reps[key] = Quiver(n, _dense(m, perm))
+                known[key] = 1 << perm.index(k)
+                queue.append(key)
     return reps
-
-
-def mutation_class(seed: Quiver, *, max_classes: int = 10_000_000) -> set[bytes]:
-    """Canonical keys of every quiver mutation-equivalent to ``seed``."""
-    return set(mutation_class_representatives(seed, max_classes=max_classes))
 
 
 # -- Dynkin seeds ------------------------------------------------------------

@@ -55,7 +55,6 @@ from dquiver.quiver import (
     dynkin_d,
     is_connected,
     mutate,
-    mutation_class,
 )
 from dquiver.trees import (
     apply_tree_move,
@@ -66,6 +65,8 @@ from dquiver.trees import (
     tree_move_for_flip,
     triangulation_of,
 )
+
+from helpers import mutation_class
 
 TABLE = {3: 4, 4: 6, 5: 26, 6: 80, 7: 246, 8: 810, 9: 2704, 10: 9252, 11: 32066, 12: 112720}
 

@@ -120,11 +120,11 @@ def test_enumerate_triangulation_classes(capsys):
 
 
 def test_enumerate_respects_bounds(capsys):
-    code, _, err = run(capsys, "enumerate", "10", "--what", "quivers")
+    code, _, err = run(capsys, "enumerate", "11", "--what", "quivers")
     assert code == 3 and "error" in err
 
 
-@pytest.mark.parametrize("what, bound", [("quivers", 9), ("triangulations", 9), ("trees", 12)])
+@pytest.mark.parametrize("what, bound", [("quivers", 10), ("triangulations", 9), ("trees", 12)])
 def test_enumerate_checks_the_domain_the_same_way_on_every_route(capsys, what, bound):
     # n < 3 is malformed input (exit 2); past the desk-scale bound is a
     # resource limit (exit 3)
@@ -219,7 +219,7 @@ def test_unwritable_output_path_fails_before_the_work(capsys, monkeypatch, tmp_p
 
 @pytest.mark.parametrize(
     "argv, expected",
-    [(["enumerate", "10", "--what", "quivers", "--out"], 3),
+    [(["enumerate", "11", "--what", "quivers", "--out"], 3),
      (["enumerate", "2", "--what", "trees", "--out"], 2),
      (["verify", "5", "5", "--seed-orientation", "01", "--json"], 2)],
 )
@@ -237,7 +237,7 @@ def test_a_failed_command_keeps_a_symlinked_output_path(capsys, tmp_path):
     target.write_text("old")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    code, _, _ = run(capsys, "enumerate", "10", "--what", "quivers", "--out", str(link))
+    code, _, _ = run(capsys, "enumerate", "11", "--what", "quivers", "--out", str(link))
     assert code == 3
     assert link.is_symlink() and target.exists()
 
@@ -485,12 +485,12 @@ def test_verify_reports_expected_divergence_at_four(capsys):
 
 def test_verify_skips_out_of_bound_methods(capsys, tmp_path):
     report_file = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "10", "10", "--json", str(report_file))
+    code, out, _ = run(capsys, "verify", "11", "11", "--json", str(report_file))
     assert code == 0
     (report,) = json.loads(report_file.read_text())
     assert report["quiver_bfs_count"] == "skipped"
     assert report["triangulation_class_count"] == "skipped"
-    assert report["tree_count"] == 9252
+    assert report["tree_count"] == 32066
     assert "skipped" in out
 
 
@@ -511,8 +511,8 @@ def test_verify_with_a_seed_orientation(capsys):
       "--seed-orientation needs 4 characters of 0/1, got '01x0'"),
      (["3", "4", "--seed-orientation", "01"],
       "--seed-orientation needs a single n, got the range 3..4"),
-     (["10", "10", "--seed-orientation", "000000000"],
-      "--seed-orientation is for the quiver route, which skips n = 10 (quiver bound 9)"),
+     (["11", "11", "--seed-orientation", "0000000000"],
+      "--seed-orientation is for the quiver route, which skips n = 11 (quiver bound 10)"),
      (["6", "6", "--quiver-bound", "5", "--seed-orientation", "01010"],
       "--seed-orientation is for the quiver route, which skips n = 6 (quiver bound 5)")],
 )

@@ -45,7 +45,8 @@ from dquiver.polygon import (
     triangulations_by_flips,
 )
 from dquiver.trees import tree_move_for_flip
-from dquiver.quiver import Quiver, canonical_key, mutate, mutation_class, dynkin_d
+from dquiver.quiver import Quiver, canonical_key, mutate, dynkin_d
+from helpers import mutation_class
 
 
 # -- crossing numbers ----------------------------------------------------------

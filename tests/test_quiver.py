@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from collections import deque
 from itertools import product
 
@@ -18,9 +19,10 @@ from dquiver.quiver import (
     dynkin_d,
     is_connected,
     mutate,
-    mutation_class,
     mutation_class_representatives,
 )
+
+from helpers import mutation_class
 
 
 def arrows_set(q):
@@ -227,15 +229,22 @@ MULTI_ARROW_ENTRIES = (1, -1, 2, -2, 10, -10, 12, -12)
 def multi_arrow_quivers(draw):
     """Connected quivers of rank 1..8 with entries in MULTI_ARROW_ENTRIES.
 
-    Either arrows along the path 0 - 1 - ... - n-1 and then any entries, or
-    a circulant (b[i][j] depends on j - i mod n) around the cycle
-    0 -> 1 -> ... -> n-1 -> 0.  Circulants are vertex-transitive, so the
-    refinement leaves them one cell and their searches reach many leaves.
-    Neither canonicalizer prunes its search by automorphisms, and the path
-    or the cycle keeps out quivers with huge automorphism groups: the
-    rank-8 quiver with no arrows has 8! leaves.
+    One of three shapes:
+
+    - a circulant (b[i][j] depends on j - i mod n) around the cycle
+      0 -> 1 -> ... -> n-1 -> 0.  Circulants are vertex-transitive, so the
+      refinement leaves them one cell and their searches reach many leaves;
+    - arrows along the path 0 - 1 - ... - n-1 and then any entries;
+    - such a path quiver with up to four twins appended, each a copy of an
+      earlier vertex's row: it has the same arrows to every other vertex
+      and none between the two.  The search ends at cells of twins.
+
+    The dense oracle prunes its search by no automorphism, so the path or
+    the cycle keeps out quivers with huge automorphism groups (the rank-8
+    quiver with no arrows has 8! leaves), and the twins stay few.
     """
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(("circulant", "path", "twins")))
+    if shape == "circulant":
         n = draw(st.integers(3, 8))
         step = {}
         for d in range(1, n // 2 + 1):
@@ -245,14 +254,20 @@ def multi_arrow_quivers(draw):
         return Quiver(n, tuple(
             tuple(0 if i == j else step[(j - i) % n] for j in range(n)) for i in range(n)
         ))
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 6) if shape == "twins" else st.integers(1, 8))
     b = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             entries = MULTI_ARROW_ENTRIES if j == i + 1 else MULTI_ARROW_ENTRIES + (0,)
             x = draw(st.sampled_from(entries))
             b[i][j], b[j][i] = x, -x
-    return Quiver(n, tuple(map(tuple, b)))
+    if shape == "twins":
+        for _ in range(draw(st.integers(1, min(4, 8 - n)))):
+            v = draw(st.integers(0, len(b) - 1))
+            for row in b:
+                row.append(row[v])
+            b.append(list(b[v]))
+    return Quiver(len(b), tuple(map(tuple, b)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,6 +297,44 @@ def test_multi_arrow_quivers_match_the_oracle(q, data):
 )
 def test_search_keeps_the_least_of_leaves_that_differ(b):
     _assert_matches_the_oracle(Quiver(len(b), b))
+
+
+# Shapes made of cells of twins: the search that individualized every twin
+# reached n! leaves on the arrowless quiver.
+TWIN_SHAPES = {
+    "arrowless": lambda r: Quiver.from_arrows(r, []),
+    "out-star": lambda r: Quiver.from_arrows(r, [(0, j) for j in range(1, r)]),
+    "bipartite": lambda r: Quiver.from_arrows(
+        r, [(i, j) for i in range(r // 2) for j in range(r // 2, r)]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, rank", [("arrowless", 9), ("arrowless", 12), ("out-star", 12), ("bipartite", 12)]
+)
+def test_twin_cells_end_the_search(shape, rank):
+    q = TWIN_SHAPES[shape](rank)
+    start = time.perf_counter()
+    key, form = canonical_key(q), canonical_form(q)
+    assert time.perf_counter() - start < 0.5
+    relabeled = _relabel(q, random.Random(rank).sample(range(rank), rank))
+    assert (canonical_key(relabeled), canonical_form(relabeled)) == (key, form)
+
+
+@pytest.mark.parametrize("shape", TWIN_SHAPES)
+def test_twin_shapes_match_the_oracle(shape):
+    for rank in range(1, 8):
+        _assert_matches_the_oracle(TWIN_SHAPES[shape](rank))
+
+
+def test_a_cell_of_twins_and_other_vertices_is_split():
+    # an oriented 3-cycle with each vertex doubled into twins: the
+    # refinement keeps one cell, whose first two vertices are twins
+    q = Quiver.from_arrows(
+        6, [(a, b) for a in range(6) for b in range(6) if b // 2 == (a // 2 + 1) % 3]
+    )
+    _assert_matches_the_oracle(q)
 
 
 def test_keys_are_equal_iff_the_quivers_are_isomorphic():
@@ -377,25 +430,45 @@ def _two_pass_bfs_oracle(seed):
     return reps
 
 
-def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
-    for bits in product((True, False), repeat=4):
-        seed = dynkin_d(5, bits)
-        got = mutation_class_representatives(seed)
-        assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+MARKOV = Quiver(3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
+KRONECKER = Quiver(2, ((0, 2), (-2, 0)))
+ORIENTED_4_CYCLE = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
-    calls = []
+@pytest.mark.parametrize(
+    "seed",
+    [
+        *(
+            pytest.param(dynkin_d(n, bits), id=f"D{n}-" + "".join("01"[b] for b in bits))
+            for n in (5, 6)
+            for bits in product((True, False), repeat=n - 1)
+        ),
+        pytest.param(dynkin_a(6), id="A6"),
+        # one class, and every mutation leads back to it
+        pytest.param(MARKOV, id="markov"),
+        pytest.param(KRONECKER, id="kronecker"),
+        # the class of D_4, seeded off the Dynkin diagram
+        pytest.param(ORIENTED_4_CYCLE, id="oriented-4-cycle"),
+    ],
+)
+def test_bfs_matches_the_two_pass_oracle(seed):
+    got = mutation_class_representatives(seed)
+    assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+
+
+@pytest.mark.parametrize("n, calls", [(5, 75), (6, 271), (7, 931)])
+def test_bfs_canonicalizes_each_exchange_edge_once(monkeypatch, n, calls):
+    seen = []
     real = quiver_module._canonical
     monkeypatch.setattr(
-        quiver_module, "_canonical", lambda rows, rank: calls.append(rank) or real(rows, rank)
+        quiver_module, "_canonical", lambda rows, rank: seen.append(rank) or real(rows, rank)
     )
-    reps = mutation_class_representatives(dynkin_d(n))
-    r = len(reps)
-    # the seed, then every mutation of every class representative except
-    # the one leading back to the class it was reached from
-    assert len(calls) == 1 + n * r - (r - 1)
+    r = len(mutation_class_representatives(dynkin_d(n)))
+    assert len(seen) == calls
+    # fewer than the seed and every mutation of every representative but
+    # the one leading back to the class it was reached from: an edge
+    # between two known classes is no longer canonicalized from both ends
+    assert calls < 1 + n * r - (r - 1)
 
 
 def test_class_cap_is_enforced():
