@@ -430,6 +430,13 @@ def _two_pass_bfs_oracle(seed):
     return reps
 
 
+def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
+    for bits in product((True, False), repeat=4):
+        seed = dynkin_d(5, bits)
+        got = mutation_class_representatives(seed)
+        assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+
+
 MARKOV = Quiver(3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
 KRONECKER = Quiver(2, ((0, 2), (-2, 0)))
 ORIENTED_4_CYCLE = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -439,9 +446,8 @@ ORIENTED_4_CYCLE = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     "seed",
     [
         *(
-            pytest.param(dynkin_d(n, bits), id=f"D{n}-" + "".join("01"[b] for b in bits))
-            for n in (5, 6)
-            for bits in product((True, False), repeat=n - 1)
+            pytest.param(dynkin_d(6, bits), id="D6-" + "".join("01"[b] for b in bits))
+            for bits in product((True, False), repeat=5)
         ),
         pytest.param(dynkin_a(6), id="A6"),
         # one class, and every mutation leads back to it
@@ -454,6 +460,23 @@ ORIENTED_4_CYCLE = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 def test_bfs_matches_the_two_pass_oracle(seed):
     got = mutation_class_representatives(seed)
     assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
+    calls, mutations = [], []
+    real_canonical, real_mutate = quiver_module._canonical, quiver_module._mutate_rows
+    monkeypatch.setattr(
+        quiver_module, "_canonical",
+        lambda rows, rank: calls.append(rank) or real_canonical(rows, rank),
+    )
+    monkeypatch.setattr(
+        quiver_module, "_mutate_rows", lambda rows, k: mutations.append(k) or real_mutate(rows, k)
+    )
+    mutation_class_representatives(dynkin_d(n))
+    # the seed, then every quiver the BFS mutates to: its key and its
+    # canonical form come from one search
+    assert len(calls) == 1 + len(mutations)
 
 
 @pytest.mark.parametrize("n, calls", [(5, 75), (6, 271), (7, 931)])
