@@ -51,7 +51,6 @@ from .trees import (
     LEAF,
     StarTree,
     apply_tree_move,
-    enumerate_star_trees,
     leaf_count,
     leaf_star,
     merge_beads,

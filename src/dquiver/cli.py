@@ -20,15 +20,17 @@ from typing import Sequence
 from . import counting, polygon, quiver, trees
 from .errors import BoundExceededError
 
-# route -> its desk-scale bound on n (overridden by --bound and the
-# --*-bound options), its JSON writer, the verify report field holding its
-# count and its wall_time entry.  The library enumerations take only n.
+# route -> its desk-scale bounds on n, for verify's count (overridden by
+# the --*-bound options) and for enumerate's JSON (overridden by --bound),
+# its JSON writer, the verify report field holding its count and its
+# wall_time entry.  The library enumerations take only n.  The tree count
+# reaches past the tree JSON, whose encoding is what limits enumerate.
 _ROUTES = {
-    "quivers": (10, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
+    "quivers": (10, 10, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
     "triangulations": (
-        9, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
+        9, 9, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
     ),
-    "trees": (12, trees.star_to_json_obj, "tree_count", "trees"),
+    "trees": (14, 12, trees.star_to_json_obj, "tree_count", "trees"),
 }
 
 
@@ -164,7 +166,7 @@ def _class_count(what: str, n: int, bound: int, seed_orientation: str | None) ->
 
 
 def _enumerate_objects(args) -> list:
-    bound, to_json, _, _ = _ROUTES[args.what]
+    _, bound, to_json, _, _ = _ROUTES[args.what]
     if args.bound is not None:
         bound = args.bound
     # only the JSON objects outlive this call, so the class map is not held
@@ -291,7 +293,7 @@ def _verify_one(n: int, args) -> dict:
     report["formula_count"] = formula
     report["wall_time"]["formula"] = time.perf_counter() - start
 
-    for what, (_, _, field, timer) in _ROUTES.items():
+    for what, (_, _, _, field, timer) in _ROUTES.items():
         bound = getattr(args, f"{what[:-1]}_bound")
         if n > bound:
             report[field] = "skipped"
@@ -404,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check all counting methods")
     p.add_argument("nmin", type=int)
     p.add_argument("nmax", type=int)
-    for what, (bound, _, _, _) in _ROUTES.items():
+    for what, (bound, _, _, _, _) in _ROUTES.items():
         p.add_argument(f"--{what[:-1]}-bound", type=int, default=bound)
     p.add_argument("--seed-orientation", help="0/1 string choosing the D_n seed orientation")
     p.add_argument("--json", help="also write the verification report as JSON here")

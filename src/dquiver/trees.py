@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .polygon import (
     LEAF,
@@ -50,7 +50,6 @@ __all__ = [
     "StarTree",
     "apply_tree_move",
     "canonical_star",
-    "enumerate_star_trees",
     "leaf_count",
     "leaf_star",
     "merge_beads",
@@ -73,10 +72,14 @@ def leaf_count(tree: BinaryTree) -> int:
     return leaf_count(tree[0]) + leaf_count(tree[1])
 
 
-def leaf_star(n: int) -> StarTree:
-    """The star tree of n bare leaf beads; the dual tree of the plain fan."""
+def _check_leaves(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1 leaves, got {n}")
+
+
+def leaf_star(n: int) -> StarTree:
+    """The star tree of n bare leaf beads; the dual tree of the plain fan."""
+    _check_leaves(n)
     return (LEAF,) * n
 
 
@@ -148,8 +151,8 @@ def _beads(m: int) -> tuple[tuple[bytes, ...], tuple[BinaryTree, ...]]:
     return codes, beads
 
 
-def _least_rotations(n: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
-    """``(codes, star)`` for the least rotation of every star tree class.
+def _least_rotations(n: int, visit: Callable[[list, list, tuple, tuple, int], None]) -> None:
+    """Hand ``visit`` every star tree class with two or more beads, as runs.
 
     A star is compared bead by bead on the bead codes, which orders its
     rotations as their serializations, so the least rotation is the one
@@ -160,16 +163,20 @@ def _least_rotations(n: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
     never less than the bead p places back.  So no bead is less than the
     first, and a complete star is its own least rotation exactly when p
     divides its bead count; periodic stars are kept.  Any prefix completes
-    with leaf beads, the greatest code, so no branch is a dead end.  Each
-    class comes once, ordered bead by bead by (leaf count, code).  The
-    n-leaf beads are single-bead stars only, so they are streamed, not kept.
+    with leaf beads, the greatest code, so no branch is a dead end.
+
+    The last bead takes all the leaves left, so the rule fixes it to one
+    contiguous run of ``_beads(left)``: ``visit(prefix, star, codes,
+    beads, lo)`` stands for the least rotations ``(*star, beads[j])``, with
+    codes ``(*prefix, codes[j])``, for every j >= lo.  The lists are the
+    codes and the beads before the last one, valid during the call only.
+    Runs come, and stars within a run, ordered bead by bead by (leaf
+    count, code).  The single-bead stars, the n-leaf beads, are not runs.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 leaves, got {n}")
     prefix: list[bytes] = []
     star: list[BinaryTree] = []
 
-    def extend(left: int, p: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
+    def extend(left: int, p: int) -> None:
         # prefix is a prenecklace whose longest Lyndon prefix has length p
         t = len(prefix)
         floor = prefix[t - p]
@@ -179,33 +186,23 @@ def _least_rotations(n: int) -> Iterator[tuple[tuple[bytes, ...], StarTree]]:
                 code = codes[j]
                 prefix.append(code)
                 star.append(beads[j])
-                yield from extend(left - m, p if code == floor else t + 1)
+                extend(left - m, p if code == floor else t + 1)
                 prefix.pop()
                 star.pop()
         # a last bead above floor makes a Lyndon word; floor itself keeps p
         codes, beads = _beads(left)
-        j = bisect_left(codes, floor)
-        if j < len(codes) and codes[j] == floor:
-            if (t + 1) % p == 0:
-                yield (*prefix, floor), (*star, beads[j])
-            j += 1
-        for j in range(j, len(codes)):
-            yield (*prefix, codes[j]), (*star, beads[j])
+        lo = bisect_left(codes, floor)
+        if lo < len(codes) and codes[lo] == floor and (t + 1) % p:
+            lo += 1
+        visit(prefix, star, codes, beads, lo)
 
     for m in range(1, n):
         for code, bead in zip(*_beads(m)):
             prefix.append(code)
             star.append(bead)
-            yield from extend(n - m, 1)
+            extend(n - m, 1)
             prefix.pop()
             star.pop()
-    # a single bead is its own least rotation
-    for code, bead in _compose(n):
-        yield (code,), (bead,)
-
-
-def _star_key(codes: tuple[bytes, ...]) -> bytes:
-    return b"[" + b",".join(codes) + b"]"
 
 
 def star_tree_classes(n: int) -> dict[bytes, StarTree]:
@@ -215,17 +212,38 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     the order of their canonical rotations compared bead by bead by leaf
     count, then serialization; that is not key order.
     """
-    return {_star_key(codes): star for codes, star in _least_rotations(n)}
+    _check_leaves(n)
+    classes: dict[bytes, StarTree] = {}
+
+    def add(prefix: list, star: list, codes: tuple, beads: tuple, lo: int) -> None:
+        head = b"[" + b",".join(prefix) + b","
+        front = tuple(star)
+        for j in range(lo, len(codes)):
+            classes[head + codes[j] + b"]"] = (*front, beads[j])
+
+    _least_rotations(n, add)
+    # a single bead is its own least rotation; the n-leaf beads are
+    # streamed, not kept
+    for code, bead in _compose(n):
+        classes[b"[" + code + b"]"] = (bead,)
+    return classes
 
 
 def star_tree_class_count(n: int) -> int:
     """``len(star_tree_classes(n))``, holding no class in memory."""
-    return sum(1 for _ in _least_rotations(n))
+    _check_leaves(n)
+    total = 0
 
+    def add(prefix: list, star: list, codes: tuple, beads: tuple, lo: int) -> None:
+        nonlocal total
+        total += len(codes) - lo
 
-def enumerate_star_trees(n: int) -> set[bytes]:
-    """Keys of all rotation classes of star trees with n leaves."""
-    return {_star_key(codes) for codes, _ in _least_rotations(n)}
+    _least_rotations(n, add)
+    # the single-bead classes, counted the way _compose(n) builds them: a
+    # left subtree with k leaves and a right one with n - k
+    if n == 1:
+        return total + 1
+    return total + sum(len(_beads(k)[0]) * len(_beads(n - k)[0]) for k in range(1, n))
 
 
 # -- the dual star tree of a triangulation -----------------------------------

@@ -58,7 +58,6 @@ from dquiver.quiver import (
 )
 from dquiver.trees import (
     apply_tree_move,
-    enumerate_star_trees,
     leaf_star,
     star_tree_of,
     tree_key,
@@ -66,7 +65,7 @@ from dquiver.trees import (
     triangulation_of,
 )
 
-from helpers import mutation_class
+from helpers import enumerate_star_trees, mutation_class
 
 TABLE = {3: 4, 4: 6, 5: 26, 6: 80, 7: 246, 8: 810, 9: 2704, 10: 9252, 11: 32066, 12: 112720}
 

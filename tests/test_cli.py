@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from decimal import Decimal
@@ -548,7 +547,21 @@ def _identity_image(images, n):
 
 
 def _first_dropped(real):
-    return lambda *args, **kwargs: itertools.islice(real(*args, **kwargs), 1, None)
+    """``_least_rotations`` with the first star of its first nonempty run lost."""
+
+    def fake(n, visit):
+        dropped = False
+
+        def shortened(prefix, star, codes, beads, lo):
+            nonlocal dropped
+            if not dropped and lo < len(codes):
+                dropped = True
+                lo += 1
+            visit(prefix, star, codes, beads, lo)
+
+        real(n, shortened)
+
+    return fake
 
 
 @pytest.mark.parametrize(
@@ -559,7 +572,7 @@ def _first_dropped(real):
         # classes: 182 and 50 keys instead of 26 and 10
         (5, polygon, "_orbit_key", lambda real: _identity_image, "triangulations"),
         (4, polygon, "_orbit_key", lambda real: _identity_image, "triangulations"),
-        # one generator feeds both the class map and the count, so the lost
+        # one recursion feeds both the class map and the count, so the lost
         # class reaches enumerate and verify alike
         (5, trees, "_least_rotations", _first_dropped, "trees"),
         (4, trees, "_least_rotations", _first_dropped, "trees"),
@@ -586,6 +599,9 @@ def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypat
     [
         (5, "  5         26         26       26       26  ok"),
         (12, " 12     112720    skipped  skipped   112720  ok"),
+        # verify counts trees past enumerate's tree bound 12, up to 14
+        (13, " 13     400024    skipped  skipped   400024  ok"),
+        (15, " 15    5170604    skipped  skipped  skipped  ok"),
     ],
 )
 def test_verify_counts_the_tree_route_without_its_class_map(capsys, monkeypatch, n, row):

@@ -23,7 +23,6 @@ from dquiver.trees import (
     _least_rotation,
     apply_tree_move,
     canonical_star,
-    enumerate_star_trees,
     leaf_count,
     leaf_star,
     merge_beads,
@@ -38,6 +37,8 @@ from dquiver.trees import (
     tree_move_for_flip,
     triangulation_of,
 )
+
+from helpers import enumerate_star_trees
 
 COMB5 = ((((LEAF, LEAF), LEAF), LEAF), LEAF)
 
@@ -71,6 +72,15 @@ def test_enumeration_counts(n, count):
 def test_enumeration_matches_necklace_formula():
     for n in range(1, 10):
         assert len(enumerate_star_trees(n)) == necklace_count(n)
+    for n in range(1, 15):
+        assert star_tree_class_count(n) == necklace_count(n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("enumeration", [star_tree_classes, star_tree_class_count])
+def test_enumeration_needs_a_leaf(enumeration, n):
+    with pytest.raises(ValueError, match=f"need n >= 1 leaves, got {n}"):
+        enumeration(n)
 
 
 def test_all_leaf_beads_is_the_unique_flat_star():
