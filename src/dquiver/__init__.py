@@ -7,7 +7,7 @@ trees (necklaces of full binary trees), all checked against closed-form
 formulas.
 """
 
-from .counting import a_count, catalan, d_cluster_count, d_count, euler_phi, necklace_count
+from .counting import a_count, catalan, d_cluster_count, d_count, necklace_count
 from .errors import BoundExceededError
 from .polygon import (
     NOTCHED,
@@ -26,7 +26,6 @@ from .polygon import (
     fan_triangulation,
     flip,
     invert_tags,
-    is_triangulation,
     mu,
     quiver_of,
     quiver_vertex,
@@ -34,7 +33,6 @@ from .polygon import (
     tau,
     triangulation_class_count,
     triangulation_classes,
-    triangulations_by_flips,
 )
 from .quiver import (
     Quiver,

@@ -216,6 +216,8 @@ def _cmd_convert(args) -> int:
         if args.to != "triangulation":
             raise ValueError(f"conversion tree -> {args.to} is not defined")
         n = sum(trees.leaf_count(bead) for bead in star)
+        # the result is a JSON triangulation, so it keeps that format's limit
+        polygon._check_json_n(n)
         t = trees.triangulation_of(star, n)
         text = _json_text(polygon.triangulation_to_json_obj(t))
     with _output(args.out) as write:

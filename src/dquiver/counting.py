@@ -23,7 +23,7 @@ from itertools import compress
 
 from .errors import BoundExceededError
 
-__all__ = ["euler_phi", "catalan", "necklace_count", "d_count", "a_count", "d_cluster_count"]
+__all__ = ["catalan", "necklace_count", "d_count", "a_count", "d_cluster_count"]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -101,33 +101,17 @@ def _factorization(n: int, sieve: bytearray):
 
 
 def _divisors_with_phi(n: int, sieve: bytearray) -> list[tuple[int, int]]:
-    """Every ``(d, euler_phi(n // d))`` for d | n, from n's factorization.
+    """Every ``(d, φ(n // d))`` for d | n, from n's factorization.
 
-    ``sieve`` must reach sqrt(n).  Both d and φ are multiplicative: where
-    p^a exactly divides n, d takes p^b and n // d the rest, p^(a - b),
-    whose φ is p^(a - b - 1) (p - 1), or 1 when b = a.
+    φ is Euler's totient, and ``sieve`` must reach sqrt(n).  Both d and φ
+    are multiplicative: where p^a exactly divides n, d takes p^b and n // d
+    the rest, p^(a - b), whose φ is p^(a - b - 1) (p - 1), or 1 when b = a.
     """
     pairs = [(1, 1)]
     for p, a in _factorization(n, sieve):
         powers = [(p**b, p ** (a - b - 1) * (p - 1)) for b in range(a)] + [(p**a, 1)]
         pairs = [(d * q, phi * f) for d, phi in pairs for q, f in powers]
     return pairs
-
-
-def euler_phi(m: int) -> int:
-    """Euler's totient: how many of 1..m are coprime to m (by trial division)."""
-    if m < 1:
-        raise ValueError(f"euler_phi needs m >= 1, got {m}")
-    phi, rest, p = m, m, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            phi -= phi // p
-        p += 1
-    if rest > 1:
-        phi -= phi // rest
-    return phi
 
 
 def catalan(i: int) -> int:

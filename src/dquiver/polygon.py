@@ -11,12 +11,13 @@ Conventions used throughout:
   opposite sides).
 * ``Radius(a, tag)`` joins the puncture to border vertex a and carries a
   tag, ``"plain"`` or ``"notched"``.
-* Crossing numbers: two radii cross once iff their base vertices differ
-  and their tags differ.  A radius crosses an arc once iff its base lies
-  strictly inside the arc's counterclockwise interval.  Two arcs are
-  lifted to centrally symmetric chord pairs of a 2n-gon (the double cover
-  branched at the puncture) and the crossing number is half the number of
-  strictly interleaving chord pairs.
+* Crossing numbers, by one interval rule: two radii cross once iff their
+  bases and their tags differ.  Otherwise one diagonal is an arc
+  ``Arc(p, q)`` of span k, cutting off the disk over the border walk from
+  p to q, and the other's endpoints sit at positions ``(x - p) mod n``.
+  A radius crosses once iff its base lies strictly inside (0, k).  An arc
+  at positions a < b <= k runs inside the disk; any other arc crosses once
+  for each of a, b strictly inside (0, k).
 
 A triangulation is a maximal set of pairwise non-crossing diagonals and
 always has exactly n of them.  Its radii come in one of two shapes:
@@ -54,12 +55,12 @@ from typing import Iterable, Iterator, Union
 from .errors import BoundExceededError
 from .quiver import Quiver
 
-# largest n a JSON triangulation may declare: checking it builds the n-gon's
-# diagonal table and a compatibility row for every rotation orbit its
-# diagonals meet, about n^2 crossing numbers per orbit.  The worst input
-# meets all n orbits (arcs of every span from one vertex and the tagged
-# radius pair there): at n = 50 its cold `convert --to tree` takes 1.5-1.7 s
-# on a shared 2-core host, and a plain fan of this size 0.1 s
+# largest n of a JSON triangulation, read or written: checking it builds
+# the n-gon's diagonal table and a compatibility row for every rotation
+# orbit its diagonals meet, about n^2 crossing numbers per orbit.  The worst
+# input meets all n orbits (arcs of every span from one vertex and the tagged
+# radius pair there): at n = 50 its cold `convert --to tree` takes 0.4 s on
+# a shared 2-core host, and a plain fan of this size 0.1 s
 MAX_JSON_N = 50
 
 PLAIN = "plain"
@@ -72,10 +73,8 @@ __all__ = [
     "Arc",
     "Radius",
     "Diagonal",
-    "ChordLift",
     "Triangulation",
     "all_diagonals",
-    "chord_lift",
     "class_key",
     "class_representative",
     "close_to_border",
@@ -86,21 +85,17 @@ __all__ = [
     "fan_triangulation",
     "flip",
     "invert_tags",
-    "is_triangulation",
     "mu",
     "opposite_tag",
     "quiver_of",
     "quiver_vertex",
-    "radius_arc_crossings_via_lift",
     "rotate",
-    "serialize_triangulation",
     "span",
     "tau",
     "triangulation_class_count",
     "triangulation_classes",
     "triangulation_from_json_obj",
     "triangulation_to_json_obj",
-    "triangulations_by_flips",
 ]
 
 
@@ -156,65 +151,6 @@ def diagonal_sort_key(d: Diagonal) -> tuple[int, int, int]:
 # -- crossing numbers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordLift:
-    """Lift of a diagonal to the 2n-gon double cover.
-
-    Arcs lift to a centrally symmetric pair of chords; radii lift to a
-    single diameter remembering the tag as its color.
-    """
-
-    chords: tuple[tuple[int, int], ...]
-    color: str | None = None
-
-
-def chord_lift(d: Diagonal, n: int) -> ChordLift:
-    check_diagonal(d, n)
-    if isinstance(d, Radius):
-        return ChordLift(((d.a, d.a + n),), d.tag)
-    k = span(d, n)
-    return ChordLift(((d.a, (d.a + k) % (2 * n)), ((d.a + n) % (2 * n), (d.a + k + n) % (2 * n))))
-
-
-def _strictly_inside(c: int, a: int, b: int, m: int) -> bool:
-    """Is c strictly inside the ccw interval (a, b) of Z_m?"""
-    return 0 < (c - a) % m < (b - a) % m
-
-
-def _chords_cross(c1: tuple[int, int], c2: tuple[int, int], m: int) -> bool:
-    p, q = c1
-    r, s = c2
-    if p in (r, s) or q in (r, s):
-        return False
-    return _strictly_inside(r, p, q, m) != _strictly_inside(s, p, q, m)
-
-
-def _arc_arc_crossing(d1: Arc, d2: Arc, n: int) -> int:
-    m = 2 * n
-    lifts1 = chord_lift(d1, n).chords
-    lifts2 = chord_lift(d2, n).chords
-    count = sum(_chords_cross(c1, c2, m) for c1 in lifts1 for c2 in lifts2)
-    if count % 2:
-        raise AssertionError(f"odd chord crossing count for {d1}, {d2}")
-    return count // 2
-
-
-def radius_arc_crossings_via_lift(r: Radius, arc: Arc, n: int) -> int:
-    """Radius-arc crossing number computed from chord lifts.
-
-    Alternative route to the interval rule used by crossing_number; the
-    two must agree everywhere.
-    """
-    check_diagonal(r, n)
-    check_diagonal(arc, n)
-    m = 2 * n
-    diameter = (r.a, r.a + n)
-    count = sum(_chords_cross(diameter, c, m) for c in chord_lift(arc, n).chords)
-    if count % 2:
-        raise AssertionError(f"odd diameter crossing count for {r}, {arc}")
-    return count // 2
-
-
 def crossing_number(d1: Diagonal, d2: Diagonal, n: int) -> int:
     """Minimal number of interior intersections of representatives.
 
@@ -225,10 +161,17 @@ def crossing_number(d1: Diagonal, d2: Diagonal, n: int) -> int:
     if isinstance(d1, Radius) and isinstance(d2, Radius):
         return int(d1.a != d2.a and d1.tag != d2.tag)
     if isinstance(d1, Radius):
-        return int(_strictly_inside(d1.a, d2.a, d2.b, n))
+        d1, d2 = d2, d1
+    # positions counterclockwise from d1's start, so d1 runs from 0 to k
+    k = span(d1, n)
+    a = (d2.a - d1.a) % n
     if isinstance(d2, Radius):
-        return int(_strictly_inside(d2.a, d1.a, d1.b, n))
-    return _arc_arc_crossing(d1, d2, n)
+        return int(0 < a < k)
+    b = (d2.b - d1.a) % n
+    if a < b <= k:
+        # d2 runs inside the disk that d1 cuts off
+        return 0
+    return (0 < a < k) + (0 < b < k)
 
 
 def all_diagonals(n: int) -> list[Diagonal]:
@@ -285,8 +228,9 @@ class _DiagonalTable:
     permutations of one clockwise rotation step and of tag inversion, and
     ``tokens`` holds each diagonal's serialization token.  Compatibility
     rows are filled one rotation orbit at a time, on first use: the orbit's
-    member at vertex 0 gets its row from ``crossing_number`` and the other
-    members get it by rotation, so no all-pairs table is ever built.
+    member at vertex 0 gets its row from ``crossing_number``, whose interval
+    rule reads positions counterclockwise from vertex 0 directly, and the
+    other members get it by rotation, so no all-pairs table is ever built.
     """
 
     __slots__ = ("n", "diagonals", "index", "step", "inverse", "tokens", "_rows")
@@ -458,11 +402,6 @@ def _member_bit(t: Triangulation, d: Diagonal) -> int:
     return 1 << i
 
 
-def serialize_triangulation(t: Triangulation) -> bytes:
-    tokens = _diagonal_table(t.n).tokens
-    return f"{t.n}|{';'.join(tokens[i] for i in _bits(t.mask))}".encode()
-
-
 def triangulation_to_json_obj(t: Triangulation) -> dict:
     out = []
     for d in t.sorted_diagonals:
@@ -481,12 +420,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _check_json_n(n: int) -> None:
+    """Refuse a JSON triangulation past ``MAX_JSON_N``, before any table is built."""
+    if n > MAX_JSON_N:
+        raise BoundExceededError(f"n = {n} exceeds the JSON triangulation limit {MAX_JSON_N}")
+
+
 def triangulation_from_json_obj(obj: dict) -> Triangulation:
     if not isinstance(obj, dict) or "n" not in obj or "diagonals" not in obj:
         raise ValueError('expected an object with "n" and "diagonals"')
     n = _json_int(obj["n"], "n")
-    if n > MAX_JSON_N:
-        raise BoundExceededError(f"n = {n} exceeds the JSON triangulation limit {MAX_JSON_N}")
+    _check_json_n(n)
     if not isinstance(obj["diagonals"], list):
         raise ValueError('"diagonals" must be a list')
     ds: list[Diagonal] = []
@@ -508,18 +452,6 @@ def triangulation_from_json_obj(obj: dict) -> Triangulation:
 def fan_triangulation(n: int, tag: str = PLAIN) -> Triangulation:
     """The fan of n same-tag radii; its quiver is the oriented n-cycle."""
     return Triangulation(n, (Radius(a, tag) for a in range(n)))
-
-
-def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
-    """True iff ``ds`` has n elements and all pairs are non-crossing."""
-    lst = list(ds)
-    for d in lst:
-        check_diagonal(d, n)
-    if len(set(lst)) != n or len(lst) != n:
-        return False
-    table = _diagonal_table(n)
-    mask = _mask(table.index[d] for d in lst)
-    return all(not mask & ~table.row(i) for i in _bits(mask))
 
 
 def _cliques(table: _DiagonalTable, weights: list[int]) -> Iterator[int]:
@@ -577,21 +509,6 @@ def flip(t: Triangulation, d: Diagonal) -> Triangulation:
             f"flip expected exactly two completions of t - {{{d}}}, got {candidates}"
         )
     return Triangulation._from_mask(t.n, rest | (survivors ^ bit))
-
-
-def triangulations_by_flips(n: int) -> set[Triangulation]:
-    """Flip-closure of the plain fan; independent route to all of them."""
-    start = fan_triangulation(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        t = frontier.pop()
-        for d in t.sorted_diagonals:
-            t2 = flip(t, d)
-            if t2 not in seen:
-                seen.add(t2)
-                frontier.append(t2)
-    return seen
 
 
 # -- symmetries --------------------------------------------------------------

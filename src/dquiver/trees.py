@@ -23,7 +23,6 @@ flips: ``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from typing import Callable, Iterator, Union
 
@@ -123,7 +122,7 @@ def tree_key(star: StarTree) -> bytes:
 # -- enumeration -------------------------------------------------------------
 
 
-def _compose(m: int) -> Iterator[tuple[bytes, BinaryTree]]:
+def _compose(m: int, tables: list) -> Iterator[tuple[bytes, BinaryTree]]:
     """``(code, bead)`` for every full binary tree with m leaves, in code order.
 
     A bead's code is its serialization, built once from its subtrees'
@@ -131,27 +130,29 @@ def _compose(m: int) -> Iterator[tuple[bytes, BinaryTree]]:
     "L" or a balanced bracket word), so code order is the order of (left
     code, right code): the left subtree runs over the smaller beads of
     every leaf count in code order, and the right over the beads with the
-    remaining leaves.  Nothing with m leaves is stored.
+    remaining leaves.  ``tables`` must reach m - 1 leaves (see
+    ``_bead_tables``); nothing with m leaves is stored.
     """
     if m == 1:
         yield b"L", LEAF
         return
-    lefts = sorted(chain.from_iterable(zip(*_beads(k), repeat(k)) for k in range(1, m)))
+    lefts = sorted(chain.from_iterable(zip(*tables[k], repeat(k)) for k in range(1, m)))
     for left_code, left, k in lefts:
         start = b"(" + left_code
-        right_codes, rights = _beads(m - k)
+        right_codes, rights = tables[m - k]
         for right_code, right in zip(right_codes, rights):
             yield start + right_code + b")", (left, right)
 
 
-@lru_cache(maxsize=None)
-def _beads(m: int) -> tuple[tuple[bytes, ...], tuple[BinaryTree, ...]]:
-    """The codes and the trees of ``_compose(m)``, kept for later calls."""
-    codes, beads = zip(*_compose(m))
-    return codes, beads
+def _bead_tables(n: int) -> list:
+    """``tables[m]`` holds the codes and the trees of ``_compose(m)``, 1 <= m <= n."""
+    tables: list = [None]
+    for m in range(1, n + 1):
+        tables.append(tuple(zip(*_compose(m, tables))))
+    return tables
 
 
-def _least_rotations(n: int, visit: Callable[[list, list, tuple, tuple, int], None]) -> None:
+def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     """Hand ``visit`` every star tree class with two or more beads, as runs.
 
     A star is compared bead by bead on the bead codes, which orders its
@@ -166,12 +167,13 @@ def _least_rotations(n: int, visit: Callable[[list, list, tuple, tuple, int], No
     with leaf beads, the greatest code, so no branch is a dead end.
 
     The last bead takes all the leaves left, so the rule fixes it to one
-    contiguous run of ``_beads(left)``: ``visit(prefix, star, codes,
+    contiguous run of ``tables[left]``: ``visit(prefix, star, codes,
     beads, lo)`` stands for the least rotations ``(*star, beads[j])``, with
     codes ``(*prefix, codes[j])``, for every j >= lo.  The lists are the
     codes and the beads before the last one, valid during the call only.
     Runs come, and stars within a run, ordered bead by bead by (leaf
-    count, code).  The single-bead stars, the n-leaf beads, are not runs.
+    count, code).  The single-bead stars, the n-leaf beads, are not runs,
+    so ``tables`` (see ``_bead_tables``) must reach n - 1 leaves.
     """
     prefix: list[bytes] = []
     star: list[BinaryTree] = []
@@ -181,7 +183,7 @@ def _least_rotations(n: int, visit: Callable[[list, list, tuple, tuple, int], No
         t = len(prefix)
         floor = prefix[t - p]
         for m in range(1, left):
-            codes, beads = _beads(m)
+            codes, beads = tables[m]
             for j in range(bisect_left(codes, floor), len(codes)):
                 code = codes[j]
                 prefix.append(code)
@@ -190,19 +192,24 @@ def _least_rotations(n: int, visit: Callable[[list, list, tuple, tuple, int], No
                 prefix.pop()
                 star.pop()
         # a last bead above floor makes a Lyndon word; floor itself keeps p
-        codes, beads = _beads(left)
+        codes, beads = tables[left]
         lo = bisect_left(codes, floor)
         if lo < len(codes) and codes[lo] == floor and (t + 1) % p:
             lo += 1
         visit(prefix, star, codes, beads, lo)
 
-    for m in range(1, n):
-        for code, bead in zip(*_beads(m)):
-            prefix.append(code)
-            star.append(bead)
-            extend(n - m, 1)
-            prefix.pop()
-            star.pop()
+    try:
+        for m in range(1, n):
+            for code, bead in zip(*tables[m]):
+                prefix.append(code)
+                star.append(bead)
+                extend(n - m, 1)
+                prefix.pop()
+                star.pop()
+    finally:
+        # extend refers to itself, a cycle that would keep the tables alive
+        # until the next full garbage collection
+        del extend
 
 
 def star_tree_classes(n: int) -> dict[bytes, StarTree]:
@@ -221,10 +228,11 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
         for j in range(lo, len(codes)):
             classes[head + codes[j] + b"]"] = (*front, beads[j])
 
-    _least_rotations(n, add)
+    tables = _bead_tables(n - 1)
+    _least_rotations(n, add, tables)
     # a single bead is its own least rotation; the n-leaf beads are
     # streamed, not kept
-    for code, bead in _compose(n):
+    for code, bead in _compose(n, tables):
         classes[b"[" + code + b"]"] = (bead,)
     return classes
 
@@ -238,12 +246,13 @@ def star_tree_class_count(n: int) -> int:
         nonlocal total
         total += len(codes) - lo
 
-    _least_rotations(n, add)
+    tables = _bead_tables(n - 1)
+    _least_rotations(n, add, tables)
     # the single-bead classes, counted the way _compose(n) builds them: a
     # left subtree with k leaves and a right one with n - k
     if n == 1:
         return total + 1
-    return total + sum(len(_beads(k)[0]) * len(_beads(n - k)[0]) for k in range(1, n))
+    return total + sum(len(tables[k][0]) * len(tables[n - k][0]) for k in range(1, n))
 
 
 # -- the dual star tree of a triangulation -----------------------------------

@@ -1,5 +1,30 @@
-"""Helpers that the tests share and the package does not need."""
+"""Helpers that the tests share and the package does not need.
 
+Besides shortcuts over the package's enumerations, these are the slow but
+obviously-right oracles that the package's fast paths are tested against:
+crossing numbers on the 2n-gon double cover, the flip closure of the fan,
+the pairwise triangulation predicate, the serializer and Euler's totient by
+trial division.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Iterable
+
+from dquiver.polygon import (
+    Diagonal,
+    Radius,
+    Triangulation,
+    _bits,
+    _diagonal_table,
+    _mask,
+    check_diagonal,
+    fan_triangulation,
+    flip,
+    span,
+)
 from dquiver.quiver import Quiver, mutation_class_representatives
 from dquiver.trees import star_tree_classes
 
@@ -12,3 +37,117 @@ def mutation_class(seed: Quiver, *, max_classes: int = 10_000_000) -> set[bytes]
 def enumerate_star_trees(n: int) -> set[bytes]:
     """Keys of all rotation classes of star trees with n leaves."""
     return set(star_tree_classes(n))
+
+
+# -- crossing numbers on the double cover -------------------------------------
+
+
+@dataclass(frozen=True)
+class ChordLift:
+    """Lift of a diagonal to the 2n-gon double cover branched at the puncture.
+
+    Arcs lift to a centrally symmetric pair of chords; radii lift to a
+    single diameter remembering the tag as its color.
+    """
+
+    chords: tuple[tuple[int, int], ...]
+    color: str | None = None
+
+
+@lru_cache(maxsize=None)
+def chord_lift(d: Diagonal, n: int) -> ChordLift:
+    # cached: the all-pairs differential tests lift each diagonal n^2 times
+    check_diagonal(d, n)
+    if isinstance(d, Radius):
+        return ChordLift(((d.a, d.a + n),), d.tag)
+    k = span(d, n)
+    return ChordLift(((d.a, (d.a + k) % (2 * n)), ((d.a + n) % (2 * n), (d.a + k + n) % (2 * n))))
+
+
+def _strictly_inside(c: int, a: int, b: int, m: int) -> bool:
+    """Is c strictly inside the ccw interval (a, b) of Z_m?"""
+    return 0 < (c - a) % m < (b - a) % m
+
+
+def _chords_cross(c1: tuple[int, int], c2: tuple[int, int], m: int) -> bool:
+    p, q = c1
+    r, s = c2
+    if p in (r, s) or q in (r, s):
+        return False
+    return _strictly_inside(r, p, q, m) != _strictly_inside(s, p, q, m)
+
+
+def crossing_number_via_lift(d1: Diagonal, d2: Diagonal, n: int) -> int:
+    """Crossing number of two diagonals, with arcs read on the double cover.
+
+    Two radii cross iff their bases and their tags differ.  Otherwise the
+    crossing number is half the number of strictly interleaving pairs of
+    lifted chords, which come in centrally symmetric pairs.
+    """
+    if isinstance(d1, Radius) and isinstance(d2, Radius):
+        check_diagonal(d1, n)
+        check_diagonal(d2, n)
+        return int(d1.a != d2.a and d1.tag != d2.tag)
+    m = 2 * n
+    count = sum(
+        _chords_cross(c1, c2, m)
+        for c1 in chord_lift(d1, n).chords
+        for c2 in chord_lift(d2, n).chords
+    )
+    if count % 2:
+        raise AssertionError(f"odd chord crossing count for {d1}, {d2}")
+    return count // 2
+
+
+# -- triangulations ------------------------------------------------------------
+
+
+def serialize_triangulation(t: Triangulation) -> bytes:
+    tokens = _diagonal_table(t.n).tokens
+    return f"{t.n}|{';'.join(tokens[i] for i in _bits(t.mask))}".encode()
+
+
+def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
+    """True iff ``ds`` has n elements and all pairs are non-crossing."""
+    lst = list(ds)
+    for d in lst:
+        check_diagonal(d, n)
+    if len(set(lst)) != n or len(lst) != n:
+        return False
+    table = _diagonal_table(n)
+    mask = _mask(table.index[d] for d in lst)
+    return all(not mask & ~table.row(i) for i in _bits(mask))
+
+
+def triangulations_by_flips(n: int) -> set[Triangulation]:
+    """Flip-closure of the plain fan; independent route to all of them."""
+    start = fan_triangulation(n)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        t = frontier.pop()
+        for d in t.sorted_diagonals:
+            t2 = flip(t, d)
+            if t2 not in seen:
+                seen.add(t2)
+                frontier.append(t2)
+    return seen
+
+
+# -- counting ------------------------------------------------------------------
+
+
+def euler_phi(m: int) -> int:
+    """Euler's totient: how many of 1..m are coprime to m (by trial division)."""
+    if m < 1:
+        raise ValueError(f"euler_phi needs m >= 1, got {m}")
+    phi, rest, p = m, m, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi

@@ -43,11 +43,9 @@ from dquiver.polygon import (
     mu,
     quiver_of,
     quiver_vertex,
-    radius_arc_crossings_via_lift,
     rotate,
     tau,
     crossing_number,
-    triangulations_by_flips,
 )
 from dquiver.quiver import (
     canonical_key,
@@ -64,8 +62,12 @@ from dquiver.trees import (
     tree_move_for_flip,
     triangulation_of,
 )
-
-from helpers import enumerate_star_trees, mutation_class
+from helpers import (
+    crossing_number_via_lift,
+    enumerate_star_trees,
+    mutation_class,
+    triangulations_by_flips,
+)
 
 TABLE = {3: 4, 4: 6, 5: 26, 6: 80, 7: 246, 8: 810, 9: 2704, 10: 9252, 11: 32066, 12: 112720}
 
@@ -346,7 +348,12 @@ def test_criterion_9_oracle_equivalence():
     for n in range(3, 13):
         arcs = [d for d in all_diagonals(n) if isinstance(d, Arc)]
         radii = [d for d in all_diagonals(n) if isinstance(d, Radius)]
-        for r in radii:
-            for a in arcs:
-                assert crossing_number(r, a, n) == radius_arc_crossings_via_lift(r, a, n)
-    report(9, True, "clique search equals flip closure (n <= 6); interval rule equals chord lift (n <= 12)")
+        for a in arcs:
+            for d in radii + arcs:
+                assert crossing_number(d, a, n) == crossing_number_via_lift(d, a, n), (n, d, a)
+    report(
+        9,
+        True,
+        "clique search equals flip closure (n <= 6); interval rule equals chord lift, "
+        "radius and arc against arc (n <= 12)",
+    )

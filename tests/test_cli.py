@@ -457,6 +457,32 @@ def test_convert_takes_a_triangulation_at_the_json_limit(capsys, tmp_path):
     assert json.loads(out) == {"beads": ["L"] * n}
 
 
+def _leaf_star_file(tmp_path, n):
+    src = tmp_path / f"star{n}.json"
+    src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(n))))
+    return str(src)
+
+
+def test_convert_rejects_a_tree_past_the_json_limit(capsys, monkeypatch, tmp_path):
+    def no_table(n):
+        raise AssertionError("the diagonal table was built before n was checked")
+
+    n = polygon.MAX_JSON_N + 1
+    src = _leaf_star_file(tmp_path, n)
+    monkeypatch.setattr(polygon, "_diagonal_table", no_table)
+    code, out, err = run(capsys, "convert", "--from", "tree", "--to", "triangulation", src)
+    assert code == 3 and out == ""
+    assert err == f"error: n = {n} exceeds the JSON triangulation limit {polygon.MAX_JSON_N}\n"
+
+
+def test_convert_takes_a_tree_at_the_json_limit(capsys, tmp_path):
+    n = polygon.MAX_JSON_N
+    code, out, _ = run(capsys, "convert", "--from", "tree", "--to", "triangulation",
+                       _leaf_star_file(tmp_path, n))
+    assert code == 0
+    assert json.loads(out) == polygon.triangulation_to_json_obj(polygon.fan_triangulation(n))
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -549,7 +575,7 @@ def _identity_image(images, n):
 def _first_dropped(real):
     """``_least_rotations`` with the first star of its first nonempty run lost."""
 
-    def fake(n, visit):
+    def fake(n, visit, tables):
         dropped = False
 
         def shortened(prefix, star, codes, beads, lo):
@@ -559,7 +585,7 @@ def _first_dropped(real):
                 lo += 1
             visit(prefix, star, codes, beads, lo)
 
-        real(n, shortened)
+        real(n, shortened, tables)
 
     return fake
 

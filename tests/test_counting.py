@@ -16,10 +16,10 @@ from dquiver.counting import (
     catalan,
     d_cluster_count,
     d_count,
-    euler_phi,
     necklace_count,
 )
 from dquiver.errors import BoundExceededError
+from helpers import euler_phi
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 

@@ -18,7 +18,6 @@ from dquiver.polygon import (
     _orbit_key,
     _radius_config,
     all_diagonals,
-    chord_lift,
     class_key,
     class_representative,
     close_to_border,
@@ -29,24 +28,27 @@ from dquiver.polygon import (
     fan_triangulation,
     flip,
     invert_tags,
-    is_triangulation,
     mu,
     opposite_tag,
     quiver_of,
     quiver_vertex,
-    radius_arc_crossings_via_lift,
     rotate,
-    serialize_triangulation,
     tau,
     triangulation_class_count,
     triangulation_classes,
     triangulation_from_json_obj,
     triangulation_to_json_obj,
-    triangulations_by_flips,
 )
 from dquiver.trees import tree_move_for_flip
 from dquiver.quiver import Quiver, canonical_key, mutate, dynkin_d
-from helpers import mutation_class
+from helpers import (
+    chord_lift,
+    crossing_number_via_lift,
+    is_triangulation,
+    mutation_class,
+    serialize_triangulation,
+    triangulations_by_flips,
+)
 
 
 # -- crossing numbers ----------------------------------------------------------
@@ -92,7 +94,21 @@ def test_interval_and_lift_rules_agree_for_radius_arc():
         radii = [d for d in all_diagonals(n) if isinstance(d, Radius)]
         for r in radii:
             for a in arcs:
-                assert crossing_number(r, a, n) == radius_arc_crossings_via_lift(r, a, n)
+                assert crossing_number(r, a, n) == crossing_number_via_lift(r, a, n)
+
+
+def test_interval_rule_matches_the_lift_on_every_pair():
+    # every ordered pair up to n = 14; past it, every pair with one
+    # diagonal at vertex 0 (the rows the diagonal table computes), in both
+    # orders
+    for n in range(3, 31):
+        ds = all_diagonals(n)
+        firsts = ds if n <= 14 else [d for d in ds if d.a == 0]
+        for d1 in firsts:
+            for d2 in ds:
+                expected = crossing_number_via_lift(d1, d2, n)
+                assert crossing_number(d1, d2, n) == expected, (n, d1, d2)
+                assert crossing_number(d2, d1, n) == expected, (n, d2, d1)
 
 
 def test_chord_lift_shapes():
@@ -529,13 +545,15 @@ def test_orbit_key_is_one_key_per_class():
 
 
 def test_table_compatibility_matches_crossing_number():
+    # the rows come from crossing_number, so they are checked against the
+    # lift, which shares no code with it
     for n in range(3, 13):
         table = _diagonal_table(n)
         assert list(table.diagonals) == all_diagonals(n)
         for i, d in enumerate(table.diagonals):
             row = table.row(i)
             for j, e in enumerate(table.diagonals):
-                assert (row >> j & 1) == (crossing_number(d, e, n) == 0), (n, d, e)
+                assert (row >> j & 1) == (crossing_number_via_lift(d, e, n) == 0), (n, d, e)
 
 
 def test_symmetries_and_class_key_match_oracles():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from dquiver.polygon import (
 )
 from dquiver.trees import (
     LEAF,
-    _beads,
+    _bead_tables,
     _compose,
     _least_rotation,
     apply_tree_move,
@@ -322,13 +323,14 @@ def test_least_rotation_matches_the_serialize_every_rotation_oracle():
 
 
 def test_bead_codes_are_the_serializations_in_code_order():
+    tables = _bead_tables(9)
     for m in range(1, 10):
-        codes, beads = _beads(m)
+        codes, beads = tables[m]
         assert list(codes) == sorted(codes)
         assert sorted(zip(codes, beads)) == sorted(
             (_serialize_bead_oracle(bead), bead) for bead in _binary_trees_oracle(m)
         )
-        assert list(_compose(m)) == list(zip(codes, beads))
+        assert list(_compose(m, tables)) == list(zip(codes, beads))
 
 
 def test_star_tree_classes_match_the_sorted_oracle():
@@ -338,6 +340,18 @@ def test_star_tree_classes_match_the_sorted_oracle():
         # the count sees a class generated twice, which the dict would merge
         assert star_tree_class_count(n) == len(oracle)
         assert enumerate_star_trees(n) == set(oracle)
+
+
+def test_bead_tables_do_not_outlive_the_count():
+    # the tables of the beads with 1..12 leaves take about 12 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert star_tree_class_count(13) == 400024
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_star_tree_classes_come_bead_by_bead_in_leaf_count_then_code_order():
