@@ -15,23 +15,10 @@ import os
 import stat
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import counting, polygon, quiver, trees
 from .errors import BoundExceededError
-
-# route -> its desk-scale bounds on n, for verify's count (overridden by
-# the --*-bound options) and for enumerate's JSON (overridden by --bound),
-# its JSON writer, the verify report field holding its count and its
-# wall_time entry.  The library enumerations take only n.  The tree count
-# reaches past the tree JSON, whose encoding is what limits enumerate.
-_ROUTES = {
-    "quivers": (10, 10, quiver.Quiver.to_json_obj, "quiver_bfs_count", "quiver_bfs"),
-    "triangulations": (
-        9, 9, polygon.triangulation_to_json_obj, "triangulation_class_count", "triangulations"
-    ),
-    "trees": (14, 12, trees.star_to_json_obj, "tree_count", "trees"),
-}
 
 
 def _parse_orientation(text: str | None, edges: int) -> list[bool] | None:
@@ -55,6 +42,9 @@ def _output(out: str | None):
     """
     if out is None:
         yield sys.stdout.write
+        # a reader that closed stdout early fails the command here, before
+        # it reports what it wrote
+        sys.stdout.flush()
         return
     fh = open(out, "w", encoding="utf-8")
     opened = os.fstat(fh.fileno())
@@ -71,8 +61,116 @@ def _output(out: str | None):
         raise
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+# -- JSON text ----------------------------------------------------------------
+#
+# One text writer per object type.  ``writer(objects, depth)`` yields each
+# object's JSON text at indent depth ``depth``, byte for byte what
+# ``json.dumps(to_json_obj(obj), indent=2, sort_keys=True)`` writes for it
+# nested ``depth`` levels deep; with an indent, json.dumps runs CPython's
+# pure-Python encoder.  A writer's memo lives for one call, so the parts
+# that repeat across the objects of one call are formatted once.
+
+
+def _quiver_texts(quivers: Iterable[quiver.Quiver], depth: int) -> Iterator[str]:
+    pad = "\n" + "  " * depth
+    head = "{" + pad + '  "arrows": ['
+    arrow = pad + "    [" + pad + "      {}," + pad + "      {}" + pad + "    ]"
+    close = pad + "  "
+    tail = "]," + pad + '  "rank": '
+    end = pad + "}"
+    for q in quivers:
+        # arrows() repeats a multiple arrow, as to_json_obj does
+        arrows = ",".join([arrow.format(i, j) for i, j in q.arrows()])
+        yield head + (arrows + close if arrows else "") + tail + str(q.rank) + end
+
+
+def _triangulation_texts(ts: Iterable[polygon.Triangulation], depth: int) -> Iterator[str]:
+    pad = "\n" + "  " * depth
+    memo: dict = {}  # diagonal -> its text
+
+    def diagonal(d: polygon.Diagonal) -> str:
+        text = memo.get(d)
+        if text is None:
+            inner = pad + "      "
+            if isinstance(d, polygon.Arc):
+                body = '"arc": [' + inner + f"  {d.a}," + inner + f"  {d.b}" + inner + "]"
+            else:
+                # the tag is one of two plain ASCII words, so it needs no escaping
+                body = f'"radius": {d.a},' + inner + f'"tag": "{d.tag}"'
+            text = memo[d] = "{" + inner + body + pad + "    }"
+        return text
+
+    head = "{" + pad + '  "diagonals": [' + pad + "    "
+    sep = "," + pad + "    "
+    tail = pad + "  ]," + pad + '  "n": '
+    end = pad + "}"
+    for t in ts:
+        yield head + sep.join([diagonal(d) for d in t.sorted_diagonals]) + tail + str(t.n) + end
+
+
+def _star_texts(stars: Iterable[trees.StarTree], depth: int) -> Iterator[str]:
+    # (bead, depth) -> text: the stars of one class map share most of their
+    # small beads.  Only texts of at most 512 characters are kept, because a
+    # deeply nested bead's subtrees would take memory quadratic in its depth,
+    # and a bead with longer text is written piece by piece into ``out``.
+    memo: dict = {}
+
+    def bead(b: trees.BinaryTree, d: int, out: list) -> int:
+        """Append the text of ``b`` at depth ``d`` to ``out``; return its length."""
+        key = (b, d)
+        text = memo.get(key)
+        if text is None:
+            if b == trees.LEAF:
+                text = '"L"'
+            else:
+                start = len(out)
+                inner = "\n" + "  " * (d + 1)
+                close = inner[:-2] + "]"
+                out.append("[" + inner)
+                size = bead(b[0], d + 1, out)
+                out.append("," + inner)
+                size += bead(b[1], d + 1, out)
+                out.append(close)
+                size += 2 * len(inner) + 2 + len(close)
+                if size > 512:
+                    return size
+                text = "".join(out[start:])
+                del out[start:]
+            memo[key] = text
+        out.append(text)
+        return len(text)
+
+    pad = "\n" + "  " * depth
+    head = "{" + pad + '  "beads": [' + pad + "    "
+    sep = "," + pad + "    "
+    tail = pad + "  ]" + pad + "}"
+    for star in stars:
+        out: list = []
+        for i, b in enumerate(star):
+            if i:
+                out.append(sep)
+            bead(b, depth + 2, out)
+        yield head + "".join(out) + tail
+
+
+def _json_text(writer: Callable[[Iterable, int], Iterator[str]], obj) -> str:
+    """``obj`` as a whole JSON document: its text at depth 0 and a newline."""
+    return next(writer([obj], 0)) + "\n"
+
+
+# route -> its desk-scale bounds on n, for verify's count (overridden by
+# the --*-bound options) and for enumerate's JSON (overridden by --bound),
+# its JSON text writer, the verify report field holding its count and its
+# wall_time entry.  The library enumerations take only n.  The tree count
+# reaches past the tree JSON, whose size limits enumerate: 61 MB at n = 12,
+# about four times that for each further leaf.
+_ROUTES = {
+    "quivers": (10, 10, _quiver_texts, "quiver_bfs_count", "quiver_bfs"),
+    "triangulations": (
+        9, 9, _triangulation_texts, "triangulation_class_count", "triangulations"
+    ),
+    "trees": (14, 12, _star_texts, "tree_count", "trees"),
+}
 
 
 # -- count --------------------------------------------------------------------
@@ -165,23 +263,22 @@ def _class_count(what: str, n: int, bound: int, seed_orientation: str | None) ->
 # -- enumerate ----------------------------------------------------------------
 
 
-def _enumerate_objects(args) -> list:
-    _, bound, to_json, _, _ = _ROUTES[args.what]
-    if args.bound is not None:
-        bound = args.bound
-    # only the JSON objects outlive this call, so the class map is not held
-    # in memory while the JSON text is built
-    classes = _class_map(args.what, args.n, bound, args.seed_orientation)
-    return [to_json(classes[key]) for key in sorted(classes)]
-
-
 def _cmd_enumerate(args) -> int:
     if args.seed_orientation is not None and args.what != "quivers":
         raise ValueError("--seed-orientation applies only to --what quivers")
+    _, bound, writer, _, _ = _ROUTES[args.what]
+    if args.bound is not None:
+        bound = args.bound
     with _output(args.out) as write:
-        objs = _enumerate_objects(args)
-        write(_json_text(objs))
-    print(len(objs), file=sys.stderr if args.out is None else sys.stdout)
+        classes = _class_map(args.what, args.n, bound, args.seed_orientation)
+        # the array json.dumps writes, one element at a time: a class map
+        # is never empty, since n >= 3
+        opening = "[\n  "
+        for text in writer((classes[key] for key in sorted(classes)), 1):
+            write(opening + text)
+            opening = ",\n  "
+        write("\n]\n")
+    print(len(classes), file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -206,9 +303,9 @@ def _cmd_convert(args) -> int:
         t = polygon.triangulation_from_json_obj(obj)
         if args.to == "quiver":
             q = polygon.quiver_of(t)
-            text = q.to_dot() if args.format == "dot" else _json_text(q.to_json_obj())
+            text = q.to_dot() if args.format == "dot" else _json_text(_quiver_texts, q)
         elif args.to == "tree":
-            text = _json_text(trees.star_to_json_obj(trees.star_tree_of(t)))
+            text = _json_text(_star_texts, trees.star_tree_of(t))
         else:
             raise ValueError("conversion triangulation -> triangulation is not defined")
     else:
@@ -219,7 +316,7 @@ def _cmd_convert(args) -> int:
         # the result is a JSON triangulation, so it keeps that format's limit
         polygon._check_json_n(n)
         t = trees.triangulation_of(star, n)
-        text = _json_text(polygon.triangulation_to_json_obj(t))
+        text = _json_text(_triangulation_texts, t)
     with _output(args.out) as write:
         write(text)
     return 0
@@ -248,18 +345,18 @@ def _cmd_mutate(args) -> int:
     obj = _load_json(args.input)
     if args.what == "quiver":
         q = quiver.Quiver.from_json_obj(obj)
-        text = _json_text(quiver.mutate(q, int(args.at)).to_json_obj())
+        text = _json_text(_quiver_texts, quiver.mutate(q, int(args.at)))
     elif args.what == "triangulation":
         t = polygon.triangulation_from_json_obj(obj)
         i = int(args.at)
         if not 0 <= i < t.n:
             raise IndexError(f"diagonal {i} out of range for {t.n} diagonals (0..{t.n - 1})")
         d = t.sorted_diagonals[i]
-        text = _json_text(polygon.triangulation_to_json_obj(polygon.flip(t, d)))
+        text = _json_text(_triangulation_texts, polygon.flip(t, d))
     else:
         star = trees.star_from_json_obj(obj)
         moved = trees.apply_tree_move(star, _parse_tree_move(args.at))
-        text = _json_text(trees.star_to_json_obj(moved))
+        text = _json_text(_star_texts, moved)
     with _output(args.out) as write:
         write(text)
     return 0
@@ -361,7 +458,7 @@ def _cmd_verify(args) -> int:
                 f"{str(r['tree_count']):>8}  {r['status']}"
             )
         if write is not None:
-            write(_json_text(reports))
+            write(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     return 1 if any(r["failures"] for r in reports) else 0
 
 
@@ -436,7 +533,19 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout early (``| head``), as for an unwritable
+        # --out: exit 2 with one error line, which main has printed already
+        # if one of its writes failed.  With stdout on devnull, the
+        # interpreter's flush at exit has nothing left to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == 0:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -279,9 +279,11 @@ class _DiagonalTable:
             row = bytes(move(row))
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=8, typed=True)
 def _diagonal_table(n: int) -> _DiagonalTable:
-    # typed: a float n must fail in all_diagonals, not get the int n's table
+    # typed: a float n must fail in all_diagonals, not get the int n's table.
+    # Bounded, so a caller that checks polygons of many sizes does not keep
+    # every table (14.5 MB at n = 200); a table evicted is rebuilt on demand.
     return _DiagonalTable(n)
 
 

@@ -1,9 +1,16 @@
+import errno
+import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import dquiver
 from dquiver import cli, counting, polygon, quiver, trees
 from dquiver.cli import main
 from dquiver.quiver import Quiver, canonical_key, dynkin_d
@@ -480,7 +487,154 @@ def test_convert_takes_a_tree_at_the_json_limit(capsys, tmp_path):
     code, out, _ = run(capsys, "convert", "--from", "tree", "--to", "triangulation",
                        _leaf_star_file(tmp_path, n))
     assert code == 0
-    assert json.loads(out) == polygon.triangulation_to_json_obj(polygon.fan_triangulation(n))
+    assert out == dumps(polygon.triangulation_to_json_obj(polygon.fan_triangulation(n)))
+
+
+# -- JSON text against json.dumps ------------------------------------------------
+#
+# The writers in cli replace json.dumps(obj, indent=2, sort_keys=True) of each
+# type's to_json_obj form, which stays as the oracle.
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def cli_process(*argv, **kwargs):
+    """Run ``python -m dquiver.cli`` in a child interpreter that imports this
+    checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dquiver.__file__).parents[1]))
+    # stdout is block-buffered, as for a user who has not set this
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "dquiver.cli", *argv], env=env, **kwargs)
+
+
+def test_mutate_writes_a_double_arrow_twice(capsys, tmp_path):
+    # mutating the acyclic triangle at its middle vertex doubles 0 -> 2
+    q = Quiver.from_arrows(3, [(0, 1), (1, 2), (0, 2)])
+    src = tmp_path / "q.json"
+    src.write_text(json.dumps(q.to_json_obj()))
+    code, out, _ = run(capsys, "mutate", "--what", "quiver", str(src), "--at", "1")
+    mutated = quiver.mutate(q, 1)
+    assert code == 0 and mutated.b[0][2] == 2
+    assert out == dumps(mutated.to_json_obj())
+    assert json.loads(out)["arrows"].count([0, 2]) == 2
+
+
+def test_mutate_writes_a_rank_one_quiver(capsys, tmp_path):
+    src = tmp_path / "q.json"
+    src.write_text('{"rank": 1, "arrows": []}')
+    code, out, _ = run(capsys, "mutate", "--what", "quiver", str(src), "--at", "0")
+    assert code == 0
+    assert out == dumps({"arrows": [], "rank": 1})
+
+
+def test_triangulation_text_matches_json_dumps_in_both_configurations(capsys, tmp_path):
+    ts = polygon.enumerate_triangulations(5)
+    assert {t.config for t in ts} == {"A", "B"}
+    texts = list(cli._triangulation_texts(ts, 0))
+    assert [text + "\n" for text in texts] == [dumps(polygon.triangulation_to_json_obj(t)) for t in ts]
+    # and a config-B triangulation flipped through the command
+    t = next(t for t in ts if t.config == "B")
+    src = tmp_path / "b.json"
+    src.write_text(json.dumps(polygon.triangulation_to_json_obj(t)))
+    code, out, _ = run(capsys, "mutate", "--what", "triangulation", str(src), "--at", "0")
+    assert code == 0
+    assert out == dumps(polygon.triangulation_to_json_obj(polygon.flip(t, t.sorted_diagonals[0])))
+
+
+@pytest.mark.parametrize("star", [("L",), (("L", "L"),), ((("L", "L"), ("L", ("L", "L"))),)])
+def test_star_text_of_one_bead_matches_json_dumps(star):
+    assert cli._json_text(cli._star_texts, star) == dumps(trees.star_to_json_obj(star))
+
+
+def test_star_text_at_every_depth_matches_json_dumps():
+    stars = list(trees.star_tree_classes(7).values())
+    for depth in range(4):
+        pad = "\n" + "  " * depth
+        texts = list(cli._star_texts(stars, depth))
+        # json.dumps at depth 0, indented as one nesting level per depth
+        assert texts == [dumps(trees.star_to_json_obj(s))[:-1].replace("\n", pad) for s in stars]
+
+
+def test_mutate_writes_a_bead_nested_985_deep(tmp_path):
+    # the deepest bead the JSON reader takes in a fresh Python 3.10 or 3.11
+    # interpreter; the oracle encoder needs a recursion limit above it
+    depth = 985
+    src = tmp_path / "deep.json"
+    src.write_text('{"beads": [' + "[" * depth + '"L"' + ', "L"]' * depth + ', "L"]}')
+    out_file = tmp_path / "out.json"
+    proc = cli_process("mutate", "--what", "tree", str(src), "--at", "merge:0",
+                       "--out", str(out_file), stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    bead = "L"
+    for _ in range(depth):
+        bead = (bead, "L")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * depth)
+    try:
+        expected = dumps(trees.star_to_json_obj(((bead, "L"),)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out_file.read_text() == expected
+
+
+def _route_sha256(what, n):
+    """SHA-256 of json.dumps over the to_json_obj form of one route's classes."""
+    to_json = {
+        "quivers": Quiver.to_json_obj,
+        "triangulations": polygon.triangulation_to_json_obj,
+        "trees": trees.star_to_json_obj,
+    }[what]
+    classes = cli._class_map(what, n, n, None)
+    objs = [to_json(classes[key]) for key in sorted(classes)]
+    return hashlib.sha256(dumps(objs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "what, n",
+    [("quivers", n) for n in range(3, 9)]
+    + [("triangulations", n) for n in range(3, 10)]
+    + [("trees", n) for n in range(3, 12)],
+)
+def test_enumerate_writes_what_json_dumps_writes(capsys, tmp_path, what, n):
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(capsys, "enumerate", str(n), "--what", what, "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == _route_sha256(what, n)
+
+
+# what main prints when stdout's reader has gone
+BROKEN_PIPE = f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}\n"
+
+
+def test_a_stdout_closed_early_exits_2_with_one_error_line():
+    # the reader stops after 100 bytes, as ``| head -c 100`` does; the output
+    # is megabytes, so a later write finds the pipe closed
+    proc = cli_process("enumerate", "10", "--what", "trees",
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (2, BROKEN_PIPE)
+
+
+@pytest.mark.parametrize(
+    "argv", [("count", "5"), ("verify", "3", "3"), ("enumerate", "3", "--what", "trees")]
+)
+def test_a_stdout_closed_before_a_short_output_exits_2(argv):
+    # the output fits stdout's buffer, so no write fails before main ends;
+    # enumerate must not print its class count to stderr either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(*argv, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (2, BROKEN_PIPE)
 
 
 # -- verify --------------------------------------------------------------------

@@ -470,6 +470,29 @@ def test_step_and_inverse_match_tau_and_mu():
         assert table.inverse == tuple(table.index[mu(d)] for d in table.diagonals)
 
 
+def test_the_diagonal_table_cache_keeps_at_most_eight_tables():
+    for n in range(3, 21):
+        _diagonal_table(n)
+    assert _diagonal_table.cache_info().currsize <= 8
+
+
+def test_the_diagonal_table_cache_does_not_serve_a_float_n():
+    _diagonal_table(7)
+    with pytest.raises(TypeError):
+        _diagonal_table(7.0)
+
+
+def test_a_diagonal_table_rebuilt_after_eviction_has_the_same_rows():
+    table = _diagonal_table(7)
+    rows = [table.row(i) for i in range(len(table.diagonals))]
+    for n in range(8, 16):
+        _diagonal_table(n)
+    rebuilt = _diagonal_table(7)
+    assert rebuilt is not table
+    assert rebuilt.diagonals == table.diagonals
+    assert [rebuilt.row(i) for i in range(len(rebuilt.diagonals))] == rows
+
+
 def test_views_and_radius_config_from_the_mask_match_the_oracle():
     for n in range(3, 9):
         ordered = all_diagonals(n)
