@@ -41,8 +41,9 @@ packs its 2n images, so every enumerated mask arrives with its whole orbit
 and is sorted into its class by integer comparison.  A ``Triangulation``
 is built only per class.
 
-The region decomposition (``_regions``, ``_triangles``) also lives here:
-``quiver_of`` and the dual-tree maps of ``trees`` all read it.
+The region decomposition (``_decomposition``) also lives here: one linear
+sweep per triangulation, on first use, kept on the triangulation and read
+by ``quiver_of`` and the dual-tree maps of ``trees``.
 """
 
 from __future__ import annotations
@@ -339,11 +340,12 @@ class Triangulation:
     i-th diagonal of the n-gon's table; equality and hashing use it.
     Construction validates cardinality, pairwise compatibility and the
     radius tag structure, also when the triangulation is built from a mask.
-    ``sorted_diagonals`` and ``diagonals`` are derived from the mask on
-    first use.
+    ``sorted_diagonals`` and the region decomposition are derived on first
+    use and kept; ``diagonals`` is built on each access, so that an instance
+    stays 80 bytes in the enumerations that hold thousands.
     """
 
-    __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_set")
+    __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         ds = frozenset(diagonals)
@@ -365,7 +367,7 @@ class Triangulation:
         self.config, self.radius_bases = _check_mask(table, mask)
         self.n = table.n
         self.mask = mask
-        self._sorted = self._set = None
+        self._sorted = self._decomposition = None
 
     @property
     def sorted_diagonals(self) -> tuple[Diagonal, ...]:
@@ -377,9 +379,7 @@ class Triangulation:
 
     @property
     def diagonals(self) -> frozenset[Diagonal]:
-        if self._set is None:
-            self._set = frozenset(self.sorted_diagonals)
-        return self._set
+        return frozenset(self.sorted_diagonals)
 
     def __eq__(self, other) -> bool:
         return (
@@ -695,50 +695,53 @@ def factor_out(t: Triangulation, d: Diagonal) -> Triangulation:
 LEAF = "L"
 
 
-def _regions(t: Triangulation) -> list[tuple[int, int, object]]:
-    """(start, end, tree) per puncture-adjacent region, counterclockwise.
+def _decomposition(t: Triangulation) -> tuple[tuple, tuple]:
+    """``(regions, triangles)`` of t, computed on first use and kept on t.
 
-    Windows are absolute border positions, starting at the smallest radius
-    base; each tree is ``LEAF`` or a pair of the trees of (start, apex) and
-    (apex, end).
+    ``regions`` holds (start, end, tree) per puncture-adjacent region,
+    counterclockwise from the smallest radius base; a tree is ``LEAF`` or
+    the pair of the trees of (start, apex) and (apex, end).  ``triangles``
+    holds each tree triangle (u, w, v), w the apex on side (u, v), region by
+    region in post-order.  Both are tuples, so racing callers store equal
+    immutable values.
     """
-    n = t.n
-    arcs = {(d.a, d.b) for d in t.sorted_diagonals if isinstance(d, Arc)}
-
-    def is_side(u: int, v: int) -> bool:
-        return v - u == 1 or (u % n, v % n) in arcs
-
-    def build(u: int, v: int):
-        if v - u == 1:
-            return LEAF
-        for w in range(u + 1, v):
-            if is_side(u, w) and is_side(w, v):
-                return (build(u, w), build(w, v))
-        raise AssertionError(f"no apex between {u} and {v}")
-
-    bases = t.radius_bases
-    ends = bases[1:] + (bases[0] + n,)
-    return [(u, v, build(u, v)) for u, v in zip(bases, ends)]
+    if t._decomposition is None:
+        t._decomposition = _decompose(t)
+    return t._decomposition
 
 
-def _triangles(u: int, tree) -> list[tuple[int, int, int]]:
-    """Triangles (u', w, v') of a region tree whose window starts at u.
+def _decompose(t: Triangulation) -> tuple[tuple, tuple]:
+    """One sweep over the border positions x, linear in n.
 
-    Post-order, so the root triangle comes last; w is the apex of the
-    triangle on side (u', v').
+    A stack holds the sides that cut the window from its start to x.  At x
+    the border edge (x - 1, x) is pushed, and each side (s, x), inner sides
+    first, joins the top two, which must run from s to an apex and on to x.
+    In config B the loop closes the single window like an arc.
     """
-    out: list[tuple[int, int, int]] = []
-
-    def walk(u: int, tree) -> int:
-        if tree == LEAF:
-            return u + 1
-        w = walk(u, tree[0])
-        v = walk(w, tree[1])
-        out.append((u, w, v))
-        return v
-
-    walk(u, tree)
-    return out
+    n, first = t.n, t.radius_bases[0]
+    closing: list[list[int]] = [[] for _ in range(n + 1)]  # starts by end - first
+    for d in t.sorted_diagonals:
+        if isinstance(d, Arc):
+            s = (d.a - first) % n
+            closing[s + (d.b - d.a) % n].append(first + s)
+    if t.config == "B":
+        closing[n].append(first)
+    ends = set(t.radius_bases[1:]) | {first + n}
+    regions, triangles, stack = [], [], []
+    for x in range(first + 1, first + n + 1):
+        stack.append((x - 1, LEAF))
+        for s in sorted(closing[x - first], reverse=True):
+            w, right = stack.pop()
+            if not stack or stack[-1][0] != s:
+                raise AssertionError(f"no apex between {s} and {x}")
+            stack[-1] = (s, (stack[-1][1], right))
+            triangles.append((s, w, x))
+        if x in ends:
+            if len(stack) != 1:
+                raise AssertionError(f"no apex between {stack[0][0]} and {x}")
+            u, tree = stack.pop()
+            regions.append((u, x, tree))
+    return tuple(regions), tuple(triangles)
 
 
 # -- the quiver of a triangulation -------------------------------------------
@@ -746,9 +749,10 @@ def _triangles(u: int, tree) -> list[tuple[int, int, int]]:
 # Each triangle is traversed with its sides in counterclockwise order; a side
 # points an arrow at its cyclic predecessor, which realizes "rotate the
 # diagonal counterclockwise about the shared corner" (border edges are not
-# vertices and are skipped).  With this convention the plain fan maps to the
-# cycle 0 -> 1 -> ... -> n-1 -> 0.  Opposite arrows cancel in the matrix,
-# which is exactly the required deletion of oriented 2-cycles.
+# vertices: they share a spare vertex n, dropped at the end).  With this
+# convention the plain fan maps to the cycle 0 -> 1 -> ... -> n-1 -> 0.
+# Opposite arrows cancel in the matrix, which is exactly the required
+# deletion of oriented 2-cycles.
 #
 # In config B the two tagged radii bound separate copies of the triangle
 # outside their loop, so each radius picks up its own arrows against the two
@@ -763,50 +767,41 @@ def quiver_of(t: Triangulation) -> Quiver:
     sides of a common triangle contribute an arrow oriented by rotating
     counterclockwise about their shared corner; oriented 2-cycles cancel.
     """
-    n = t.n
-    # keyed by endpoints: (a, b) for an arc, (a, tag) for a radius
-    index = {
-        (d.a, d.b if isinstance(d, Arc) else d.tag): i
-        for i, d in enumerate(t.sorted_diagonals)
-    }
-    b = [[0] * n for _ in range(n)]
-
-    def side(u: int, v: int) -> int | None:
-        """Vertex of the side between u < v; None marks a border edge."""
-        return None if v - u == 1 else index[(u % n, v % n)]
-
-    def arrow(s: int | None, target: int | None) -> None:
-        if s is not None and target is not None:
-            b[s][target] += 1
-            b[target][s] -= 1
-
-    def emit(x: int | None, y: int | None, z: int | None) -> None:
-        """Arrows of a triangle whose sides x, y, z are in ccw order."""
-        arrow(x, z)
-        arrow(y, x)
-        arrow(z, y)
-
-    tag = t.sorted_diagonals[-1].tag  # radii sort last
-    for u, v, tree in _regions(t):
-        triangles = _triangles(u, tree)
-        if t.config == "A":
-            emit(index[(u % n, tag)], side(u, v), index[(v % n, tag)])
-        else:
-            # the root triangle's third side is the loop: one copy per radius
-            _, w, _ = triangles.pop()
-            before, after = side(u, w), side(w, v)
-            for radius_tag in _TAGS:
-                r = index[(u, radius_tag)]
-                arrow(before, r)
-                arrow(r, after)
-            arrow(after, before)
-        for x, y, z in triangles:
-            emit(side(x, y), side(y, z), side(x, z))
-    if any(abs(e) > 1 for row in b for e in row):
+    n, ds = t.n, t.sorted_diagonals
+    # keyed by endpoints: (a, b) for an arc or a border edge, (a, tag) for a radius
+    vertex = {(d.a, d.b if isinstance(d, Arc) else d.tag): i for i, d in enumerate(ds)}
+    vertex.update(((a, (a + 1) % n), n) for a in range(n))
+    b = [[0] * (n + 1) for _ in range(n + 1)]
+    regions, triangles = _decomposition(t)
+    if t.config == "A":
+        tag = ds[-1].tag  # radii sort last
+        cycles = [(vertex[u, tag], vertex[u, v % n], vertex[v % n, tag]) for u, v, _ in regions]
+    else:
+        # the root triangle's third side is the loop: one copy per radius,
+        # but the outer sides bound one region, so one copy's arrow between
+        # them is taken back
+        *triangles, (u, w, v) = triangles
+        before, after = vertex[u, w % n], vertex[w % n, v % n]
+        cycles = [(vertex[u, tag], before, after) for tag in _TAGS]
+        b[after][before] -= 1
+        b[before][after] += 1
+    for u, w, v in triangles:
+        cycles.append((vertex[u % n, w % n], vertex[w % n, v % n], vertex[u % n, v % n]))
+    # sides x, y, z in ccw order: arrows x -> z, y -> x and z -> y
+    for x, y, z in cycles:
+        b[x][z] += 1
+        b[z][x] -= 1
+        b[y][x] += 1
+        b[x][y] -= 1
+        b[z][y] += 1
+        b[y][z] -= 1
+    b = [tuple(row[:n]) for row in b[:n]]
+    # b is skew-symmetric, so an entry below -1 has a mirror above 1
+    if max(map(max, b)) > 1:
         raise AssertionError("triangulation quiver acquired a multiple arrow")
-    return Quiver(n, tuple(tuple(row) for row in b))
+    return Quiver(n, tuple(b))
 
 
 def quiver_vertex(t: Triangulation, d: Diagonal) -> int:
-    """Vertex index of diagonal ``d`` in quiver_of(t)."""
-    return t.sorted_diagonals.index(d)
+    """Vertex index of ``d`` in quiver_of(t): the number of t's diagonals sorting before it."""
+    return (t.mask & (_member_bit(t, d) - 1)).bit_count()

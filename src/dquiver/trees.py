@@ -14,10 +14,10 @@ Star trees with n leaves are in bijection with triangulations of the
 once-punctured n-gon up to rotation and tag inversion: ``star_tree_of``
 is the dual-tree construction (tree edges cross every triangulation side
 except the radii) and ``triangulation_of`` rebuilds a triangulation from
-a star tree.  Both, and ``tree_move_for_flip``, read the region
-decomposition of ``polygon._regions`` and ``polygon._triangles``; ``LEAF``
-is defined there too.  Three local moves on star trees match diagonal
-flips: ``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
+a star tree.  ``star_tree_of`` and ``tree_move_for_flip`` read the region
+decomposition of ``polygon._decomposition``; ``LEAF`` is defined there
+too.  Three local moves on star trees match diagonal flips:
+``split_bead``, ``merge_beads`` and ``rotate_inner_edge``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .polygon import (
     Diagonal,
     Radius,
     Triangulation,
+    _decomposition,
     _member_bit,
-    _regions,
-    _triangles,
     span,
 )
 
@@ -259,7 +258,7 @@ def star_tree_class_count(n: int) -> int:
 #
 # Tree edges cross the arcs of the triangulation (and, in config B, the
 # loop around the puncture) but never a radius; the regions touching the
-# puncture merge into the root.  Each region of ``polygon._regions``
+# puncture merge into the root.  Each region of ``polygon._decomposition``
 # contributes its binary tree as one bead, in counterclockwise region order
 # starting at the smallest radius base: in config A one bead per segment
 # between cyclically consecutive radii, in config B a single bead for the
@@ -268,10 +267,21 @@ def star_tree_class_count(n: int) -> int:
 
 def star_tree_of(t: Triangulation) -> StarTree:
     """Dual star tree of a triangulation; rotation/tag inversion invariant."""
-    star = tuple(tree for _, _, tree in _regions(t))
+    star = tuple(tree for _, _, tree in _decomposition(t)[0])
     if t.config == "B" and star[0] == LEAF:
         raise AssertionError("loop region of a config-B triangulation is degenerate")
     return star
+
+
+def _triangles(u: int, tree: BinaryTree, out: list) -> int:
+    """Append the triangles (u', w, v') of a bead whose window starts at u to
+    ``out``, in post-order, w the apex on side (u', v'); return the window's end."""
+    if tree == LEAF:
+        return u + 1
+    w = _triangles(u, tree[0], out)
+    v = _triangles(w, tree[1], out)
+    out.append((u, w, v))
+    return v
 
 
 def triangulation_of(star: StarTree, n: int) -> Triangulation:
@@ -297,16 +307,12 @@ def triangulation_of(star: StarTree, n: int) -> Triangulation:
         diagonals: list[Diagonal] = [Radius(0, PLAIN), Radius(0, NOTCHED)]
     else:
         diagonals = [Radius(u, PLAIN) for u in starts]
-    # every triangle side that is neither a border edge (span 1) nor the
-    # loop of a single bead (span n) is an arc
-    arcs = {
-        (p % n, q % n)
-        for u, bead in zip(starts, star)
-        for x, w, y in _triangles(u, bead)
-        for p, q in ((x, w), (w, y), (x, y))
-        if 2 <= q - p < n
-    }
-    diagonals.extend(Arc(a, b) for a, b in arcs)
+    # each arc is the side (x, y) of one bead triangle (x, w, y); a bead's
+    # other sides are border edges, and a single bead's root side the loop
+    triangles: list[tuple[int, int, int]] = []
+    for u, bead in zip(starts, star):
+        _triangles(u, bead, triangles)
+    diagonals.extend(Arc(x % n, y % n) for x, _, y in triangles if y - x < n)
     return Triangulation(n, diagonals)
 
 
@@ -390,35 +396,28 @@ def tree_move_for_flip(t: Triangulation, d: Diagonal) -> tuple:
     indices in the segment order used by star_tree_of.
     """
     _member_bit(t, d)
-    n = t.n
-    regions = _regions(t)
-
+    regions, triangles = _decomposition(t)
     if isinstance(d, Radius):
         if t.config == "B":
             return ("split", 0)
         j = t.radius_bases.index(d.a)
         return ("merge", (j - 1) % len(regions))
-
-    for i, (u, v, tree) in enumerate(regions):
-        s = u + (d.a - u) % n
-        e = s + span(d, n)
-        if e > v:
-            continue
-        apex = {(lo, hi): w for lo, w, hi in _triangles(u, tree)}
-        path, lo, hi = "", u, v
-        while (lo, hi) != (s, e):
-            w = apex[(lo, hi)]
-            if e <= w:
-                path += "L"
-                hi = w
-            elif s >= w:
-                path += "R"
-                lo = w
-            else:
+    # d's absolute positions, in the last region that starts at or before it
+    s = regions[0][0] + (d.a - regions[0][0]) % t.n
+    e = s + span(d, t.n)
+    i = sum(u <= s for u, _, _ in regions) - 1
+    if e > regions[i][1]:
+        raise AssertionError(f"{d} not located in any segment")
+    # the triangles strictly around d, root first: post-order puts each
+    # triangle after those inside it, so read it backwards
+    path = ""
+    for lo, w, hi in reversed(triangles):
+        if lo <= s and e <= hi and hi - lo > e - s:
+            if s < w < e:
                 raise AssertionError(f"{d} straddles the apex of its region")
-        # the arc on a config-A region's own side (u, v) is its bead's base
-        return ("rotate", i, path) if path else ("split", i)
-    raise AssertionError(f"{d} not located in any segment")
+            path += "L" if e <= w else "R"
+    # the arc on a config-A region's own side (u, v) is its bead's base
+    return ("rotate", i, path) if path else ("split", i)
 
 
 def apply_tree_move(star: StarTree, move: tuple) -> StarTree:
@@ -459,4 +458,7 @@ def star_from_json_obj(obj: dict) -> StarTree:
     beads = obj["beads"]
     if not isinstance(beads, list) or not beads:
         raise ValueError("star tree needs a nonempty list of beads")
-    return tuple(_bead_from_json(bead) for bead in beads)
+    try:
+        return tuple(_bead_from_json(bead) for bead in beads)
+    except RecursionError as exc:
+        raise ValueError("a star tree bead is nested too deeply to read") from exc

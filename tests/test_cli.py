@@ -580,6 +580,23 @@ def test_mutate_writes_a_bead_nested_985_deep(tmp_path):
     assert out_file.read_text() == expected
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("convert", "--from", "tree", "--to", "triangulation"),
+     ("mutate", "--what", "tree", "--at", "split:0")],
+)
+def test_a_bead_past_the_recursion_limit_exits_2_with_one_error_line(tmp_path, argv):
+    # Python 3.10 and 3.11 stop reading JSON this deep; 3.12 and 3.13 read
+    # it, and the bead parser refuses it
+    depth = 1200
+    src = tmp_path / "deep.json"
+    src.write_text('{"beads": [' + "[" * depth + '"L"' + ', "L"]' * depth + "]}")
+    proc = cli_process(*argv, str(src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1 and b"nested too deeply" in err
+
+
 def _route_sha256(what, n):
     """SHA-256 of json.dumps over the to_json_obj form of one route's classes."""
     to_json = {

@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -8,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from dquiver import polygon
 from dquiver.counting import d_cluster_count
 from dquiver.polygon import (
+    LEAF,
     NOTCHED,
     PLAIN,
     Arc,
     Radius,
     Triangulation,
+    _decomposition,
     _diagonal_table,
     _orbit_images,
     _orbit_key,
@@ -33,13 +38,14 @@ from dquiver.polygon import (
     quiver_of,
     quiver_vertex,
     rotate,
+    span,
     tau,
     triangulation_class_count,
     triangulation_classes,
     triangulation_from_json_obj,
     triangulation_to_json_obj,
 )
-from dquiver.trees import tree_move_for_flip
+from dquiver.trees import _triangles, apply_tree_move, star_tree_of, tree_key, tree_move_for_flip
 from dquiver.quiver import Quiver, canonical_key, mutate, dynkin_d
 from helpers import (
     chord_lift,
@@ -742,3 +748,185 @@ def test_quiver_of_matches_region_recursion_oracle():
     for n in range(3, 8):
         for t in enumerate_triangulations(n):
             assert quiver_of(t).b == _quiver_of_oracle(t)
+
+
+# -- oracle: the quadratic apex search the decomposition sweep replaced
+
+
+def _regions_oracle(t):
+    """(start, end, tree) per region, trying every apex of every window."""
+    n = t.n
+    arcs = {(d.a, d.b) for d in t.sorted_diagonals if isinstance(d, Arc)}
+
+    def is_side(u, v):
+        return v - u == 1 or (u % n, v % n) in arcs
+
+    def build(u, v):
+        if v - u == 1:
+            return LEAF
+        for w in range(u + 1, v):
+            if is_side(u, w) and is_side(w, v):
+                return (build(u, w), build(w, v))
+        raise AssertionError(f"no apex between {u} and {v}")
+
+    bases = t.radius_bases
+    ends = bases[1:] + (bases[0] + n,)
+    return [(u, v, build(u, v)) for u, v in zip(bases, ends)]
+
+
+def _tree_move_oracle(t, d):
+    """The bead move for an arc flip, walking an apex dict built per region."""
+    for i, (u, v, tree) in enumerate(_regions_oracle(t)):
+        s = u + (d.a - u) % t.n
+        e = s + span(d, t.n)
+        if e > v:
+            continue
+        triangles = []
+        _triangles(u, tree, triangles)
+        apex = {(lo, hi): w for lo, w, hi in triangles}
+        path, lo, hi = "", u, v
+        while (lo, hi) != (s, e):
+            w = apex[(lo, hi)]
+            path += "L" if e <= w else "R"
+            lo, hi = (lo, w) if e <= w else (w, hi)
+        return ("rotate", i, path) if path else ("split", i)
+    raise AssertionError(f"{d} not located in any segment")
+
+
+def _assert_decomposition_matches_the_oracle(t):
+    regions = _regions_oracle(t)
+    triangles = []
+    for u, _, tree in regions:
+        _triangles(u, tree, triangles)
+    assert _decomposition(t) == (tuple(regions), tuple(triangles)), t
+
+
+def test_decomposition_matches_the_quadratic_oracle():
+    for n in range(3, 9):
+        for t in enumerate_triangulations(n):
+            _assert_decomposition_matches_the_oracle(t)
+
+
+@pytest.mark.parametrize("n", [30, 37, 44, 50])
+def test_decomposition_and_maps_match_the_oracles_on_flip_walks(n):
+    rng = random.Random(f"decomposition:{n}")
+    t = fan_triangulation(n, rng.choice((PLAIN, NOTCHED)))
+    for _ in range(150):
+        _assert_decomposition_matches_the_oracle(t)
+        assert quiver_of(t).b == _quiver_of_oracle(t)
+        d = rng.choice(t.sorted_diagonals)
+        if isinstance(d, Arc):
+            assert tree_move_for_flip(t, d) == _tree_move_oracle(t, d)
+        t = flip(t, d)
+
+
+def test_every_map_of_a_triangulation_shares_one_decomposition(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return decompose(t)
+
+    decompose = polygon._decompose
+    monkeypatch.setattr(polygon, "_decompose", counting)
+    fan = fan_triangulation(6)
+    pair = Triangulation(5, [Radius(0, PLAIN), Radius(0, NOTCHED), Arc(0, 2), Arc(0, 3), Arc(0, 4)])
+    for t in (fan, flip(fan, Radius(0, PLAIN)), pair):
+        quiver_of(t)
+        star_tree_of(t)
+        for d in t.sorted_diagonals:
+            tree_move_for_flip(t, d)
+        quiver_of(t)
+        assert calls == [t]
+        calls.clear()
+
+
+def test_the_cached_decomposition_is_immutable():
+    t = flip(fan_triangulation(7), Radius(3, PLAIN))
+    regions, triangles = _decomposition(t)
+    assert t._decomposition is _decomposition(t)
+    assert type(t._decomposition) is type(regions) is type(triangles) is tuple
+    assert all(type(x) is tuple for x in regions + triangles)
+    # a triangulation built equal to t decomposes afresh, to an equal value
+    twin = Triangulation(7, t.diagonals)
+    assert twin._decomposition is None
+    assert _decomposition(twin) == _decomposition(t)
+
+
+def test_threads_sharing_fresh_triangulations_read_one_decomposition():
+    ts = sorted(enumerate_triangulations(6), key=lambda t: t.mask)
+    expected = [(quiver_of(t), star_tree_of(t)) for t in ts]
+    fresh = [Triangulation(6, t.diagonals) for t in ts]
+    results = [None] * 4
+
+    def work(k):
+        results[k] = [(quiver_of(t), star_tree_of(t)) for t in fresh]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+    assert all(type(t._decomposition) is tuple for t in fresh)
+
+
+def test_quiver_of_asserts_on_a_multiple_arrow(monkeypatch):
+    decompose = polygon._decompose
+
+    def doubled(t):
+        # every puncture triangle twice doubles the fan's arrows
+        regions, triangles = decompose(t)
+        return regions + regions, triangles
+
+    monkeypatch.setattr(polygon, "_decompose", doubled)
+    with pytest.raises(AssertionError, match="multiple arrow"):
+        quiver_of(fan_triangulation(5))
+
+
+def test_decompose_asserts_when_a_side_has_no_apex():
+    t = flip(fan_triangulation(6), Radius(2, PLAIN))
+    # an arc across the radius at 4, slipped past validation: no pair of
+    # sides runs from its start to an apex and on to its end
+    broken = Triangulation.__new__(Triangulation)
+    for slot in ("n", "mask", "config", "radius_bases"):
+        setattr(broken, slot, getattr(t, slot))
+    broken._sorted = t.sorted_diagonals + (Arc(3, 5),)
+    broken._decomposition = None
+    with pytest.raises(AssertionError, match="no apex between"):
+        _decomposition(broken)
+
+
+def test_quiver_vertex_needs_a_diagonal_of_the_triangulation():
+    t = fan_triangulation(5)
+    assert [quiver_vertex(t, d) for d in t.sorted_diagonals] == list(range(5))
+    for d in (Arc(0, 2), Radius(0, NOTCHED)):
+        with pytest.raises(ValueError) as vertex_error:
+            quiver_vertex(t, d)
+        with pytest.raises(ValueError) as flip_error:
+            flip(t, d)
+        assert str(vertex_error.value) == str(flip_error.value)
+        assert str(vertex_error.value) == f"{d} is not a diagonal of the triangulation"
+
+
+# -- a seeded flip walk: flips against mutations and tree moves, at every step
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_a_seeded_flip_walk_commutes_with_mutation_and_tree_moves(n):
+    rng = random.Random(f"flip walk:{n}")
+    t = fan_triangulation(n)
+    for _ in range(200):
+        i = rng.randrange(n)
+        d = t.sorted_diagonals[i]
+        flipped = flip(t, d)
+        assert canonical_key(mutate(quiver_of(t), i)) == canonical_key(quiver_of(flipped))
+        moved = apply_tree_move(star_tree_of(t), tree_move_for_flip(t, d))
+        assert tree_key(moved) == tree_key(star_tree_of(flipped))
+        t = flipped

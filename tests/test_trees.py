@@ -267,6 +267,16 @@ def test_json_rejects_junk():
         star_from_json_obj({})
 
 
+def test_json_bead_nested_too_deeply_is_a_value_error():
+    # deeper than the default recursion limit of every supported Python,
+    # whatever depth its JSON reader accepts
+    bead = LEAF
+    for _ in range(3000):
+        bead = [bead, LEAF]
+    with pytest.raises(ValueError, match="nested too deeply"):
+        star_from_json_obj({"beads": [LEAF, bead]})
+
+
 # -- oracles: every bead sequence, and the star canonicalization they fed ----------
 
 
