@@ -749,10 +749,10 @@ def _decompose(t: Triangulation) -> tuple[tuple, tuple]:
 # Each triangle is traversed with its sides in counterclockwise order; a side
 # points an arrow at its cyclic predecessor, which realizes "rotate the
 # diagonal counterclockwise about the shared corner" (border edges are not
-# vertices: they share a spare vertex n, dropped at the end).  With this
-# convention the plain fan maps to the cycle 0 -> 1 -> ... -> n-1 -> 0.
-# Opposite arrows cancel in the matrix, which is exactly the required
-# deletion of oriented 2-cycles.
+# vertices: they share a spare vertex n, whose arrows are skipped).  With
+# this convention the plain fan maps to the cycle 0 -> 1 -> ... -> n-1 -> 0.
+# Opposite arrows cancel in the net count of each pair, which is exactly the
+# required deletion of oriented 2-cycles.
 #
 # In config B the two tagged radii bound separate copies of the triangle
 # outside their loop, so each radius picks up its own arrows against the two
@@ -771,7 +771,7 @@ def quiver_of(t: Triangulation) -> Quiver:
     # keyed by endpoints: (a, b) for an arc or a border edge, (a, tag) for a radius
     vertex = {(d.a, d.b if isinstance(d, Arc) else d.tag): i for i, d in enumerate(ds)}
     vertex.update(((a, (a + 1) % n), n) for a in range(n))
-    b = [[0] * (n + 1) for _ in range(n + 1)]
+    arrows = []
     regions, triangles = _decomposition(t)
     if t.config == "A":
         tag = ds[-1].tag  # radii sort last
@@ -783,23 +783,18 @@ def quiver_of(t: Triangulation) -> Quiver:
         *triangles, (u, w, v) = triangles
         before, after = vertex[u, w % n], vertex[w % n, v % n]
         cycles = [(vertex[u, tag], before, after) for tag in _TAGS]
-        b[after][before] -= 1
-        b[before][after] += 1
+        arrows.append((before, after))
     for u, w, v in triangles:
         cycles.append((vertex[u % n, w % n], vertex[w % n, v % n], vertex[u % n, v % n]))
     # sides x, y, z in ccw order: arrows x -> z, y -> x and z -> y
-    for x, y, z in cycles:
-        b[x][z] += 1
-        b[z][x] -= 1
-        b[y][x] += 1
-        b[x][y] -= 1
-        b[z][y] += 1
-        b[y][z] -= 1
-    b = [tuple(row[:n]) for row in b[:n]]
-    # b is skew-symmetric, so an entry below -1 has a mirror above 1
-    if max(map(max, b)) > 1:
+    net: dict[tuple[int, int], int] = {}  # arrows i -> j minus arrows j -> i
+    for i, j in arrows + [a for x, y, z in cycles for a in ((x, z), (y, x), (z, y))]:
+        if i < n and j < n:
+            net[i, j] = net.get((i, j), 0) + 1
+            net[j, i] = net.get((j, i), 0) - 1
+    if max(net.values(), default=0) > 1:
         raise AssertionError("triangulation quiver acquired a multiple arrow")
-    return Quiver(n, tuple(b))
+    return Quiver._of(n, tuple(sorted(a for a, x in net.items() if x > 0)))
 
 
 def quiver_vertex(t: Triangulation, d: Diagonal) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
@@ -39,48 +40,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Quiver:
-    """Quiver on vertices 0..rank-1 with exchange matrix ``b``."""
+    """Quiver on vertices 0..rank-1, stored as its sorted arrows; ``b`` is derived."""
 
     rank: int
-    b: Matrix
+    _arrows: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if len(self.b) != self.rank or any(len(row) != self.rank for row in self.b):
-            raise ValueError(f"matrix shape does not match rank {self.rank}")
-        for i in range(self.rank):
-            if self.b[i][i] != 0:
+    def __init__(self, rank: int, b: Matrix) -> None:
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        if len(b) != rank or any(len(row) != rank for row in b):
+            raise ValueError(f"matrix shape does not match rank {rank}")
+        for i in range(rank):
+            if b[i][i] != 0:
                 raise ValueError(f"nonzero diagonal entry at vertex {i} (loop)")
             for j in range(i):
-                if self.b[i][j] != -self.b[j][i]:
+                if b[i][j] != -b[j][i]:
                     raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
+        arrows = [(i, j) for i, row in enumerate(b) for j, x in enumerate(row) for _ in range(x)]
+        vars(self).update(rank=rank, _arrows=tuple(arrows))
+
+    @classmethod
+    def _of(cls, rank: int, arrows: tuple[tuple[int, int], ...]) -> "Quiver":
+        """The quiver with these arrows, sorted and free of 2-cycles: no check."""
+        q = object.__new__(cls)
+        vars(q).update(rank=rank, _arrows=arrows)
+        return q
 
     @classmethod
     def from_arrows(cls, rank: int, arrows: Iterable[tuple[int, int]]) -> "Quiver":
-        b = [[0] * rank for _ in range(rank)]
+        arrows = list(arrows)
         for i, j in arrows:
             if not (0 <= i < rank and 0 <= j < rank):
                 raise ValueError(f"arrow ({i},{j}) out of range for rank {rank}")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not representable")
-            b[i][j] += 1
-            b[j][i] -= 1
-        return cls(rank, tuple(tuple(row) for row in b))
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        return _quiver(_rows(rank, arrows), range(rank))
+
+    @cached_property
+    def b(self) -> Matrix:
+        """Exchange matrix: b[i][j] is the number of arrows i -> j minus j -> i."""
+        rows = _rows(self.rank, self._arrows)
+        return tuple(tuple(row.get(j, 0) for j in range(self.rank)) for row in rows)
 
     def arrows(self) -> list[tuple[int, int]]:
         """All arrows as (source, target), with multiplicity, sorted."""
-        out = []
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.b[i][j] > 0:
-                    out.extend([(i, j)] * self.b[i][j])
-        return out
+        return list(self._arrows)
 
     def to_json_obj(self) -> dict:
-        return {"rank": self.rank, "arrows": [list(a) for a in self.arrows()]}
+        return {"rank": self.rank, "arrows": [list(a) for a in self._arrows]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Quiver":
@@ -100,13 +111,8 @@ class Quiver:
         return cls.from_arrows(rank, (tuple(a) for a in arrows))
 
     def to_dot(self) -> str:
-        lines = ["digraph quiver {"]
-        for v in range(self.rank):
-            lines.append(f"  {v};")
-        for i, j in self.arrows():
-            lines.append(f"  {i} -> {j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines = [f"  {v};" for v in range(self.rank)] + [f"  {i} -> {j};" for i, j in self._arrows]
+        return "\n".join(["digraph quiver {", *lines, "}"]) + "\n"
 
 
 # -- sparse rows -------------------------------------------------------------
@@ -119,8 +125,13 @@ class Quiver:
 Rows = list[dict[int, int]]
 
 
-def _rows(b: Matrix) -> Rows:
-    return [{u: x for u, x in enumerate(row) if x} for row in b]
+def _rows(rank: int, arrows: Iterable[tuple[int, int]]) -> Rows:
+    """Rows of ``arrows`` on 0..rank-1; opposite arrows leave 0s, which ``_quiver`` drops."""
+    rows: Rows = [{} for _ in range(rank)]
+    for i, j in arrows:
+        rows[i][j] = rows[i].get(j, 0) + 1
+        rows[j][i] = rows[j].get(i, 0) - 1
+    return rows
 
 
 def _positions(perm: Sequence[int]) -> list[int]:
@@ -131,17 +142,12 @@ def _positions(perm: Sequence[int]) -> list[int]:
     return pos
 
 
-def _dense(rows: Rows, perm: Sequence[int]) -> Matrix:
-    """The matrix that puts vertex perm[a] of ``rows`` at position a."""
-    n = len(perm)
+def _quiver(rows: Rows, perm: Sequence[int]) -> Quiver:
+    """The quiver that puts vertex perm[a] of ``rows`` at position a."""
     pos = _positions(perm)
-    out = []
-    for v in perm:
-        row = [0] * n
-        for u, x in rows[v].items():
-            row[pos[u]] = x
-        out.append(tuple(row))
-    return tuple(out)
+    arrows = sorted([(pos[v], pos[u]) for v, row in enumerate(rows)
+                     for u, x in row.items() if x > 0 for _ in range(x)])
+    return Quiver._of(len(perm), tuple(arrows))
 
 
 def _mutate_rows(rows: Rows, k: int) -> Rows:
@@ -179,7 +185,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     n = q.rank
     if not 0 <= k < n:
         raise IndexError(f"vertex {k} out of range for rank {n}")
-    return Quiver(n, _dense(_mutate_rows(_rows(q.b), k), range(n)))
+    return _quiver(_mutate_rows(_rows(q.rank, q._arrows), k), range(n))
 
 
 def delete_vertex(q: Quiver, k: int) -> Quiver:
@@ -188,20 +194,19 @@ def delete_vertex(q: Quiver, k: int) -> Quiver:
         raise ValueError("cannot delete a vertex from a rank-1 quiver")
     if not 0 <= k < q.rank:
         raise IndexError(f"vertex {k} out of range for rank {q.rank}")
-    keep = [v for v in range(q.rank) if v != k]
-    return Quiver(q.rank - 1, tuple(tuple(q.b[i][j] for j in keep) for i in keep))
+    # lowering the labels past k keeps the arrows sorted
+    arrows = tuple((i - (i > k), j - (j > k)) for i, j in q._arrows if k != i and k != j)
+    return Quiver._of(q.rank - 1, arrows)
 
 
 def is_connected(q: Quiver) -> bool:
     """True iff the underlying undirected graph is connected."""
-    seen = {0}
-    frontier = [0]
+    rows = _rows(q.rank, q._arrows)
+    seen, frontier = {0}, [0]
     while frontier:
-        v = frontier.pop()
-        for u in range(q.rank):
-            if u not in seen and q.b[v][u] != 0:
-                seen.add(u)
-                frontier.append(u)
+        for u in rows[frontier.pop()].keys() - seen:
+            seen.add(u)
+            frontier.append(u)
     return len(seen) == q.rank
 
 
@@ -316,13 +321,13 @@ def _canonical(rows: Rows, n: int) -> tuple[bytes, tuple[int, ...]]:
 
 def canonical_key(q: Quiver) -> bytes:
     """Byte string equal for two quivers iff they are isomorphic."""
-    return _canonical(_rows(q.b), q.rank)[0]
+    return _canonical(_rows(q.rank, q._arrows), q.rank)[0]
 
 
 def canonical_form(q: Quiver) -> Quiver:
     """The relabeling of ``q`` whose serialization is canonical_key(q)."""
-    rows = _rows(q.b)
-    return Quiver(q.rank, _dense(rows, _canonical(rows, q.rank)[1]))
+    rows = _rows(q.rank, q._arrows)
+    return _quiver(rows, _canonical(rows, q.rank)[1])
 
 
 # -- mutation classes --------------------------------------------------------
@@ -349,9 +354,9 @@ def mutation_class_representatives(
     if not is_connected(seed):
         raise ValueError("seed quiver must be connected")
     n = seed.rank
-    rows = _rows(seed.b)
+    rows = _rows(n, seed._arrows)
     key, perm = _canonical(rows, n)
-    reps = {key: Quiver(n, _dense(rows, perm))}
+    reps = {key: _quiver(rows, perm)}
     # queued class -> the set of its vertices whose mutation leads to a
     # known class, as a bitmask
     known = {key: 0}
@@ -359,7 +364,7 @@ def mutation_class_representatives(
     while queue:
         here = queue.popleft()
         skip = known.pop(here)
-        rows = _rows(reps[here].b)
+        rows = _rows(n, reps[here]._arrows)
         for k in range(n):
             if skip >> k & 1:
                 continue
@@ -373,7 +378,7 @@ def mutation_class_representatives(
                         f"mutation class exceeded {max_classes} classes; "
                         "the seed is probably not of finite mutation type"
                     )
-                reps[key] = Quiver(n, _dense(m, perm))
+                reps[key] = _quiver(m, perm)
                 known[key] = 1 << perm.index(k)
                 queue.append(key)
     return reps
