@@ -12,6 +12,7 @@ import contextlib
 import decimal
 import json
 import os
+import re
 import stat
 import sys
 import time
@@ -325,15 +326,22 @@ def _cmd_convert(args) -> int:
 # -- mutate -------------------------------------------------------------------
 
 
+def _parse_index(text: str) -> int:
+    # ASCII digits only: int() would also take "1_0", " 2" and other scripts' digits
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(f"--at needs an integer index, got {text!r}")
+    return int(text)
+
+
 def _parse_tree_move(text: str) -> tuple:
     parts = text.split(":")
     try:
         if parts[0] == "split" and len(parts) == 2:
-            return ("split", int(parts[1]))
+            return ("split", _parse_index(parts[1]))
         if parts[0] == "merge" and len(parts) == 2:
-            return ("merge", int(parts[1]))
+            return ("merge", _parse_index(parts[1]))
         if parts[0] == "rotate" and len(parts) == 3:
-            return ("rotate", int(parts[1]), parts[2])
+            return ("rotate", _parse_index(parts[1]), parts[2])
     except ValueError:
         pass
     raise ValueError(
@@ -345,10 +353,10 @@ def _cmd_mutate(args) -> int:
     obj = _load_json(args.input)
     if args.what == "quiver":
         q = quiver.Quiver.from_json_obj(obj)
-        text = _json_text(_quiver_texts, quiver.mutate(q, int(args.at)))
+        text = _json_text(_quiver_texts, quiver.mutate(q, _parse_index(args.at)))
     elif args.what == "triangulation":
         t = polygon.triangulation_from_json_obj(obj)
-        i = int(args.at)
+        i = _parse_index(args.at)
         if not 0 <= i < t.n:
             raise IndexError(f"diagonal {i} out of range for {t.n} diagonals (0..{t.n - 1})")
         d = t.sorted_diagonals[i]

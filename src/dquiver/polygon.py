@@ -778,8 +778,8 @@ def quiver_of(t: Triangulation) -> Quiver:
         cycles = [(vertex[u, tag], vertex[u, v % n], vertex[v % n, tag]) for u, v, _ in regions]
     else:
         # the root triangle's third side is the loop: one copy per radius,
-        # but the outer sides bound one region, so one copy's arrow between
-        # them is taken back
+        # but the outer sides bound one region, so an arrow before -> after
+        # takes one copy's arrow after -> before back
         *triangles, (u, w, v) = triangles
         before, after = vertex[u, w % n], vertex[w % n, v % n]
         cycles = [(vertex[u, tag], before, after) for tag in _TAGS]

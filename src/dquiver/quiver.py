@@ -1,13 +1,21 @@
-"""Quivers as skew-symmetric integer matrices.
+"""Quivers stored as their sorted arrows.
 
-A quiver is a finite directed graph with no loops and no oriented 2-cycles,
-encoded by its exchange matrix ``b`` where ``b[i][j]`` is the number of
-arrows i -> j minus the number of arrows j -> i.  The encoding cannot
-represent a 2-cycle at all, which makes the cancellation step of quiver
-mutation automatic.
+A quiver is a finite directed graph with no loops and no oriented 2-cycles.
+A ``Quiver`` stores its rank and its arrows, sorted, a multiple arrow once
+per copy.  Its exchange matrix ``b``, where ``b[i][j]`` is the number of
+arrows i -> j minus the number of arrows j -> i, is derived from them when
+read.  Mutation and canonicalization work on sparse rows of that matrix,
+which cannot represent a 2-cycle at all; that makes the cancellation step of
+quiver mutation automatic.
 
-All values are immutable after construction and every function here is
-pure, so concurrent callers need no locking.
+``Quiver(rank, b)`` and ``Quiver.from_arrows`` check their input once.  Every
+quiver built inside the package (a mutation, a canonical form, a class
+representative, ``polygon.quiver_of``) goes through ``Quiver._of``
+unchecked, from arrows that are valid by construction.
+
+All values are immutable after construction (``b`` is cached on first read,
+and two threads reading it at once compute the same value) and every
+function here is pure, so concurrent callers need no locking.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from .errors import BoundExceededError
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# largest rank a JSON quiver may declare: its dense matrix is allocated
-# before any arrow is read, and mutating a quiver of this rank takes from
-# 0.13 s (a path) to 0.37 s (a vertex joined to all others, half the other
-# pairs joined) on a shared 2-core host
+# largest rank a JSON quiver may declare.  Reading, mutating and writing a
+# quiver costs time linear in its rank and its arrows, about 0.7 us per
+# vertex and 3 us per arrow: ``mutate --what quiver`` at this rank takes
+# 0.14 s on a path, 0.11 s of it Python's start-up, and 1.7 s on a vertex
+# joined to all others with half the other pairs joined (250 249 arrows),
+# on a shared 2-core host
 MAX_JSON_RANK = 1000
 
 __all__ = [
@@ -40,16 +50,27 @@ __all__ = [
 ]
 
 
+def _check_rank(rank: int) -> None:
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if type(rank) is not int:
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+
+
 @dataclass(frozen=True, init=False)
 class Quiver:
-    """Quiver on vertices 0..rank-1, stored as its sorted arrows; ``b`` is derived."""
+    """Quiver on vertices 0..rank-1, stored as its rank and sorted arrows.
+
+    ``Quiver(rank, b)`` checks the exchange matrix ``b`` and keeps its
+    arrows; ``b`` is derived from them, and cached, when read.  Equality and
+    hashing are over the rank and the arrows.
+    """
 
     rank: int
     _arrows: tuple[tuple[int, int], ...]
 
     def __init__(self, rank: int, b: Matrix) -> None:
-        if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
+        _check_rank(rank)
         if len(b) != rank or any(len(row) != rank for row in b):
             raise ValueError(f"matrix shape does not match rank {rank}")
         for i in range(rank):
@@ -58,7 +79,13 @@ class Quiver:
             for j in range(i):
                 if b[i][j] != -b[j][i]:
                     raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
-        arrows = [(i, j) for i, row in enumerate(b) for j, x in enumerate(row) for _ in range(x)]
+        arrows = []
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                # type(...) is int: a bool or a float is rejected, not reinterpreted
+                if type(x) is not int:
+                    raise ValueError(f"matrix entry ({i},{j}) is not an integer: {x!r}")
+                arrows += [(i, j)] * x
         vars(self).update(rank=rank, _arrows=tuple(arrows))
 
     @classmethod
@@ -76,8 +103,9 @@ class Quiver:
                 raise ValueError(f"arrow ({i},{j}) out of range for rank {rank}")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not representable")
-        if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer")
+        _check_rank(rank)
         return _quiver(_rows(rank, arrows), range(rank))
 
     @cached_property
@@ -117,10 +145,11 @@ class Quiver:
 
 # -- sparse rows -------------------------------------------------------------
 #
-# Mutation and canonicalization work on sparse rows: rows[v] maps each
-# neighbour u of v to b[v][u], which is nonzero.  A vertex of a quiver in a
-# D_n mutation class has at most five neighbours, so one mutation changes
-# O(deg^2) entries where the dense matrix has n^2.
+# Mutation and canonicalization work on sparse rows, built from the arrows
+# in O(arrows): rows[v] maps each neighbour u of v to b[v][u], which is
+# nonzero.  A vertex of a quiver in a D_n mutation class has at most five
+# neighbours, so one mutation changes O(deg^2) entries, and ``_quiver``
+# writes the rows back as sorted arrows.
 
 Rows = list[dict[int, int]]
 
@@ -346,7 +375,7 @@ def mutation_class_representatives(
     form at ``perm.index(k)`` leads back, since the stored form is the
     mutated quiver relabeled by ``perm`` (equal keys give equal forms) and
     mutation is an involution.  Each mutated quiver is canonicalized once,
-    on sparse rows; a validated ``Quiver`` is built only for a new class.
+    on sparse rows; a ``Quiver``, unchecked, is built only for a new class.
     The stored representative of each class is its canonical form, so the
     result is deterministic.  The cap guards against seeds of non-finite
     mutation type.

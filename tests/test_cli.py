@@ -416,13 +416,30 @@ def test_mutate_bad_position(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("at", ["split:x", "merge:1.5", "rotate:x:L"])
+@pytest.mark.parametrize(
+    "at", ["split:x", "merge:1.5", "rotate:x:L", "merge:1_0", "merge: 2", "merge:\u0663", "merge:+1"]
+)
 def test_mutate_tree_rejects_a_non_integer_bead_index(capsys, tmp_path, at):
-    src = tmp_path / "r3.json"
-    src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(3))))
+    # int() once read the last four as beads 10, 2, 3 and 1 and merged them
+    src = tmp_path / "r12.json"
+    src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(12))))
     code, out, err = run(capsys, "mutate", "--what", "tree", str(src), "--at", at)
     assert code == 2 and out == ""
     assert err == f"error: bad tree position {at!r}; use split:I, merge:I or rotate:I:PATH\n"
+
+
+@pytest.mark.parametrize("what", ["quiver", "triangulation"])
+@pytest.mark.parametrize("at", ["x", "1_0", " 2", "2 ", "\u0663", "+1", "1.0", ""])
+def test_mutate_rejects_an_index_that_is_not_ascii_digits(capsys, tmp_path, what, at):
+    # int() once read "1_0", " 2", "2 ", the Arabic-Indic 3 and "+1" as valid indices
+    if what == "quiver":
+        src = tmp_path / "d12.json"
+        src.write_text(json.dumps(dynkin_d(12).to_json_obj()))
+    else:
+        src = write_fan(tmp_path, 12)
+    code, out, err = run(capsys, "mutate", "--what", what, str(src), "--at", at)
+    assert code == 2 and out == ""
+    assert err == f"error: --at needs an integer index, got {at!r}\n"
 
 
 @pytest.mark.parametrize("rank", [quiver.MAX_JSON_RANK + 1, 10**9])
@@ -620,6 +637,29 @@ def test_enumerate_writes_what_json_dumps_writes(capsys, tmp_path, what, n):
     code, _, _ = run(capsys, "enumerate", str(n), "--what", what, "--out", str(out_file))
     assert code == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == _route_sha256(what, n)
+
+
+# SHA-256 of ``enumerate N --what quivers``, pinned while a Quiver still
+# stored its dense matrix; n = 8 is also "quivers 8" in bench/reference.json
+QUIVERS_SHA256 = {
+    3: "0ff3985a75563802c080708746708cf2bb92c666f5af9d2fbd7c864ecb00d5f3",
+    4: "fc21aa334cc2dcc4982bcc22ea9d7a0978235459f0627fa2fbd5e599a666e1ad",
+    5: "123f1dae4d30020f792f1f2dde4665b5338f9caf553799f37eecb2e34ae54b40",
+    6: "2709934f7c18ff8a251cfc5fce978ff4dee20b3c1216f157208c79b960e818c8",
+    7: "0d9bbbce4904a7ac30c328b7e3db86fb32349123bd5d4e959505279e8c4ac005",
+    8: "ea7c5a3b9217804c53c70821eb8f345822463c909fa8ad853a7cedefe70016a9",
+    9: "10307759bf739a3c429bb3d28d8b17042fd06aecea494b1323abb5a7fc41d74d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(QUIVERS_SHA256))
+def test_enumerate_quivers_writes_the_pinned_bytes(capsys, tmp_path, n):
+    # the writer and to_json_obj both read arrows(), so the test above cannot
+    # see a change in what a Quiver stores; these digests can
+    out_file = tmp_path / "out.json"
+    code, _, _ = run(capsys, "enumerate", str(n), "--what", "quivers", "--out", str(out_file))
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == QUIVERS_SHA256[n]
 
 
 # what main prints when stdout's reader has gone

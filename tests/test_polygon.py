@@ -750,6 +750,20 @@ def test_quiver_of_matches_region_recursion_oracle():
             assert quiver_of(t).b == _quiver_of_oracle(t)
 
 
+def test_quiver_of_passes_the_quiver_boundary_check_along_a_flip_walk():
+    # quiver_of builds its Quiver unchecked; the public constructor must agree
+    rng = random.Random("boundary:12")
+    t = fan_triangulation(12)
+    configs = set()
+    for _ in range(300):
+        q = quiver_of(t)
+        assert Quiver(q.rank, q.b) == q
+        assert q.arrows() == sorted(q.arrows())
+        configs.add(t.config)
+        t = flip(t, rng.choice(t.sorted_diagonals))
+    assert configs == {"A", "B"}
+
+
 # -- oracle: the quadratic apex search the decomposition sweep replaced
 
 

@@ -41,6 +41,76 @@ def test_quiver_rejects_loops_and_asymmetry():
         Quiver(2, ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Quiver(0, ()), "rank must be positive, got 0"),
+        (lambda: Quiver(2, ((0, 1),)), "matrix shape does not match rank 2"),
+        (lambda: Quiver(2, ((0, 1), (-1, 1))), "nonzero diagonal entry at vertex 1 (loop)"),
+        (lambda: Quiver(3, ((0, 1, 0), (-1, 0, 1), (0, 1, 0))), "matrix is not skew-symmetric at (2,1)"),
+        (lambda: Quiver.from_arrows(2, [(0, 1), (0, 2)]), "arrow (0,2) out of range for rank 2"),
+        (lambda: Quiver.from_arrows(0, [(0, 1)]), "arrow (0,1) out of range for rank 0"),
+        (lambda: Quiver.from_arrows(0, []), "rank must be positive, got 0"),
+        (lambda: Quiver.from_arrows(3, [(0, 1), (2, 2)]), "loop at vertex 2 is not representable"),
+    ],
+)
+def test_constructors_keep_their_errors(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # equal to the integer quiver, a float matrix would key as "2:0,-1.0;1.0,0"
+        (lambda: Quiver(2, ((0, 1.0), (-1.0, 0))), "matrix entry (0,1) is not an integer: 1.0"),
+        (lambda: Quiver(2, ((0, -1), (True, 0))), "matrix entry (1,0) is not an integer: True"),
+        (lambda: Quiver(2, ((0, 1.5), (-1.5, 0))), "matrix entry (0,1) is not an integer: 1.5"),
+        (lambda: Quiver(True, ((0,),)), "rank must be an integer, got True"),
+        (lambda: Quiver.from_arrows(2, [(0, 1.0)]), "arrow (0,1.0) has a vertex that is not an integer"),
+        (lambda: Quiver.from_arrows(2, [(True, 0)]), "arrow (True,0) has a vertex that is not an integer"),
+        (lambda: Quiver.from_arrows(2, [(0.5, 1)]), "arrow (0.5,1) has a vertex that is not an integer"),
+        (lambda: Quiver.from_arrows(2.0, [(0, 1)]), "rank must be an integer, got 2.0"),
+    ],
+)
+def test_constructors_reject_entries_that_are_not_integers(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_both_constructors_build_equal_quivers():
+    assert Quiver(2, ((0, 1), (-1, 0))) == Quiver.from_arrows(2, [(0, 1)])
+    assert hash(Quiver(2, ((0, 1), (-1, 0)))) == hash(Quiver.from_arrows(2, [(0, 1)]))
+    # opposite arrows cancel; a double arrow is listed twice
+    q = Quiver.from_arrows(3, [(2, 1), (0, 1), (1, 0), (0, 1), (2, 1)])
+    assert q == Quiver(3, ((0, 1, 0), (-1, 0, -2), (0, 2, 0)))
+    assert q.arrows() == [(0, 1), (2, 1), (2, 1)]
+    assert q.b == ((0, 1, 0), (-1, 0, -2), (0, 2, 0))
+
+
+def test_the_matrix_is_built_only_when_read():
+    q = mutate(dynkin_d(6), 2)
+    assert "b" not in vars(q)
+    assert q.b[2] == (0, 1, 0, -1, 0, 0) and "b" in vars(q)
+
+
+def _assert_passes_the_boundary_check(q):
+    assert Quiver(q.rank, q.b) == q
+    assert q.arrows() == sorted(q.arrows())
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_internal_builds_pass_the_boundary_check(n):
+    for rep in mutation_class_representatives(dynkin_d(n)).values():
+        _assert_passes_the_boundary_check(rep)
+        for k in range(n):
+            m = mutate(rep, k)
+            _assert_passes_the_boundary_check(m)
+            _assert_passes_the_boundary_check(canonical_form(m))
+
+
 def test_dynkin_shapes():
     d4 = dynkin_d(4)
     assert arrows_set(d4) == {(0, 1), (1, 2), (1, 3)}
