@@ -794,7 +794,7 @@ def quiver_of(t: Triangulation) -> Quiver:
             net[j, i] = net.get((j, i), 0) - 1
     if max(net.values(), default=0) > 1:
         raise AssertionError("triangulation quiver acquired a multiple arrow")
-    return Quiver._of(n, tuple(sorted(a for a, x in net.items() if x > 0)))
+    return Quiver._of(n, tuple(sorted((i, j, x) for (i, j), x in net.items() if x > 0)))
 
 
 def quiver_vertex(t: Triangulation, d: Diagonal) -> int:

@@ -1,10 +1,11 @@
 """Quivers stored as their sorted arrows.
 
 A quiver is a finite directed graph with no loops and no oriented 2-cycles.
-A ``Quiver`` stores its rank and its arrows, sorted, a multiple arrow once
-per copy.  Its exchange matrix ``b``, where ``b[i][j]`` is the number of
-arrows i -> j minus the number of arrows j -> i, is derived from them when
-read.  Mutation and canonicalization work on sparse rows of that matrix,
+A ``Quiver`` stores its rank and its arrows, sorted, as ``(i, j, m)`` for
+m > 0 arrows i -> j, so its size grows with its joined pairs of vertices,
+not with their multiplicities.  Its exchange matrix ``b``, where ``b[i][j]``
+is the number of arrows i -> j minus the number of arrows j -> i, is
+derived from them when read.  Mutation and canonicalization work on sparse rows of that matrix,
 which cannot represent a 2-cycle at all; that makes the cancellation step of
 quiver mutation automatic.
 
@@ -61,13 +62,15 @@ def _check_rank(rank: int) -> None:
 class Quiver:
     """Quiver on vertices 0..rank-1, stored as its rank and sorted arrows.
 
+    ``_arrows`` holds ``(i, j, m)`` for each pair with m = b[i][j] > 0.
+
     ``Quiver(rank, b)`` checks the exchange matrix ``b`` and keeps its
     arrows; ``b`` is derived from them, and cached, when read.  Equality and
     hashing are over the rank and the arrows.
     """
 
     rank: int
-    _arrows: tuple[tuple[int, int], ...]
+    _arrows: tuple[tuple[int, int, int], ...]
 
     def __init__(self, rank: int, b: Matrix) -> None:
         _check_rank(rank)
@@ -85,12 +88,13 @@ class Quiver:
                 # type(...) is int: a bool or a float is rejected, not reinterpreted
                 if type(x) is not int:
                     raise ValueError(f"matrix entry ({i},{j}) is not an integer: {x!r}")
-                arrows += [(i, j)] * x
+                if x > 0:
+                    arrows.append((i, j, x))
         vars(self).update(rank=rank, _arrows=tuple(arrows))
 
     @classmethod
-    def _of(cls, rank: int, arrows: tuple[tuple[int, int], ...]) -> "Quiver":
-        """The quiver with these arrows, sorted and free of 2-cycles: no check."""
+    def _of(cls, rank: int, arrows: tuple[tuple[int, int, int], ...]) -> "Quiver":
+        """The quiver with these sorted ``(i, j, m)``, free of 2-cycles: no check."""
         q = object.__new__(cls)
         vars(q).update(rank=rank, _arrows=arrows)
         return q
@@ -106,7 +110,7 @@ class Quiver:
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer")
         _check_rank(rank)
-        return _quiver(_rows(rank, arrows), range(rank))
+        return _quiver(_rows(rank, ((i, j, 1) for i, j in arrows)), range(rank))
 
     @cached_property
     def b(self) -> Matrix:
@@ -116,10 +120,10 @@ class Quiver:
 
     def arrows(self) -> list[tuple[int, int]]:
         """All arrows as (source, target), with multiplicity, sorted."""
-        return list(self._arrows)
+        return [(i, j) for i, j, m in self._arrows for _ in range(m)]
 
     def to_json_obj(self) -> dict:
-        return {"rank": self.rank, "arrows": [list(a) for a in self._arrows]}
+        return {"rank": self.rank, "arrows": [list(a) for a in self.arrows()]}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Quiver":
@@ -139,14 +143,19 @@ class Quiver:
         return cls.from_arrows(rank, (tuple(a) for a in arrows))
 
     def to_dot(self) -> str:
-        lines = [f"  {v};" for v in range(self.rank)] + [f"  {i} -> {j};" for i, j in self._arrows]
-        return "\n".join(["digraph quiver {", *lines, "}"]) + "\n"
+        lines = ["digraph quiver {"]
+        for v in range(self.rank):
+            lines.append(f"  {v};")
+        for i, j in self.arrows():
+            lines.append(f"  {i} -> {j};")
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 # -- sparse rows -------------------------------------------------------------
 #
-# Mutation and canonicalization work on sparse rows, built from the arrows
-# in O(arrows): rows[v] maps each neighbour u of v to b[v][u], which is
+# Mutation and canonicalization work on sparse rows, built from the stored
+# arrows in one pass: rows[v] maps each neighbour u of v to b[v][u], which is
 # nonzero.  A vertex of a quiver in a D_n mutation class has at most five
 # neighbours, so one mutation changes O(deg^2) entries, and ``_quiver``
 # writes the rows back as sorted arrows.
@@ -154,12 +163,12 @@ class Quiver:
 Rows = list[dict[int, int]]
 
 
-def _rows(rank: int, arrows: Iterable[tuple[int, int]]) -> Rows:
-    """Rows of ``arrows`` on 0..rank-1; opposite arrows leave 0s, which ``_quiver`` drops."""
+def _rows(rank: int, arrows: Iterable[tuple[int, int, int]]) -> Rows:
+    """Rows of the arrows ``(i, j, m)``; opposite arrows leave 0s, which ``_quiver`` drops."""
     rows: Rows = [{} for _ in range(rank)]
-    for i, j in arrows:
-        rows[i][j] = rows[i].get(j, 0) + 1
-        rows[j][i] = rows[j].get(i, 0) - 1
+    for i, j, m in arrows:
+        rows[i][j] = rows[i].get(j, 0) + m
+        rows[j][i] = rows[j].get(i, 0) - m
     return rows
 
 
@@ -174,8 +183,8 @@ def _positions(perm: Sequence[int]) -> list[int]:
 def _quiver(rows: Rows, perm: Sequence[int]) -> Quiver:
     """The quiver that puts vertex perm[a] of ``rows`` at position a."""
     pos = _positions(perm)
-    arrows = sorted([(pos[v], pos[u]) for v, row in enumerate(rows)
-                     for u, x in row.items() if x > 0 for _ in range(x)])
+    arrows = sorted([(pos[v], pos[u], x) for v, row in enumerate(rows)
+                     for u, x in row.items() if x > 0])
     return Quiver._of(len(perm), tuple(arrows))
 
 
@@ -224,7 +233,7 @@ def delete_vertex(q: Quiver, k: int) -> Quiver:
     if not 0 <= k < q.rank:
         raise IndexError(f"vertex {k} out of range for rank {q.rank}")
     # lowering the labels past k keeps the arrows sorted
-    arrows = tuple((i - (i > k), j - (j > k)) for i, j in q._arrows if k != i and k != j)
+    arrows = tuple((i - (i > k), j - (j > k), m) for i, j, m in q._arrows if k != i and k != j)
     return Quiver._of(q.rank - 1, arrows)
 
 

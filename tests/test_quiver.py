@@ -569,6 +569,33 @@ def test_class_cap_is_enforced():
         mutation_class(dynkin_d(5), max_classes=3)
 
 
+# a Quiver stores one (i, j, m) per joined pair, so its size does not grow
+# with m; a store of one entry per arrow copy would need 10**12 of them here
+
+
+def test_a_huge_multiplicity_is_stored_once():
+    q = Quiver(2, ((0, 10**12), (-10**12, 0)))
+    assert q._arrows == ((0, 1, 10**12),)
+    m = mutate(q, 0)
+    assert m._arrows == ((1, 0, 10**12),)
+    assert m.b == ((0, -(10**12)), (10**12, 0))
+    assert canonical_key(q) == canonical_key(m) == b"2:0,-1000000000000;1000000000000,0"
+    assert mutate(m, 1) == q
+
+
+def test_the_class_cap_fires_on_a_seed_whose_multiplicities_explode():
+    # acyclic triangle of triple arrows: one mutation path takes its largest
+    # multiplicity through 12, 393, 12957, 5092068, 65977924683, ~3.4e17
+    seed = Quiver.from_arrows(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(0, 2)] * 3)
+    q = seed
+    for k in [1, 0, 2, 1, 0, 2, 1]:
+        q = mutate(q, k)
+    assert len(q._arrows) == 3
+    assert max(m for _, _, m in q._arrows) == 335964078984701487
+    with pytest.raises(BoundExceededError):
+        mutation_class_representatives(seed, max_classes=50)
+
+
 def test_disconnected_seed_rejected():
     q = Quiver.from_arrows(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
