@@ -32,7 +32,12 @@ one rotation step and for tag inversion, and each diagonal's serialization
 token, so validation, ``flip``, ``rotate``, ``invert_tags`` and
 ``class_key`` are mask and index arithmetic.  A triangulation's radius
 bits are the top 2n indices, ``n(n - 2) + 2a`` plus one when notched, and
-its ``config`` and ``radius_bases`` are read off them.
+its ``config`` and ``radius_bases`` are read off them.  Input is checked
+once, by the public constructor ``Triangulation(n, diagonals)``; ``flip``,
+the symmetries and the enumerations build through the unchecked
+``Triangulation._of``.  The 2n images under rotation and tag inversion are
+walked in one place, ``_images``, which ``rotate``, ``class_key`` and the
+packed orbits of the class search read.
 
 The classes up to rotation and tag inversion (``triangulation_classes``,
 ``triangulation_class_count``) come from the same clique search as
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Union
 
@@ -312,34 +318,16 @@ def _radius_config(n: int, mask: int) -> tuple[str, tuple[int, ...]]:
     )
 
 
-def _check_mask(table: _DiagonalTable, mask: int) -> tuple[str, tuple[int, ...]]:
-    """Validate a triangulation mask; return its ``(config, radius_bases)``.
-
-    Checks the number of diagonals, pairwise compatibility and the radius
-    tag structure, and raises ValueError on the first failure.
-    """
-    n = table.n
-    if mask.bit_count() != n:
-        raise ValueError(
-            f"a triangulation of the {n}-gon needs {n} diagonals, got {mask.bit_count()}"
-        )
-    for i in _bits(mask):
-        crossed = mask & ~table.row(i)
-        if crossed:
-            # the first i with a crossing crosses only later diagonals, so
-            # this is the first crossing pair in sorted order
-            j = (crossed & -crossed).bit_length() - 1
-            raise ValueError(f"diagonals cross: {table.diagonals[i]} and {table.diagonals[j]}")
-    return _radius_config(n, mask)
-
-
 class Triangulation:
     """A maximal set of n pairwise non-crossing diagonals.
 
     Instances are immutable by convention.  ``mask`` has bit i set for the
     i-th diagonal of the n-gon's table; equality and hashing use it.
-    Construction validates cardinality, pairwise compatibility and the
-    radius tag structure, also when the triangulation is built from a mask.
+    ``Triangulation(n, diagonals)`` checks its input once: each diagonal,
+    the cardinality, pairwise compatibility and the radius tag structure.
+    Every triangulation the package builds itself comes from a mask that is
+    one by construction, through ``Triangulation._of``, which reads only
+    the radius shape.
     ``sorted_diagonals`` and the region decomposition are derived on first
     use and kept; ``diagonals`` is built on each access, so that an instance
     stays 80 bytes in the enumerations that hold thousands.
@@ -355,17 +343,26 @@ class Triangulation:
         if len(ds) != n:
             raise ValueError(f"a triangulation of the {n}-gon needs {n} diagonals, got {len(ds)}")
         table = _diagonal_table(n)
-        self._validate(table, _mask(table.index[d] for d in ds))
+        mask = _mask(table.index[d] for d in ds)
+        for i in _bits(mask):
+            crossed = mask & ~table.row(i)
+            if crossed:
+                # the first i with a crossing crosses only later diagonals, so
+                # this is the first crossing pair in sorted order
+                j = (crossed & -crossed).bit_length() - 1
+                raise ValueError(f"diagonals cross: {table.diagonals[i]} and {table.diagonals[j]}")
+        self._set(n, mask)
 
     @classmethod
-    def _from_mask(cls, n: int, mask: int) -> Triangulation:
+    def _of(cls, n: int, mask: int) -> Triangulation:
+        """The triangulation with this mask, unchecked but for its radius shape."""
         t = cls.__new__(cls)
-        t._validate(_diagonal_table(n), mask)
+        t._set(n, mask)
         return t
 
-    def _validate(self, table: _DiagonalTable, mask: int) -> None:
-        self.config, self.radius_bases = _check_mask(table, mask)
-        self.n = table.n
+    def _set(self, n: int, mask: int) -> None:
+        self.config, self.radius_bases = _radius_config(n, mask)
+        self.n = n
         self.mask = mask
         self._sorted = self._decomposition = None
 
@@ -489,7 +486,7 @@ def enumerate_triangulations(n: int) -> set[Triangulation]:
     """All triangulations of the punctured n-gon, by clique search."""
     table = _diagonal_table(n)
     masks = _cliques(table, [1 << i for i in range(len(table.diagonals))])
-    return {Triangulation._from_mask(n, mask) for mask in masks}
+    return {Triangulation._of(n, mask) for mask in masks}
 
 
 def flip(t: Triangulation, d: Diagonal) -> Triangulation:
@@ -510,44 +507,54 @@ def flip(t: Triangulation, d: Diagonal) -> Triangulation:
         raise AssertionError(
             f"flip expected exactly two completions of t - {{{d}}}, got {candidates}"
         )
-    return Triangulation._from_mask(t.n, rest | (survivors ^ bit))
+    return Triangulation._of(t.n, rest | (survivors ^ bit))
 
 
 # -- symmetries --------------------------------------------------------------
 
 
+def _images(table: _DiagonalTable, bits: list[int]) -> Iterator[list[int]]:
+    """The 2n images of the diagonal indices ``bits``, each a list in no set order.
+
+    Image k < n is k clockwise rotation steps, and image n + k is tag
+    inversion followed by k steps.  Rotation and tag inversion commute, so
+    these are the whole orbit under the group they generate, of order 2n.
+    """
+    step = table.step
+    for image in (bits, [table.inverse[j] for j in bits]):
+        for _ in range(table.n):
+            yield image
+            image = [step[j] for j in image]
+
+
 def rotate(t: Triangulation, i: int) -> Triangulation:
     """Rotate ``i`` steps clockwise: border index a becomes (a - i) mod n."""
-    step = _diagonal_table(t.n).step
-    bits = _bits(t.mask)
-    for _ in range(i % t.n):
-        bits = [step[j] for j in bits]
-    return Triangulation._from_mask(t.n, _mask(bits))
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(i) is not int:
+        raise ValueError(f"rotation steps must be an integer, got {i!r}")
+    images = _images(_diagonal_table(t.n), _bits(t.mask))
+    return Triangulation._of(t.n, _mask(next(islice(images, i % t.n, None))))
 
 
 def invert_tags(t: Triangulation) -> Triangulation:
     """Flip the tag of every radius; an involution."""
     inverse = _diagonal_table(t.n).inverse
-    return Triangulation._from_mask(t.n, _mask(inverse[j] for j in _bits(t.mask)))
+    return Triangulation._of(t.n, _mask(inverse[j] for j in _bits(t.mask)))
 
 
 def _least_image(t: Triangulation) -> tuple[str, list[int]]:
     """Least serialization (after "n|") over the 2n images of t, and its indices.
 
-    The images are the n rotations of t and of its tag inversion; they are
-    compared as serialized strings, never built as Triangulations.
+    The images are compared as serialized strings, never built as
+    Triangulations.
     """
     table = _diagonal_table(t.n)
-    step, tokens = table.step, table.tokens
-    bits = _bits(t.mask)
     best: tuple[str, list[int]] | None = None
-    for image in (bits, [table.inverse[j] for j in bits]):
-        for _ in range(t.n):
-            image.sort()
-            text = ";".join([tokens[j] for j in image])
-            if best is None or text < best[0]:
-                best = (text, image)
-            image = [step[j] for j in image]
+    for image in _images(table, _bits(t.mask)):
+        image.sort()
+        text = ";".join([table.tokens[j] for j in image])
+        if best is None or text < best[0]:
+            best = (text, image)
     assert best is not None
     return best
 
@@ -564,28 +571,21 @@ def class_key(t: Triangulation) -> bytes:
 def class_representative(t: Triangulation) -> tuple[bytes, Triangulation]:
     """``class_key(t)`` and the image of t that has that serialization."""
     text, image = _least_image(t)
-    return f"{t.n}|{text}".encode(), Triangulation._from_mask(t.n, _mask(image))
+    return f"{t.n}|{text}".encode(), Triangulation._of(t.n, _mask(image))
 
 
 def _orbit_images(table: _DiagonalTable) -> list[int]:
     """Per diagonal, its 2n images packed as one bit in each of 2n fields.
 
-    Field k < n holds the image under k rotation steps and field n + k the
-    image under tag inversion and k steps; a field is as wide as a mask.
+    Field k holds image k of ``_images``; a field is as wide as a mask.
     ORed over a triangulation's diagonals, field k is the mask of that
     image of the triangulation, and field 0 is its own mask.
     """
-    n, size = table.n, len(table.diagonals)
-    images = []
-    for i in range(size):
-        packed, shift = 0, 0
-        for j in (i, table.inverse[i]):
-            for _ in range(n):
-                packed |= 1 << shift + j
-                shift += size
-                j = table.step[j]
-        images.append(packed)
-    return images
+    size = len(table.diagonals)
+    return [
+        sum(1 << k * size + j for k, (j,) in enumerate(_images(table, [i])))
+        for i in range(size)
+    ]
 
 
 def _orbit_key(images: int, n: int) -> int:
@@ -604,14 +604,15 @@ def _class_masks(n: int) -> Iterator[int]:
 
     The search ORs each chosen diagonal's packed images, so every
     triangulation comes with all its images, and ``_orbit_key`` sorts it
-    into its class by integer comparison.  Every mask is validated.
+    into its class by integer comparison.  The search builds compatibility
+    and size in, but not the radius shape, so that is read off every mask.
     """
     table = _diagonal_table(n)
     full = (1 << len(table.diagonals)) - 1
     seen: set[int] = set()
     for images in _cliques(table, _orbit_images(table)):
         mask = images & full
-        _check_mask(table, mask)
+        _radius_config(n, mask)
         key = _orbit_key(images, n)
         if key not in seen:
             seen.add(key)
@@ -624,7 +625,7 @@ def triangulation_classes(n: int) -> dict[bytes, Triangulation]:
     A ``Triangulation`` is built only for the first member of each class,
     which ``class_representative`` turns into the key and the representative.
     """
-    return dict(class_representative(Triangulation._from_mask(n, mask)) for mask in _class_masks(n))
+    return dict(class_representative(Triangulation._of(n, mask)) for mask in _class_masks(n))
 
 
 def triangulation_class_count(n: int) -> int:

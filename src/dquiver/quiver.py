@@ -213,6 +213,14 @@ def _mutate_rows(rows: Rows, k: int) -> Rows:
     return new
 
 
+def _check_vertex(q: Quiver, k: int) -> None:
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(k) is not int:
+        raise ValueError(f"vertex must be an integer, got {k!r}")
+    if not 0 <= k < q.rank:
+        raise IndexError(f"vertex {k} out of range for rank {q.rank}")
+
+
 def mutate(q: Quiver, k: int) -> Quiver:
     """Mutate ``q`` at vertex ``k``.
 
@@ -220,18 +228,15 @@ def mutate(q: Quiver, k: int) -> Quiver:
     b[i][j] + (|b[i][k]| b[k][j] + b[i][k] |b[k][j]|) / 2.  Mutating twice
     at the same vertex returns the original quiver.
     """
-    n = q.rank
-    if not 0 <= k < n:
-        raise IndexError(f"vertex {k} out of range for rank {n}")
-    return _quiver(_mutate_rows(_rows(q.rank, q._arrows), k), range(n))
+    _check_vertex(q, k)
+    return _quiver(_mutate_rows(_rows(q.rank, q._arrows), k), range(q.rank))
 
 
 def delete_vertex(q: Quiver, k: int) -> Quiver:
     """Full subquiver on the other rank-1 vertices, labels compacted."""
     if q.rank < 2:
         raise ValueError("cannot delete a vertex from a rank-1 quiver")
-    if not 0 <= k < q.rank:
-        raise IndexError(f"vertex {k} out of range for rank {q.rank}")
+    _check_vertex(q, k)
     # lowering the labels past k keeps the arrows sorted
     arrows = tuple((i - (i > k), j - (j > k), m) for i, j, m in q._arrows if k != i and k != j)
     return Quiver._of(q.rank - 1, arrows)
@@ -429,6 +434,9 @@ def _oriented(edges: list[tuple[int, int]], orientation) -> list[tuple[int, int]
     if orientation is None:
         return edges
     orientation = list(orientation)
+    # only bools: a "0" is truthy and would silently keep its edge forward
+    if any(type(keep) is not bool for keep in orientation):
+        raise ValueError(f"orientation entries must be True or False, got {orientation!r}")
     if len(orientation) != len(edges):
         raise ValueError(
             f"orientation needs {len(edges)} entries, got {len(orientation)}"

@@ -320,6 +320,9 @@ def triangulation_of(star: StarTree, n: int) -> Triangulation:
 
 
 def _check_bead_index(star: StarTree, i: int) -> None:
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(i) is not int:
+        raise ValueError(f"bead index must be an integer, got {i!r}")
     # a negative index would slice from the end and silently duplicate beads
     if not 0 <= i < len(star):
         raise IndexError(f"bead {i} out of range for {len(star)} beads (0..{len(star) - 1})")

@@ -638,6 +638,18 @@ QUIVERS_SHA256 = {
     9: "10307759bf739a3c429bb3d28d8b17042fd06aecea494b1323abb5a7fc41d74d",
 }
 
+# SHA-256 of ``enumerate N --what triangulations``; n = 7 is also
+# "triangulations 7" in bench/reference.json
+TRIANGULATIONS_SHA256 = {
+    3: "9a9ac2c1f616d75f7311ad26649779d31a866b5136fe432120bbf81204eab35f",
+    4: "95439ee11b5bb253fa93bd02b075f4f9fdf55a0259b972b393febb38c24600b7",
+    5: "306323bd60a8f5cf7c9dc08d01a6e3c97f7d24933d9b703b6fac8c81df0dadc4",
+    6: "48427d46a41a0026af17f7ff8f81aeb57ee52efa75ca5c7945e8dfb8f652fd2a",
+    7: "c11d5c4396dc3b5f1fd656a769a68e2298b4f6486d3103f1ee86d13d0e3383ba",
+    8: "7f47ac8547ed3690956b60338e5ddecd2da365341c50700f9621e4d7b6d65e35",
+    9: "bc59f2d3d785ec8e319f92262cbdec9e62a2fbabaf6bd2a9e9c2a17e62ed2403",
+}
+
 
 @pytest.mark.parametrize(
     "what, n",
@@ -655,6 +667,10 @@ def test_enumerate_writes_what_json_dumps_writes(capsys, tmp_path, what, n):
     # see a change in what a Quiver stores; the pinned digest can
     if what == "quivers":
         assert digest == QUIVERS_SHA256[n]
+    # both read the same class map, so only the pinned digest sees a change
+    # in which image class_representative picks
+    if what == "triangulations":
+        assert digest == TRIANGULATIONS_SHA256[n]
 
 
 # what main prints when stdout's reader has gone

@@ -545,10 +545,16 @@ def test_radius_config_matches_the_oracle_on_every_radius_set():
     ],
 )
 def test_mask_validation_messages(n, diagonals, message):
-    index = _diagonal_table(n).index
     with pytest.raises(ValueError) as exc:
-        Triangulation._from_mask(n, sum(1 << index[d] for d in diagonals))
+        Triangulation(n, diagonals)
     assert str(exc.value) == message
+
+
+def _assert_passes_the_boundary_check(t):
+    # built unchecked by Triangulation._of, t must be what the checked
+    # public constructor builds from its diagonals
+    rebuilt = Triangulation(t.n, t.sorted_diagonals)
+    assert (rebuilt, rebuilt.config, rebuilt.radius_bases) == (t, t.config, t.radius_bases)
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -557,6 +563,8 @@ def test_class_map_matches_the_per_triangulation_oracle(n):
     assert classes == _class_map_oracle(n)
     assert all(serialize_triangulation(t) == key for key, t in classes.items())
     assert triangulation_class_count(n) == len(classes)
+    for t in classes.values():
+        _assert_passes_the_boundary_check(t)
 
 
 def test_orbit_key_is_one_key_per_class():
@@ -588,22 +596,30 @@ def test_table_compatibility_matches_crossing_number():
 def test_symmetries_and_class_key_match_oracles():
     for n in range(3, 7):
         for t in enumerate_triangulations(n):
+            _assert_passes_the_boundary_check(t)
             assert _first_crossing(n, t.diagonals) is None
             assert [d for d in all_diagonals(n) if d in t.diagonals] == list(t.sorted_diagonals)
             assert serialize_triangulation(t) == _serialize(n, t.diagonals)
             key, representative = class_representative(t)
             assert key == class_key(t) == _class_key_oracle(t)
             assert serialize_triangulation(representative) == key
-            assert invert_tags(t).diagonals == _inverted(t.diagonals)
+            _assert_passes_the_boundary_check(representative)
+            inverted = invert_tags(t)
+            assert inverted.diagonals == _inverted(t.diagonals)
+            _assert_passes_the_boundary_check(inverted)
             for i in range(-1, n + 1):
-                assert rotate(t, i).diagonals == _rotated(n, t.diagonals, i)
+                rotated = rotate(t, i)
+                assert rotated.diagonals == _rotated(n, t.diagonals, i)
+                _assert_passes_the_boundary_check(rotated)
 
 
 def test_flip_matches_scan_oracle():
     for n in range(3, 7):
         for t in enumerate_triangulations(n):
             for d in t.sorted_diagonals:
-                assert flip(t, d).diagonals == _flip_oracle(t, d)
+                flipped = flip(t, d)
+                assert flipped.diagonals == _flip_oracle(t, d)
+                _assert_passes_the_boundary_check(flipped)
 
 
 @settings(max_examples=60, deadline=None)
@@ -624,6 +640,7 @@ def test_flip_walk_matches_scan_oracle(case):
         flipped = flip(t, d)
         assert flipped.diagonals == _flip_oracle(t, d)
         assert _first_crossing(n, flipped.diagonals) is None
+        _assert_passes_the_boundary_check(flipped)
         t = flipped
 
 

@@ -126,6 +126,11 @@ def test_orientation_argument():
     assert arrows_set(q) == {(0, 1), (2, 1)}
     with pytest.raises(ValueError):
         dynkin_a(3, orientation=[True])
+    # every "0" is truthy: a string must not pass for all edges forward
+    with pytest.raises(ValueError, match=r"^orientation entries must be True or False, got \['0', '0', '0'\]$"):
+        dynkin_d(4, "000")
+    with pytest.raises(ValueError, match="^orientation entries must be True or False"):
+        dynkin_a(3, orientation=[1, 0])
 
 
 # -- mutation ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dquiver.polygon import (
     invert_tags,
     rotate,
 )
+from dquiver.quiver import delete_vertex, dynkin_d, mutate
 from dquiver.trees import (
     LEAF,
     _bead_tables,
@@ -497,3 +498,25 @@ def test_bead_moves_reject_out_of_range_indices(move):
     star = (LEAF, LEAF, (LEAF, LEAF))
     with pytest.raises(IndexError, match=rf"bead {move[1]} out of range for 3 beads \(0\.\.2\)"):
         apply_tree_move(star, move)
+
+
+# bead 1 can be split and rotated at "L", so an index taken as 1 would pass
+_STAR = (LEAF, ((LEAF, LEAF), LEAF), (LEAF, LEAF))
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: mutate(dynkin_d(4), k),
+        lambda k: delete_vertex(dynkin_d(4), k),
+        lambda k: merge_beads(_STAR, k),
+        lambda k: split_bead(_STAR, k),
+        lambda k: rotate_inner_edge(_STAR, k, "L"),
+        lambda k: rotate(fan_triangulation(5), k),
+    ],
+    ids=["mutate", "delete_vertex", "merge_beads", "split_bead", "rotate_inner_edge", "rotate"],
+)
+def test_index_arguments_must_be_integers(call, index):
+    with pytest.raises(ValueError, match=rf"^[a-z ]+ must be an integer, got {index!r}$"):
+        call(index)
