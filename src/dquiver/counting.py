@@ -9,17 +9,25 @@ Central binomials binom(2d, d) are built from their prime factorization, as
 in Goetgheluck, *Computing binomial coefficients*, Amer. Math. Monthly 94
 (1987): by Legendre's formula the exponent of a prime p is the sum over k of
 floor(2d/p^k) - 2 floor(d/p^k), and by Kummer's theorem (the exponent counts
-the carries when adding d + d in base p) it is 0 or 1 once p^2 > 2d.  The
-prime powers are multiplied as a balanced product tree, so the large
-multiplications are few and of equal size.  One sieve of Eratosthenes per
-count serves every binomial of that count and the factorization of n.
+the carries when adding d + d in base p) it is 0 or 1 once p^2 > 2d, namely
+floor(2d/p) mod 2.  So the large primes that divide binom(2d, d) are those
+of the Kummer intervals (2d/(k+1), 2d/k] with k odd.  Each interval is read
+off the sieve through a memoryview, and its primes are multiplied in runs by
+``math.prod`` in C; no prime list and no copy of the sieve is made.  The
+runs and the small prime powers are multiplied as a balanced product tree,
+so the large multiplications are few and of equal size.  One sieve of
+Eratosthenes per count serves every binomial of that count and the
+factorization of n.
+
+The counts take an int n only; a bool, a float or any other type is
+rejected with ValueError before a sieve is built.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import compress
+from itertools import compress, islice
 
 from .errors import BoundExceededError
 
@@ -46,30 +54,46 @@ def _sieve(m: int) -> bytearray:
     return sieve
 
 
-def _central_binomial(d: int, sieve: bytearray) -> int:
-    """binom(2d, d) from its prime exponents; ``sieve`` must reach 2d.
+def _binomial_factors(d: int, sieve: bytearray):
+    """Yield factors whose product is binom(2d, d); ``sieve`` must reach 2d.
 
-    The primes are read off the sieve lazily and the prime powers are
-    multiplied through a binary-counter stack (a balanced product tree
-    built as they stream in), so neither the primes nor the factors are
-    ever held as a list.
+    Each prime p <= sqrt(2d) gives its power p^e, e by Legendre's formula.
+    A prime p above sqrt(2d) divides binom(2d, d) once exactly when
+    floor(2d/p) is odd (Kummer), that is when p lies in an interval
+    (2d/(k+1), 2d/k] with k odd.  Those primes are read off a memoryview
+    of the sieve interval by interval and multiplied in runs of 32 by
+    ``math.prod``, so neither a copy of the sieve nor a list of primes is
+    made and no Python code runs per large prime.
     """
     m = 2 * d
     root = math.isqrt(m)
+    for p in compress(range(root + 1), sieve):
+        e, q = 0, p
+        while q <= m:
+            e += m // q - 2 * (d // q)
+            q *= p
+        if e:
+            yield p**e
+    view = memoryview(sieve)
+    # floor(2d/p) = k for the p in (2d/(k+1), 2d/k]; past k = 2d // (root + 1)
+    # the interval lies below sqrt(2d)
+    for k in range(1, m // (root + 1) + 1, 2):
+        lo = max(m // (k + 1), root) + 1
+        hi = m // k + 1
+        primes = compress(range(lo, hi), view[lo:hi])
+        while (run := math.prod(islice(primes, 32))) > 1:
+            yield run
+
+
+def _central_binomial(d: int, sieve: bytearray) -> int:
+    """binom(2d, d) as the product of ``_binomial_factors(d, sieve)``.
+
+    The factors go through a binary-counter stack, a balanced product tree
+    built as they stream in, so the large multiplications are few and of
+    about equal size and the factors are never held as a list.
+    """
     stack: list[tuple[int, int]] = []  # (product, number of factors in it)
-    for p in compress(range(m + 1), sieve):
-        if p > root:
-            if not (m // p) & 1:
-                continue
-            factor = p
-        else:
-            e, q = 0, p
-            while q <= m:
-                e += m // q - 2 * (d // q)
-                q *= p
-            if not e:
-                continue
-            factor = p**e
+    for factor in _binomial_factors(d, sieve):
         size = 1
         while stack and stack[-1][1] == size:
             factor *= stack.pop()[0]
@@ -114,11 +138,24 @@ def _divisors_with_phi(n: int, sieve: bytearray) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_int(count: str, name: str, value: int, least: int) -> None:
+    """ValueError unless ``value`` is an int (not a bool) of at least ``least``."""
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(value) is not int:
+        raise ValueError(f"{count} needs an integer {name}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{count} needs {name} >= {least}, got {value}")
+
+
+def _catalan(i: int, sieve: bytearray) -> int:
+    """C(i) = binom(2i, i) / (i + 1); ``sieve`` must reach 2i."""
+    return _exact_div(_central_binomial(i, sieve), i + 1)
+
+
 def catalan(i: int) -> int:
     """Catalan number C(i) = binom(2i, i) / (i + 1)."""
-    if i < 0:
-        raise ValueError(f"catalan needs i >= 0, got {i}")
-    return _exact_div(_central_binomial(i, _sieve(2 * i)), i + 1)
+    _check_int("catalan", "i", i, 0)
+    return _catalan(i, _sieve(2 * i))
 
 
 def necklace_count(n: int) -> int:
@@ -129,8 +166,7 @@ def necklace_count(n: int) -> int:
 
         sum over d | n of phi(n/d) * binom(2d, d), divided by 2n.
     """
-    if n < 1:
-        raise ValueError(f"necklace_count needs n >= 1, got {n}")
+    _check_int("necklace_count", "n", n, 1)
     sieve = _sieve(2 * n)
     total = sum(phi * _central_binomial(d, sieve) for d, phi in _divisors_with_phi(n, sieve))
     return _exact_div(total, 2 * n)
@@ -144,8 +180,7 @@ def d_count(n: int) -> int:
     for convenience: D_3 coincides with A_3 and the formula value 4 is the
     correct class count there as well.
     """
-    if n < 3:
-        raise ValueError(f"d_count needs n >= 3, got {n}")
+    _check_int("d_count", "n", n, 3)
     if n == 4:
         return 6
     return necklace_count(n)
@@ -159,14 +194,14 @@ def a_count(n: int) -> int:
     n/3 is.  This also counts triangulations of the disk with n diagonals,
     i.e. triangulations of a convex (n+3)-gon up to rotation.
     """
-    if n < 1:
-        raise ValueError(f"a_count needs n >= 1, got {n}")
+    _check_int("a_count", "n", n, 1)
+    sieve = _sieve(2 * n + 2)
     # over the common denominator 6(n+3)
-    total = 6 * catalan(n + 1)
+    total = 6 * _catalan(n + 1, sieve)
     if (n + 1) % 2 == 0:
-        total += 3 * (n + 3) * catalan((n + 1) // 2)
+        total += 3 * (n + 3) * _catalan((n + 1) // 2, sieve)
     if n % 3 == 0:
-        total += 4 * (n + 3) * catalan(n // 3)
+        total += 4 * (n + 3) * _catalan(n // 3, sieve)
     return _exact_div(total, 6 * (n + 3))
 
 
@@ -176,6 +211,5 @@ def d_cluster_count(n: int) -> int:
     (3n - 2) * binom(2n - 2, n - 1) / n (Fomin-Zelevinsky); equals the
     number of tagged triangulations of the once-punctured n-gon.
     """
-    if n < 3:
-        raise ValueError(f"d_cluster_count needs n >= 3, got {n}")
+    _check_int("d_cluster_count", "n", n, 3)
     return _exact_div((3 * n - 2) * _central_binomial(n - 1, _sieve(2 * n - 2)), n)

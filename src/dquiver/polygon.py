@@ -125,16 +125,31 @@ def opposite_tag(tag: str) -> str:
     return NOTCHED if tag == PLAIN else PLAIN
 
 
-def check_diagonal(d: Diagonal, n: int) -> None:
-    """Raise ValueError unless ``d`` is a valid diagonal of the n-gon."""
+def _check_n(n: int) -> None:
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(n) is not int:
+        raise ValueError(f"punctured polygon needs an integer n, got {n!r}")
     if n < 3:
         raise ValueError(f"punctured polygon needs n >= 3, got {n}")
+
+
+def check_diagonal(d: Diagonal, n: int) -> None:
+    """Raise ValueError unless ``d`` is a valid diagonal of the n-gon.
+
+    n and the endpoints must be ints; a bool or a float is rejected, since
+    ``Radius(True, PLAIN)`` would otherwise pass as ``Radius(1, PLAIN)``.
+    """
+    _check_n(n)
     if isinstance(d, Arc):
+        if type(d.a) is not int or type(d.b) is not int:
+            raise ValueError(f"{d} endpoints must be integers")
         if not (0 <= d.a < n and 0 <= d.b < n):
             raise ValueError(f"{d} endpoints out of range for n={n}")
         if not 2 <= (d.b - d.a) % n <= n - 1:
             raise ValueError(f"{d} is not a valid arc for n={n}")
     elif isinstance(d, Radius):
+        if type(d.a) is not int:
+            raise ValueError(f"{d} base must be an integer")
         if not 0 <= d.a < n:
             raise ValueError(f"{d} base out of range for n={n}")
         if d.tag not in _TAGS:
@@ -336,6 +351,7 @@ class Triangulation:
     __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
+        _check_n(n)
         ds = frozenset(diagonals)
         for d in ds:
             check_diagonal(d, n)

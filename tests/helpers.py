@@ -3,14 +3,16 @@
 Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
-the pairwise triangulation predicate, the serializer and Euler's totient by
-trial division.
+the pairwise triangulation predicate, the serializer, Euler's totient by
+trial division and the central binomial one prime at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable
 
 from dquiver.polygon import (
@@ -151,3 +153,37 @@ def euler_phi(m: int) -> int:
     if rest > 1:
         phi -= phi // rest
     return phi
+
+
+def central_binomial_by_primes(d: int, sieve: bytearray) -> int:
+    """binom(2d, d) from its prime exponents, visiting every prime up to 2d.
+
+    ``sieve`` must reach 2d.  Legendre's sum below sqrt(2d), floor(2d/p) mod 2
+    above it (Kummer), and each prime power pushed through a binary-counter
+    stack on its own: the loop that the Kummer intervals replaced.
+    """
+    m = 2 * d
+    root = math.isqrt(m)
+    stack: list[tuple[int, int]] = []  # (product, number of factors in it)
+    for p in compress(range(m + 1), sieve):
+        if p > root:
+            if not (m // p) & 1:
+                continue
+            factor = p
+        else:
+            e, q = 0, p
+            while q <= m:
+                e += m // q - 2 * (d // q)
+                q *= p
+            if not e:
+                continue
+            factor = p**e
+        size = 1
+        while stack and stack[-1][1] == size:
+            factor *= stack.pop()[0]
+            size *= 2
+        stack.append((factor, size))
+    product = 1
+    while stack:
+        product *= stack.pop()[0]
+    return product

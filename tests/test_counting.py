@@ -19,7 +19,7 @@ from dquiver.counting import (
     necklace_count,
 )
 from dquiver.errors import BoundExceededError
-from helpers import euler_phi
+from helpers import central_binomial_by_primes, euler_phi
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -200,6 +200,32 @@ def test_central_binomial_matches_math_comb():
         expected = expected * 2 * (2 * d + 1) // (d + 1)
 
 
+def test_central_binomial_matches_the_prime_loop():
+    sieve = _sieve(10000)
+    for d in range(5001):
+        assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve), d
+
+
+def _odd_primes(limit):
+    sieve = _sieve(limit)
+    return [p for p in range(3, limit + 1) if sieve[p]]
+
+
+def test_central_binomial_where_the_root_moves():
+    # at 2d = p^2 - 1 the largest small prime is below p and p is the first
+    # Kummer-interval prime; at 2d = p^2 + 1 p has just become small
+    sieve = _sieve(447**2 + 1)
+    for p in _odd_primes(447):
+        for d in ((p * p - 1) // 2, (p * p + 1) // 2):
+            assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve), d
+
+
+@pytest.mark.parametrize("d", [55440, 100000])
+def test_central_binomial_at_the_benchmark_sizes(d):
+    sieve = _sieve(2 * d)
+    assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve)
+
+
 def test_catalan_and_d_cluster_count_match_math_comb():
     for i in range(2001):
         assert catalan(i) == math.comb(2 * i, i) // (i + 1)
@@ -235,6 +261,28 @@ def test_counts_past_the_sieve_reach_are_bound_errors(count):
     # anything is allocated
     with pytest.raises(BoundExceededError):
         count(10**19)
+
+
+@pytest.mark.parametrize("count", [d_count, necklace_count, a_count, catalan, d_cluster_count])
+@pytest.mark.parametrize("n", [True, False, 5.0, "5", None])
+def test_counts_take_only_int(count, n, monkeypatch):
+    # rejected before any sieve is built
+    monkeypatch.setattr(counting, "_sieve", None)
+    with pytest.raises(ValueError, match="needs an integer"):
+        count(n)
+
+
+def test_a_count_sieves_once(monkeypatch):
+    sieves = []
+
+    def recording_sieve(m):
+        sieves.append(m)
+        return _sieve(m)
+
+    monkeypatch.setattr(counting, "_sieve", recording_sieve)
+    # n = 9 has all three terms: C(10), C(5) and C(3)
+    assert a_count(9) == (6 * 16796 + 3 * 12 * 42 + 4 * 12 * 5) // (6 * 12)
+    assert sieves == [20]
 
 
 # -- the enumeration routes never use the closed forms -------------------------

@@ -167,6 +167,37 @@ def test_constructor_rejects_bad_sets():
         Triangulation(4, [Arc(0, 2), Arc(1, 3), Radius(0, PLAIN), Radius(2, PLAIN)])
 
 
+def test_constructor_rejects_bool_and_float_coordinates():
+    # Radius(True, PLAIN) equals and hashes like Radius(1, PLAIN): accepted,
+    # this set would read as the plain fan of the square
+    fan = [Radius(a, PLAIN) for a in range(4)]
+    with pytest.raises(ValueError, match="base must be an integer"):
+        Triangulation(4, [Radius(True, PLAIN), Radius(0, PLAIN), Radius(2.0, PLAIN), Radius(3, PLAIN)])
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        Triangulation(4, [Arc(False, 2), Arc(0, 3), Radius(0, PLAIN), Radius(0, NOTCHED)])
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        Triangulation(4, [Arc(0, 2), Arc(0, 3.0), Radius(0, PLAIN), Radius(0, NOTCHED)])
+    for n in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="needs an integer n"):
+            Triangulation(n, fan)
+
+
+@pytest.mark.parametrize(
+    "d,n",
+    [
+        (Radius(True, PLAIN), 4),
+        (Radius(2.0, NOTCHED), 4),
+        (Arc(True, 3), 4),
+        (Arc(0, 2.0), 4),
+        (Radius(0, PLAIN), 4.0),
+        (Arc(0, 2), True),
+    ],
+)
+def test_check_diagonal_rejects_bool_and_float(d, n):
+    with pytest.raises(ValueError):
+        polygon.check_diagonal(d, n)
+
+
 def test_config_detection():
     assert fan_triangulation(4).config == "A"
     t = Triangulation(4, [Arc(0, 2), Arc(0, 3), Radius(0, PLAIN), Radius(0, NOTCHED)])
