@@ -198,8 +198,7 @@ def crossing_number(d1: Diagonal, d2: Diagonal, n: int) -> int:
 
 def all_diagonals(n: int) -> list[Diagonal]:
     """Every diagonal of the punctured n-gon: n(n-2) arcs plus 2n radii."""
-    if n < 3:
-        raise ValueError(f"punctured polygon needs n >= 3, got {n}")
+    _check_n(n)
     out: list[Diagonal] = [
         Arc(a, (a + k) % n) for a in range(n) for k in range(2, n)
     ]

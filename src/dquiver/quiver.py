@@ -51,8 +51,17 @@ __all__ = [
 ]
 
 
+def _orders(*values) -> bool:
+    """Whether every value compares with an int, as a bool or a float does."""
+    try:
+        min(0, *values)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_rank(rank: int) -> None:
-    if rank < 1:
+    if _orders(rank) and rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if type(rank) is not int:
         raise ValueError(f"rank must be an integer, got {rank!r}")
@@ -80,7 +89,12 @@ class Quiver:
             if b[i][i] != 0:
                 raise ValueError(f"nonzero diagonal entry at vertex {i} (loop)")
             for j in range(i):
-                if b[i][j] != -b[j][i]:
+                x = b[j][i]
+                try:
+                    negated = -x
+                except TypeError:
+                    raise ValueError(f"matrix entry ({j},{i}) is not an integer: {x!r}") from None
+                if b[i][j] != negated:
                     raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
         arrows = []
         for i, row in enumerate(b):
@@ -101,9 +115,15 @@ class Quiver:
 
     @classmethod
     def from_arrows(cls, rank: int, arrows: Iterable[tuple[int, int]]) -> "Quiver":
+        if not _orders(rank):
+            _check_rank(rank)  # a rank no vertex compares with is not an integer
         arrows = list(arrows)
         for i, j in arrows:
-            if not (0 <= i < rank and 0 <= j < rank):
+            try:
+                inside = 0 <= i < rank and 0 <= j < rank
+            except TypeError:
+                raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer") from None
+            if not inside:
                 raise ValueError(f"arrow ({i},{j}) out of range for rank {rank}")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not representable")
@@ -382,17 +402,30 @@ def mutation_class_representatives(
     """All isomorphism classes reachable from ``seed`` by mutation.
 
     Breadth-first search over canonical keys, in which each edge of the
-    exchange graph between two classes is canonicalized once.  A queued
-    class keeps the set of its vertices whose mutation is known to lead to
-    a known class, and is mutated only at the others: when mutating at k
-    reaches a class by the labeling ``perm``, mutating that class's stored
-    form at ``perm.index(k)`` leads back, since the stored form is the
-    mutated quiver relabeled by ``perm`` (equal keys give equal forms) and
-    mutation is an involution.  Each mutated quiver is canonicalized once,
-    on sparse rows; a ``Quiver``, unchecked, is built only for a new class.
-    The stored representative of each class is its canonical form, so the
-    result is deterministic.  The cap guards against seeds of non-finite
-    mutation type.
+    exchange graph between two classes is canonicalized at most once.  A
+    queued class keeps the set of its vertices whose mutation is known to
+    lead to a known class, and is mutated only at the others: when mutating
+    at k reaches a class by the labeling ``perm``, mutating that class's
+    stored form at ``perm.index(k)`` leads back, since the stored form is
+    the mutated quiver relabeled by ``perm`` (equal keys give equal forms)
+    and mutation is an involution.  Each mutated quiver is canonicalized
+    once, on sparse rows; a ``Quiver``, unchecked, is built only for a new
+    class.
+
+    Squares of the exchange graph close without a canonicalization.  When
+    a class A is mutated at two vertices j, k with b[j][k] = 0, reaching
+    B at k by the labeling ``pb`` and C at j by ``pc``, then mu_j mu_k =
+    mu_k mu_j: B's edge at ``pb.index(j)`` and C's edge at ``pc.index(k)``
+    reach one class D, and D's edge at the position of A's vertex k leads
+    back to C (at j, to B).  Both queued classes keep the square, and
+    whichever of the two edges is canonicalized first marks the other one,
+    and D's edge back to its partner, as leading to a known class.
+
+    Every skipped edge leads to a class known before it is skipped, so the
+    classes, their forms and their order are those of mutating every class
+    at every vertex.  The stored representative of each class is its
+    canonical form, so the result is deterministic.  The cap guards against
+    seeds of non-finite mutation type.
     """
     if not is_connected(seed):
         raise ValueError("seed quiver must be connected")
@@ -403,11 +436,17 @@ def mutation_class_representatives(
     # queued class -> the set of its vertices whose mutation leads to a
     # known class, as a bitmask
     known = {key: 0}
+    # queued class -> its squares, flat to keep the store small: each four
+    # entries v, partner, w, back say that its edge at v and the partner's
+    # edge at w reach one class, whose edge at the position of vertex back
+    # (of the quiver mutated at v) leads to the partner
+    squares: dict[bytes, list] = {}
     queue = deque([key])
     while queue:
         here = queue.popleft()
         skip = known.pop(here)
         rows = _rows(n, reps[here]._arrows)
+        reached = {}
         for k in range(n):
             if skip >> k & 1:
                 continue
@@ -424,6 +463,26 @@ def mutation_class_representatives(
                 reps[key] = _quiver(m, perm)
                 known[key] = 1 << perm.index(k)
                 queue.append(key)
+            reached[k] = key, perm
+        pending = squares.pop(here, [])
+        for i in range(0, len(pending), 4):
+            v, partner, w, back = pending[i : i + 4]
+            if v in reached:
+                key, perm = reached[v]
+                if partner in known:
+                    known[partner] |= 1 << w
+                if key in known:
+                    known[key] |= 1 << perm.index(back)
+        edges = list(reached.items())
+        for a, (j, (c, pc)) in enumerate(edges):
+            for k, (b, pb) in edges[a + 1 :]:
+                if j in rows[k] or b not in known or c not in known:
+                    continue
+                v, w = pb.index(j), pc.index(k)
+                if known[b] >> v & 1 or known[c] >> w & 1:
+                    continue
+                squares.setdefault(b, []).extend((v, c, w, pb.index(k)))
+                squares.setdefault(c, []).extend((w, b, v, pc.index(j)))
     return reps
 
 
@@ -446,8 +505,11 @@ def _oriented(edges: list[tuple[int, int]], orientation) -> list[tuple[int, int]
 
 def dynkin_a(n: int, orientation: Sequence[bool] | None = None) -> Quiver:
     """An orientation of the A_n path 0 - 1 - ... - n-1 (default: forward)."""
-    if n < 1:
+    if _orders(n) and n < 1:
         raise ValueError(f"type A needs n >= 1, got {n}")
+    # a bool n goes on to the rank check, which rejects it
+    if not isinstance(n, int):
+        raise ValueError(f"type A needs an integer n, got {n!r}")
     edges = [(i, i + 1) for i in range(n - 1)]
     return Quiver.from_arrows(n, _oriented(edges, orientation))
 
@@ -458,7 +520,9 @@ def dynkin_d(n: int, orientation: Sequence[bool] | None = None) -> Quiver:
     The diagram is the path 0 - 1 - ... - (n-3) with the fork vertices
     n-2 and n-1 both attached to n-3.  D_3 coincides with the A_3 path.
     """
-    if n < 3:
+    if _orders(n) and n < 3:
         raise ValueError(f"type D needs n >= 3, got {n}")
+    if not isinstance(n, int):
+        raise ValueError(f"type D needs an integer n, got {n!r}")
     edges = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
     return Quiver.from_arrows(n, _oriented(edges, orientation))

@@ -4,17 +4,20 @@ Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, Euler's totient by
-trial division and the central binomial one prime at a time.
+trial division, the central binomial one prime at a time and the quiver
+BFS that canonicalizes every exchange-graph edge between classes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable
 
+from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
     Diagonal,
     Radius,
@@ -27,7 +30,15 @@ from dquiver.polygon import (
     flip,
     span,
 )
-from dquiver.quiver import Quiver, mutation_class_representatives
+from dquiver.quiver import (
+    Quiver,
+    _canonical,
+    _mutate_rows,
+    _quiver,
+    _rows,
+    is_connected,
+    mutation_class_representatives,
+)
 from dquiver.trees import star_tree_classes
 
 
@@ -39,6 +50,44 @@ def mutation_class(seed: Quiver, *, max_classes: int = 10_000_000) -> set[bytes]
 def enumerate_star_trees(n: int) -> set[bytes]:
     """Keys of all rotation classes of star trees with n leaves."""
     return set(star_tree_classes(n))
+
+
+def edge_once_bfs(seed: Quiver, *, max_classes: int = 10_000_000) -> dict[bytes, Quiver]:
+    """``mutation_class_representatives`` without closing squares.
+
+    Each queued class is mutated at every vertex whose edge is not yet known
+    to lead to a known class, so every exchange-graph edge between two
+    classes is canonicalized once: the BFS that square closing replaced.
+    """
+    if not is_connected(seed):
+        raise ValueError("seed quiver must be connected")
+    n = seed.rank
+    rows = _rows(n, seed._arrows)
+    key, perm = _canonical(rows, n)
+    reps = {key: _quiver(rows, perm)}
+    known = {key: 0}
+    queue = deque([key])
+    while queue:
+        here = queue.popleft()
+        skip = known.pop(here)
+        rows = _rows(n, reps[here]._arrows)
+        for k in range(n):
+            if skip >> k & 1:
+                continue
+            m = _mutate_rows(rows, k)
+            key, perm = _canonical(m, n)
+            if key in known:
+                known[key] |= 1 << perm.index(k)
+            elif key not in reps:
+                if len(reps) >= max_classes:
+                    raise BoundExceededError(
+                        f"mutation class exceeded {max_classes} classes; "
+                        "the seed is probably not of finite mutation type"
+                    )
+                reps[key] = _quiver(m, perm)
+                known[key] = 1 << perm.index(k)
+                queue.append(key)
+    return reps
 
 
 # -- crossing numbers on the double cover -------------------------------------

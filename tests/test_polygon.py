@@ -515,7 +515,7 @@ def test_the_diagonal_table_cache_keeps_at_most_eight_tables():
 
 def test_the_diagonal_table_cache_does_not_serve_a_float_n():
     _diagonal_table(7)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^punctured polygon needs an integer n, got 7\.0$"):
         _diagonal_table(7.0)
 
 

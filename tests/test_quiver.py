@@ -22,7 +22,7 @@ from dquiver.quiver import (
     mutation_class_representatives,
 )
 
-from helpers import mutation_class
+from helpers import edge_once_bfs, mutation_class
 
 
 def arrows_set(q):
@@ -72,6 +72,14 @@ def test_constructors_keep_their_errors(build, message):
         (lambda: Quiver.from_arrows(2, [(True, 0)]), "arrow (True,0) has a vertex that is not an integer"),
         (lambda: Quiver.from_arrows(2, [(0.5, 1)]), "arrow (0.5,1) has a vertex that is not an integer"),
         (lambda: Quiver.from_arrows(2.0, [(0, 1)]), "rank must be an integer, got 2.0"),
+        # values that do not compare with an int, or do not negate
+        (lambda: Quiver.from_arrows(2, [("a", 1)]), "arrow ('a',1) has a vertex that is not an integer"),
+        (lambda: Quiver.from_arrows(2, [(0, None)]), "arrow (0,None) has a vertex that is not an integer"),
+        (lambda: Quiver.from_arrows("2", [(0, 1)]), "rank must be an integer, got '2'"),
+        (lambda: Quiver(2, ((0, "1"), ("-1", 0))), "matrix entry (0,1) is not an integer: '1'"),
+        (lambda: Quiver(None, ((0,),)), "rank must be an integer, got None"),
+        (lambda: dynkin_d(5.0), "type D needs an integer n, got 5.0"),
+        (lambda: dynkin_a(4.0), "type A needs an integer n, got 4.0"),
     ],
 )
 def test_constructors_reject_entries_that_are_not_integers(build, message):
@@ -515,13 +523,28 @@ def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
 MARKOV = Quiver(3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
 KRONECKER = Quiver(2, ((0, 2), (-2, 0)))
 ORIENTED_4_CYCLE = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+# the acyclic 4-cycles with two arrows each way and with three one way:
+# affine, so of finite mutation type, in two different classes
+A_TILDE_2_2 = Quiver.from_arrows(4, [(0, 1), (1, 2), (0, 3), (3, 2)])
+A_TILDE_1_3 = Quiver.from_arrows(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+# acyclic triangle of triple arrows: of infinite mutation type
+TRIPLE_ARROWS = Quiver.from_arrows(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(0, 2)] * 3)
+
+
+def dynkin_e(n):
+    """The E_n tree: the path 0 - ... - (n-2) with vertex n-1 attached to 2."""
+    return Quiver.from_arrows(n, [(i, i + 1) for i in range(n - 2)] + [(2, n - 1)])
+
+
+def _bits_id(bits):
+    return "".join("01"[b] for b in bits)
 
 
 @pytest.mark.parametrize(
     "seed",
     [
         *(
-            pytest.param(dynkin_d(6, bits), id="D6-" + "".join("01"[b] for b in bits))
+            pytest.param(dynkin_d(6, bits), id="D6-" + _bits_id(bits))
             for bits in product((True, False), repeat=5)
         ),
         pytest.param(dynkin_a(6), id="A6"),
@@ -554,7 +577,7 @@ def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
     assert len(calls) == 1 + len(mutations)
 
 
-@pytest.mark.parametrize("n, calls", [(5, 75), (6, 271), (7, 931)])
+@pytest.mark.parametrize("n, calls", [(5, 59), (6, 188), (7, 624), (8, 2228)])
 def test_bfs_canonicalizes_each_exchange_edge_once(monkeypatch, n, calls):
     seen = []
     real = quiver_module._canonical
@@ -565,8 +588,100 @@ def test_bfs_canonicalizes_each_exchange_edge_once(monkeypatch, n, calls):
     assert len(seen) == calls
     # fewer than the seed and every mutation of every representative but
     # the one leading back to the class it was reached from: an edge
-    # between two known classes is no longer canonicalized from both ends
+    # between two known classes is canonicalized from one end at most, and
+    # the fourth edge of a square of commuting mutations from neither
     assert calls < 1 + n * r - (r - 1)
+
+
+def _bfs_outcome(bfs, seed, max_classes):
+    try:
+        return list(bfs(seed, max_classes=max_classes).items())
+    except BoundExceededError as err:
+        return str(err)
+
+
+def _seeded_orientation(n, seed):
+    return tuple(random.Random(seed).choices((True, False), k=n - 1))
+
+
+@pytest.mark.parametrize(
+    "seed, max_classes",
+    [
+        *(
+            pytest.param(dynkin_d(n, bits), 10_000_000, id=f"D{n}-{_bits_id(bits)}")
+            for n in range(3, 8)
+            for bits in product((True, False), repeat=n - 1)
+        ),
+        *(
+            pytest.param(dynkin_d(n, bits), 10_000_000, id=f"D{n}-{_bits_id(bits)}")
+            for n in (8, 9)
+            for bits in (_seeded_orientation(n, s) for s in range(6))
+        ),
+        *(pytest.param(dynkin_a(n), 10_000_000, id=f"A{n}") for n in range(1, 9)),
+        *(pytest.param(dynkin_e(n), 10_000_000, id=f"E{n}") for n in (6, 7, 8)),
+        pytest.param(MARKOV, 10_000_000, id="markov"),
+        pytest.param(KRONECKER, 10_000_000, id="kronecker"),
+        pytest.param(A_TILDE_2_2, 10_000_000, id="affine-A-2-2"),
+        pytest.param(A_TILDE_1_3, 10_000_000, id="affine-A-1-3"),
+        pytest.param(TRIPLE_ARROWS, 50, id="triple-arrows"),
+    ],
+)
+def test_bfs_matches_the_edge_once_oracle(seed, max_classes):
+    got = _bfs_outcome(mutation_class_representatives, seed, max_classes)
+    assert got == _bfs_outcome(edge_once_bfs, seed, max_classes)
+    assert isinstance(got, str) == (seed is TRIPLE_ARROWS)
+
+
+def test_the_e_trees_have_their_class_sizes():
+    # the known sizes of the exceptional finite-type mutation classes
+    assert [len(mutation_class(dynkin_e(n))) for n in (6, 7, 8)] == [67, 416, 1574]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        *(pytest.param(dynkin_d(n), id=f"D{n}") for n in (5, 6, 7)),
+        pytest.param(dynkin_d(8, _seeded_orientation(8, 0)), id="D8-seeded"),
+        pytest.param(dynkin_e(6), id="E6"),
+        pytest.param(A_TILDE_2_2, id="affine-A-2-2"),
+    ],
+)
+def test_bfs_skips_only_edges_to_known_classes(monkeypatch, seed):
+    n = seed.rank
+    found, mutated = [], []
+    real_canonical, real_mutate = quiver_module._canonical, quiver_module._mutate_rows
+
+    def canonical(rows, rank):
+        key, perm = real_canonical(rows, rank)
+        found.append(key)
+        return key, perm
+
+    def mutate_rows(rows, k):
+        # the BFS mutates the rows of a class's stored form
+        mutated.append((quiver_module._quiver(rows, range(n)), k, len(found)))
+        return real_mutate(rows, k)
+
+    monkeypatch.setattr(quiver_module, "_canonical", canonical)
+    monkeypatch.setattr(quiver_module, "_mutate_rows", mutate_rows)
+    reps = mutation_class_representatives(seed)
+    monkeypatch.undo()
+    # a class is dequeued, in the order of reps, right before its first
+    # mutation, and one mutated at no vertex right before the next class's
+    key_of = {rep: key for key, rep in reps.items()}
+    dequeued, done = {}, {key: set() for key in reps}
+    for form, k, count in mutated:
+        dequeued.setdefault(key_of[form], count)
+        done[key_of[form]].add(k)
+    first_found = {}
+    for i, key in enumerate(found):
+        first_found.setdefault(key, i)
+    at, skipped = len(found), 0
+    for key in reversed(reps):
+        at = dequeued.get(key, at)
+        for v in set(range(n)) - done[key]:
+            assert first_found[canonical_key(mutate(reps[key], v))] < at, (key, v)
+            skipped += 1
+    assert skipped == n * len(reps) - len(mutated) > 0
 
 
 def test_class_cap_is_enforced():
@@ -591,14 +706,13 @@ def test_a_huge_multiplicity_is_stored_once():
 def test_the_class_cap_fires_on_a_seed_whose_multiplicities_explode():
     # acyclic triangle of triple arrows: one mutation path takes its largest
     # multiplicity through 12, 393, 12957, 5092068, 65977924683, ~3.4e17
-    seed = Quiver.from_arrows(3, [(0, 1)] * 3 + [(1, 2)] * 3 + [(0, 2)] * 3)
-    q = seed
+    q = TRIPLE_ARROWS
     for k in [1, 0, 2, 1, 0, 2, 1]:
         q = mutate(q, k)
     assert len(q._arrows) == 3
     assert max(m for _, _, m in q._arrows) == 335964078984701487
     with pytest.raises(BoundExceededError):
-        mutation_class_representatives(seed, max_classes=50)
+        mutation_class_representatives(TRIPLE_ARROWS, max_classes=50)
 
 
 def test_disconnected_seed_rejected():
