@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import decimal
-import json
 import os
 import re
 import stat
 import sys
 import time
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import counting, polygon, quiver, trees
 from .errors import BoundExceededError
+
+# json and decimal are imported in the functions that use them (convert,
+# mutate and verify --json; count), so that other commands start faster
 
 
 def _parse_orientation(text: str | None, edges: int) -> list[bool] | None:
@@ -191,6 +192,8 @@ def _decimal(value: int) -> decimal.Decimal:
     The context is exact (``MAX_PREC``, and rounding would raise), so the
     digits are those of ``str(Decimal(value))``.
     """
+    import decimal
+
     ctx = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
     )
@@ -287,6 +290,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_json(path: str):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -466,6 +471,8 @@ def _cmd_verify(args) -> int:
                 f"{str(r['tree_count']):>8}  {r['status']}"
             )
         if write is not None:
+            import json
+
             write(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     return 1 if any(r["failures"] for r in reports) else 0
 

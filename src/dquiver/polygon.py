@@ -53,14 +53,13 @@ by ``quiver_of`` and the dual-tree maps of ``trees``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Union
 
 from .errors import BoundExceededError
-from .quiver import Quiver
+from .quiver import Quiver, _read_only
 
 # largest n of a JSON triangulation, read or written: checking it builds
 # the n-gon's diagonal table and a compatibility row for every rotation
@@ -106,19 +105,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+# Arc and Radius are immutable values, equal and hashed by their fields.
+# object.__setattr__ keeps attribute reads faster than vars(self) would,
+# and comparing field by field, not as tuples, keeps the table lookups that
+# diagonals key fast.
 class Arc:
-    a: int
-    b: int
+    def __init__(self, a: int, b: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"Arc(a={self.a!r}, b={self.b!r})"
 
 
-@dataclass(frozen=True)
 class Radius:
-    a: int
-    tag: str
+    def __init__(self, a: int, tag: str) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "tag", tag)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.tag == other.tag
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.tag))
+
+    def __repr__(self) -> str:
+        return f"Radius(a={self.a!r}, tag={self.tag!r})"
 
 
-Diagonal = Union[Arc, Radius]
+Diagonal = Arc | Radius
 
 
 def opposite_tag(tag: str) -> str:

@@ -22,9 +22,8 @@ function here is pure, so concurrent callers need no locking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import BoundExceededError
 
@@ -67,7 +66,11 @@ def _check_rank(rank: int) -> None:
         raise ValueError(f"rank must be an integer, got {rank!r}")
 
 
-@dataclass(frozen=True, init=False)
+def _read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of an immutable value class."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class Quiver:
     """Quiver on vertices 0..rank-1, stored as its rank and sorted arrows.
 
@@ -75,7 +78,7 @@ class Quiver:
 
     ``Quiver(rank, b)`` checks the exchange matrix ``b`` and keeps its
     arrows; ``b`` is derived from them, and cached, when read.  Equality and
-    hashing are over the rank and the arrows.
+    hashing are over the rank and the arrows, and the fields cannot be set.
     """
 
     rank: int
@@ -106,6 +109,19 @@ class Quiver:
                     arrows.append((i, j, x))
         vars(self).update(rank=rank, _arrows=tuple(arrows))
 
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self._arrows) == (other.rank, other._arrows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self._arrows))
+
+    def __repr__(self) -> str:
+        return f"Quiver(rank={self.rank!r}, _arrows={self._arrows!r})"
+
     @classmethod
     def _of(cls, rank: int, arrows: tuple[tuple[int, int, int], ...]) -> "Quiver":
         """The quiver with these sorted ``(i, j, m)``, free of 2-cycles: no check."""
@@ -118,7 +134,11 @@ class Quiver:
         if not _orders(rank):
             _check_rank(rank)  # a rank no vertex compares with is not an integer
         arrows = list(arrows)
-        for i, j in arrows:
+        for arrow in arrows:
+            try:
+                i, j = arrow
+            except (TypeError, ValueError):
+                raise ValueError(f"arrow {arrow!r} is not a pair of vertices") from None
             try:
                 inside = 0 <= i < rank and 0 <= j < rank
             except TypeError:

@@ -23,8 +23,8 @@ too.  Three local moves on star trees match diagonal flips:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterator
 from itertools import accumulate, chain, repeat
-from typing import Callable, Iterator, Union
 
 from .polygon import (
     LEAF,
@@ -39,7 +39,7 @@ from .polygon import (
     span,
 )
 
-BinaryTree = Union[str, tuple]
+BinaryTree = str | tuple
 StarTree = tuple  # nonempty tuple of BinaryTree beads
 
 __all__ = [

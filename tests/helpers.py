@@ -4,8 +4,9 @@ Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, Euler's totient by
-trial division, the central binomial one prime at a time and the quiver
-BFS that canonicalizes every exchange-graph edge between classes.
+trial division, the central binomial one prime at a time, the quiver
+BFS that canonicalizes every exchange-graph edge between classes, and
+dataclass twins of the package's value classes.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Iterable
 
 from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
+    Arc,
     Diagonal,
     Radius,
     Triangulation,
@@ -88,6 +90,42 @@ def edge_once_bfs(seed: Quiver, *, max_classes: int = 10_000_000) -> dict[bytes,
                 known[key] = 1 << perm.index(k)
                 queue.append(key)
     return reps
+
+
+# -- dataclass twins ----------------------------------------------------------
+
+
+class twin:
+    """``Arc``, ``Radius`` and ``Quiver`` as the frozen dataclasses they were.
+
+    Their generated ``repr``, equality, hashing, immutability and pickling
+    are the oracle of the package's plain classes; a twin's repr is the
+    plain one prefixed with ``twin.``.
+    """
+
+    @dataclass(frozen=True)
+    class Arc:
+        a: int
+        b: int
+
+    @dataclass(frozen=True)
+    class Radius:
+        a: int
+        tag: str
+
+    @dataclass(frozen=True)
+    class Quiver:
+        rank: int
+        _arrows: tuple[tuple[int, int, int], ...]
+
+
+def twin_of(value: Arc | Radius | Quiver):
+    """The dataclass twin of ``value``, field for field."""
+    if isinstance(value, Quiver):
+        return twin.Quiver(value.rank, value._arrows)
+    if isinstance(value, Arc):
+        return twin.Arc(value.a, value.b)
+    return twin.Radius(value.a, value.tag)
 
 
 # -- crossing numbers on the double cover -------------------------------------

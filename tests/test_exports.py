@@ -7,7 +7,10 @@ behind by a removed function would crash them.
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,16 @@ def test_the_package_reexports_only_exported_names():
             assert hasattr(dquiver, alias.asname or alias.name), alias.name
             if hasattr(module, "__all__"):
                 assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+
+
+def test_importing_the_package_loads_no_module_it_does_not_need():
+    """Start-up pays for every module the import loads: ``json`` and
+    ``decimal`` load only in the commands that use them, and the value
+    classes are plain classes, so ``dataclasses`` and ``inspect`` stay out.
+    ``-S`` keeps site's own imports (``typing``, on some hosts) out too."""
+    unwanted = ("dataclasses", "inspect", "json", "decimal", "typing")
+    code = f"import sys, dquiver, dquiver.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(dquiver.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"

@@ -88,6 +88,21 @@ def test_constructors_reject_entries_that_are_not_integers(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "arrow, message",
+    [
+        (5, "arrow 5 is not a pair of vertices"),
+        ((0, 1, 2), "arrow (0, 1, 2) is not a pair of vertices"),
+        ((0,), "arrow (0,) is not a pair of vertices"),
+        (None, "arrow None is not a pair of vertices"),
+    ],
+)
+def test_from_arrows_rejects_an_arrow_that_is_not_a_pair(arrow, message):
+    with pytest.raises(ValueError) as err:
+        Quiver.from_arrows(2, [(0, 1), arrow])
+    assert str(err.value) == message
+
+
 def test_both_constructors_build_equal_quivers():
     assert Quiver(2, ((0, 1), (-1, 0))) == Quiver.from_arrows(2, [(0, 1)])
     assert hash(Quiver(2, ((0, 1), (-1, 0)))) == hash(Quiver.from_arrows(2, [(0, 1)]))
