@@ -6,9 +6,9 @@ such trees ("beads") hanging counterclockwise off a common root.  Two
 star trees are the same object of study when one is a cyclic rotation of
 the other, which is what ``tree_key`` quotients by.  The rotation
 classes with n leaves are enumerated by generating each class's least
-rotation once, as a prenecklace over the bead codes; nothing is
+rotation once, as a prenecklace over the beads in code order; nothing is
 canonicalized after the fact, and ``star_tree_class_count`` counts them
-without holding any.
+on integer bead keys without holding any.
 
 Star trees with n leaves are in bijection with triangulations of the
 once-punctured n-gon up to rotation and tag inversion: ``star_tree_of``
@@ -23,9 +23,10 @@ too.  Three local moves on star trees match diagonal flips:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
-from itertools import accumulate, chain, repeat
+from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate, chain
 
+from .errors import BoundExceededError
 from .polygon import (
     LEAF,
     NOTCHED,
@@ -70,14 +71,17 @@ def leaf_count(tree: BinaryTree) -> int:
     return leaf_count(tree[0]) + leaf_count(tree[1])
 
 
-def _check_leaves(n: int) -> None:
+def _check_leaves(n: int, caller: str) -> None:
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
+    if type(n) is not int:
+        raise ValueError(f"{caller} needs an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"need n >= 1 leaves, got {n}")
 
 
 def leaf_star(n: int) -> StarTree:
     """The star tree of n bare leaf beads; the dual tree of the plain fan."""
-    _check_leaves(n)
+    _check_leaves(n, "leaf_star")
     return (LEAF,) * n
 
 
@@ -121,90 +125,91 @@ def tree_key(star: StarTree) -> bytes:
 # -- enumeration -------------------------------------------------------------
 
 
-def _compose(m: int, tables: list) -> Iterator[tuple[bytes, BinaryTree]]:
-    """``(code, bead)`` for every full binary tree with m leaves, in code order.
+def _join_keys(left: int, tables: list, m: int) -> list[int]:
+    # a key has one 1 bit per leaf; the left subtree's word follows the
+    # root's 0 bit, and the right one's the left's 2k - 1 bits
+    k = left.bit_count()
+    start, shift = left >> 1, 2 * k
+    return [start | right >> shift for right in tables[m - k]]
 
-    A bead's code is its serialization, built once from its subtrees'
-    codes as ``"(" + left + right + ")"``.  Codes are prefix-free (each is
-    "L" or a balanced bracket word), so code order is the order of (left
-    code, right code): the left subtree runs over the smaller beads of
-    every leaf count in code order, and the right over the beads with the
-    remaining leaves.  ``tables`` must reach m - 1 leaves (see
-    ``_bead_tables``); nothing with m leaves is stored.
+
+def _join_codes(left: tuple, tables: list, m: int) -> list[tuple]:
+    code, tree = left
+    start, rights = b"(" + code, tables[m - code.count(b"L")]
+    return [(start + right + b")", (tree, bead)) for right, bead in rights]
+
+
+def _bead_tables(n: int, leaf, join: Callable, table: Callable) -> tuple[list, Iterator]:
+    """``tables[m]``, ``table`` of the m-leaf beads, 1 <= m < n, and the n-leaf
+    beads, streamed and not kept, all in code order.
+
+    A bead's code is its serialization, ``"(" + left + right + ")"``.  Codes
+    are prefix-free ("L" or a balanced bracket word), so code order is the
+    order of (left code, right code): the left subtree runs over the smaller
+    beads of every leaf count in code order, and ``join(left, tables, m)``
+    writes the m-leaf beads with that left subtree, one per right subtree.
     """
-    if m == 1:
-        yield b"L", LEAF
-        return
-    lefts = sorted(chain.from_iterable(zip(*tables[k], repeat(k)) for k in range(1, m)))
-    for left_code, left, k in lefts:
-        start = b"(" + left_code
-        right_codes, rights = tables[m - k]
-        for right_code, right in zip(right_codes, rights):
-            yield start + right_code + b")", (left, right)
+    tables: list = [None, table([leaf])]
+    lefts: Iterable = ()  # the beads with fewer than m - 1 leaves, in code order
 
+    def beads(m: int) -> Iterator:
+        nonlocal lefts
+        # two sorted runs, which sorted() merges in one pass
+        lefts = table(sorted(chain(lefts, tables[m - 1])))
+        yield from chain.from_iterable(join(left, tables, m) for left in lefts)
 
-def _bead_tables(n: int) -> list:
-    """``tables[m]`` holds the codes and the trees of ``_compose(m)``, 1 <= m <= n."""
-    tables: list = [None]
-    for m in range(1, n + 1):
-        tables.append(tuple(zip(*_compose(m, tables))))
-    return tables
+    for m in range(2, n):
+        tables.append(table(beads(m)))
+    return tables, beads(n)
 
 
 def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     """Hand ``visit`` every star tree class with two or more beads, as runs.
 
-    A star is compared bead by bead on the bead codes, which orders its
-    rotations as their serializations, so the least rotation is the one
-    ``tree_key`` writes.  The beads are generated as a prenecklace
-    (Cattell, Ruskey, Sawada, Serra and Miers, *Fast algorithms to generate
-    necklaces, unlabeled necklaces and irreducible polynomials over GF(2)*,
-    2000): with p the length of the longest Lyndon prefix, the next bead is
-    never less than the bead p places back.  So no bead is less than the
-    first, and a complete star is its own least rotation exactly when p
-    divides its bead count; periodic stars are kept.  Any prefix completes
-    with leaf beads, the greatest code, so no branch is a dead end.
+    ``tables[m]`` holds the m-leaf beads in code order, as items that compare
+    as their codes, so comparing stars bead by bead orders their rotations
+    as their serializations, as ``tree_key`` does.  The beads are generated
+    as a prenecklace (Cattell, Ruskey, Sawada, Serra and Miers, *Fast
+    algorithms to generate necklaces, unlabeled necklaces and irreducible
+    polynomials over GF(2)*, 2000): with p the length of the longest Lyndon
+    prefix, the next bead is never less than the bead p places back.  So no
+    bead is less than the first, and a complete star is its own least
+    rotation exactly when p divides its bead count; periodic stars are kept.
+    Any prefix completes with leaf beads, the greatest code, so no branch is
+    a dead end.
 
-    The last bead takes all the leaves left, so the rule fixes it to one
-    contiguous run of ``tables[left]``: ``visit(prefix, star, codes,
-    beads, lo)`` stands for the least rotations ``(*star, beads[j])``, with
-    codes ``(*prefix, codes[j])``, for every j >= lo.  The lists are the
-    codes and the beads before the last one, valid during the call only.
-    Runs come, and stars within a run, ordered bead by bead by (leaf
-    count, code).  The single-bead stars, the n-leaf beads, are not runs,
-    so ``tables`` (see ``_bead_tables``) must reach n - 1 leaves.
+    The last bead takes all the leaves left, so the rule fixes it to one run
+    of ``tables[left]``: ``visit(prefix, table, lo)`` stands for the stars
+    ``(*prefix, table[j])``, j >= lo, with ``prefix`` valid during the call
+    only.  Runs, and the stars in a run, come ordered bead by bead by (leaf
+    count, code).  The n-leaf beads, single-bead stars, are not runs, so
+    ``tables`` must reach n - 1 leaves.
     """
-    prefix: list[bytes] = []
-    star: list[BinaryTree] = []
+    prefix: list = []
 
     def extend(left: int, p: int) -> None:
         # prefix is a prenecklace whose longest Lyndon prefix has length p
         t = len(prefix)
         floor = prefix[t - p]
         for m in range(1, left):
-            codes, beads = tables[m]
-            for j in range(bisect_left(codes, floor), len(codes)):
-                code = codes[j]
-                prefix.append(code)
-                star.append(beads[j])
-                extend(left - m, p if code == floor else t + 1)
+            table = tables[m]
+            for bead in table[bisect_left(table, floor) :]:
+                prefix.append(bead)
+                extend(left - m, p if bead == floor else t + 1)
                 prefix.pop()
-                star.pop()
         # a last bead above floor makes a Lyndon word; floor itself keeps p
-        codes, beads = tables[left]
-        lo = bisect_left(codes, floor)
-        if lo < len(codes) and codes[lo] == floor and (t + 1) % p:
+        table = tables[left]
+        lo = bisect_left(table, floor)
+        if lo < len(table) and table[lo] == floor and (t + 1) % p:
             lo += 1
-        visit(prefix, star, codes, beads, lo)
+        visit(prefix, table, lo)
 
     try:
         for m in range(1, n):
-            for code, bead in zip(*tables[m]):
-                prefix.append(code)
-                star.append(bead)
+            for bead in tables[m]:
+                prefix.append(bead)
                 extend(n - m, 1)
                 prefix.pop()
-                star.pop()
     finally:
         # extend refers to itself, a cycle that would keep the tables alive
         # until the next full garbage collection
@@ -218,40 +223,53 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     the order of their canonical rotations compared bead by bead by leaf
     count, then serialization; that is not key order.
     """
-    _check_leaves(n)
+    _check_leaves(n, "star_tree_classes")
+    if n == 1:
+        return {b"[L]": (LEAF,)}
     classes: dict[bytes, StarTree] = {}
 
-    def add(prefix: list, star: list, codes: tuple, beads: tuple, lo: int) -> None:
-        head = b"[" + b",".join(prefix) + b","
-        front = tuple(star)
-        for j in range(lo, len(codes)):
-            classes[head + codes[j] + b"]"] = (*front, beads[j])
+    def add(prefix: list, table: tuple, lo: int) -> None:
+        codes, front = zip(*prefix)
+        head = b"[" + b",".join(codes) + b","
+        for code, bead in table[lo:]:
+            classes[head + code + b"]"] = (*front, bead)
 
-    tables = _bead_tables(n - 1)
+    # the beads as (code, tree) pairs, which compare as their codes
+    tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
     _least_rotations(n, add, tables)
-    # a single bead is its own least rotation; the n-leaf beads are
-    # streamed, not kept
-    for code, bead in _compose(n, tables):
+    # a single bead is its own least rotation
+    for code, bead in singles:
         classes[b"[" + code + b"]"] = (bead,)
     return classes
 
 
 def star_tree_class_count(n: int) -> int:
-    """``len(star_tree_classes(n))``, holding no class in memory."""
-    _check_leaves(n)
+    """``len(star_tree_classes(n))``, holding no class in memory.
+
+    A bead's key is its code without ")", "(" as bit 0 and "L" as 1,
+    left-aligned in 2n - 3 bits.  Two codes never first differ at a ")",
+    which closes a node after its second child in both, so keys compare as
+    codes.  64-bit keys reach n = 33; no larger table could ever be built.
+    """
+    _check_leaves(n, "star_tree_class_count")
+    if n == 1:
+        return 1
+    if 2 * n - 3 > 64:
+        raise BoundExceededError(f"star_tree_class_count supports n <= 33, got {n}")
+    # imported here, so that importing the package does not load it
+    from array import array
+
     total = 0
 
-    def add(prefix: list, star: list, codes: tuple, beads: tuple, lo: int) -> None:
+    def add(prefix: list, table: array, lo: int) -> None:
         nonlocal total
-        total += len(codes) - lo
+        total += len(table) - lo
 
-    tables = _bead_tables(n - 1)
+    tables, _ = _bead_tables(n, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
     _least_rotations(n, add, tables)
-    # the single-bead classes, counted the way _compose(n) builds them: a
-    # left subtree with k leaves and a right one with n - k
-    if n == 1:
-        return total + 1
-    return total + sum(len(tables[k][0]) * len(tables[n - k][0]) for k in range(1, n))
+    # the single-bead classes, which _bead_tables streams and the count does
+    # not: a left subtree with k leaves and a right one with n - k
+    return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
 
 
 # -- the dual star tree of a triangulation -----------------------------------

@@ -3,15 +3,17 @@
 Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
-the pairwise triangulation predicate, the serializer, Euler's totient by
-trial division, the central binomial one prime at a time, the quiver
-BFS that canonicalizes every exchange-graph edge between classes, and
-dataclass twins of the package's value classes.
+the pairwise triangulation predicate, the serializer, the star tree count
+on tables of bead codes, Euler's totient by trial division, the central
+binomial one prime at a time, the quiver BFS that canonicalizes every
+exchange-graph edge between classes, and dataclass twins of the package's
+value classes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -221,6 +223,61 @@ def triangulations_by_flips(n: int) -> set[Triangulation]:
                 seen.add(t2)
                 frontier.append(t2)
     return seen
+
+
+# -- star trees ----------------------------------------------------------------
+
+
+def bead_code_tables(n: int) -> list[tuple[bytes, ...]]:
+    """``tables[m]``: the codes of the beads with m leaves, sorted, 1 <= m <= n.
+
+    A bead's code is ``b"L"`` or ``b"(" + left + right + b")"``; codes are
+    prefix-free, so a code's order is that of its (left, right) codes.
+    """
+    tables: list = [None, (b"L",)]
+    for m in range(2, n + 1):
+        lefts = sorted((code, k) for k in range(1, m) for code in tables[k])
+        tables.append(tuple(b"(" + x + y + b")" for x, k in lefts for y in tables[m - k]))
+    return tables
+
+
+def star_tree_class_count_by_codes(n: int) -> int:
+    """The star tree classes with n leaves, counted on tables of bead codes.
+
+    The count that integer bead keys replaced: each class's least rotation
+    is generated once as a prenecklace over the bytes codes (each bead at
+    least the one p places back, p the longest Lyndon prefix; a complete
+    star kept iff p divides its length), and the single-bead classes are
+    the beads with n leaves.
+    """
+    if n == 1:
+        return 1
+    tables = bead_code_tables(n - 1)
+    prefix: list[bytes] = []
+
+    def extend(left: int, p: int) -> int:
+        t = len(prefix)
+        floor = prefix[t - p]
+        count = 0
+        for m in range(1, left):
+            codes = tables[m]
+            for code in codes[bisect_left(codes, floor):]:
+                prefix.append(code)
+                count += extend(left - m, p if code == floor else t + 1)
+                prefix.pop()
+        codes = tables[left]
+        lo = bisect_left(codes, floor)
+        if lo < len(codes) and codes[lo] == floor and (t + 1) % p:
+            lo += 1
+        return count + len(codes) - lo
+
+    count = 0
+    for m in range(1, n):
+        for code in tables[m]:
+            prefix.append(code)
+            count += extend(n - m, 1)
+            prefix.pop()
+    return count + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
 
 
 # -- counting ------------------------------------------------------------------

@@ -800,12 +800,12 @@ def _first_dropped(real):
     def fake(n, visit, tables):
         dropped = False
 
-        def shortened(prefix, star, codes, beads, lo):
+        def shortened(prefix, table, lo):
             nonlocal dropped
-            if not dropped and lo < len(codes):
+            if not dropped and lo < len(table):
                 dropped = True
                 lo += 1
-            visit(prefix, star, codes, beads, lo)
+            visit(prefix, table, lo)
 
         real(n, shortened, tables)
 
@@ -861,3 +861,14 @@ def test_verify_counts_the_tree_route_without_its_class_map(capsys, monkeypatch,
     code, out, err = run(capsys, "verify", str(n), str(n))
     assert code == 0 and err == ""
     assert out.splitlines()[2:] == [row]
+
+
+@pytest.mark.parametrize("n", [34, 40])
+def test_verify_refuses_a_tree_count_past_64_bit_bead_keys(capsys, monkeypatch, n):
+    def no_tables(*args):
+        raise AssertionError("bead tables were built before n was checked")
+
+    monkeypatch.setattr(trees, "_bead_tables", no_tables)
+    code, out, err = run(capsys, "verify", str(n), str(n), "--tree-bound", str(n))
+    assert code == 3 and out == ""
+    assert err == f"error: star_tree_class_count supports n <= 33, got {n}\n"

@@ -14,8 +14,10 @@ from dquiver.trees import star_from_json_obj
 
 KEYS = ("n", "diagonals", "arc", "radius", "tag", "rank", "arrows", "beads")
 
-# Integers stay small: a valid rank allocates a rank x rank matrix, so a
-# large one tests memory, not parsing.
+# Integers stay small: a rank past quiver.MAX_JSON_RANK or an n past
+# polygon.MAX_JSON_N is refused with BoundExceededError (exit 3), not the
+# ValueError asserted here, and -3..12 already reaches every type and range
+# check, past n = 3 and rank 1 alike.
 json_values = st.recursive(
     st.none()
     | st.booleans()

@@ -1,9 +1,13 @@
 import json
+import re
 import tracemalloc
+from array import array
 
 import pytest
 
+from dquiver import trees
 from dquiver.counting import necklace_count
+from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
     NOTCHED,
     PLAIN,
@@ -21,8 +25,10 @@ from dquiver.quiver import delete_vertex, dynkin_d, mutate
 from dquiver.trees import (
     LEAF,
     _bead_tables,
-    _compose,
+    _join_codes,
+    _join_keys,
     _least_rotation,
+    _serialize_bead,
     apply_tree_move,
     canonical_star,
     leaf_count,
@@ -40,7 +46,7 @@ from dquiver.trees import (
     triangulation_of,
 )
 
-from helpers import enumerate_star_trees
+from helpers import bead_code_tables, enumerate_star_trees, star_tree_class_count_by_codes
 
 COMB5 = ((((LEAF, LEAF), LEAF), LEAF), LEAF)
 
@@ -83,6 +89,37 @@ def test_enumeration_matches_necklace_formula():
 def test_enumeration_needs_a_leaf(enumeration, n):
     with pytest.raises(ValueError, match=f"need n >= 1 leaves, got {n}"):
         enumeration(n)
+
+
+@pytest.mark.parametrize("n", [True, False, 5.0, 4.0, "5", None])
+@pytest.mark.parametrize("function", [star_tree_classes, star_tree_class_count, leaf_star])
+def test_leaf_counts_must_be_integers(function, n):
+    # a bool or a float is rejected, not reinterpreted
+    message = f"{function.__name__} needs an integer n, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(n)
+
+
+def test_the_count_refuses_keys_wider_than_64_bits(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_tables(*args):
+        raise Built
+
+    # the check comes before any table: n = 33 goes on to build them, with
+    # keys of 63 bits, and n = 34 is refused
+    monkeypatch.setattr(trees, "_bead_tables", no_tables)
+    with pytest.raises(Built):
+        star_tree_class_count(33)
+    for n in (34, 35, 10**6):
+        with pytest.raises(BoundExceededError, match=f"supports n <= 33, got {n}$"):
+            star_tree_class_count(n)
+    # keys of 2n - 3 bits, below 1 << 63 at n = 33; the leaf key 1 << 2n - 4
+    # would not fit at n = 34
+    array("Q", [(1 << 2 * 33 - 3) - 1])
+    with pytest.raises(OverflowError):
+        array("Q", [1 << 2 * 34 - 4])
 
 
 def test_all_leaf_beads_is_the_unique_flat_star():
@@ -334,14 +371,42 @@ def test_least_rotation_matches_the_serialize_every_rotation_oracle():
 
 
 def test_bead_codes_are_the_serializations_in_code_order():
-    tables = _bead_tables(9)
-    for m in range(1, 10):
-        codes, beads = tables[m]
-        assert list(codes) == sorted(codes)
-        assert sorted(zip(codes, beads)) == sorted(
+    tables, streamed = _bead_tables(10, (b"L", LEAF), _join_codes, tuple)
+    for m, beads in enumerate([*tables[1:], tuple(streamed)], 1):
+        assert list(beads) == sorted(beads)
+        assert sorted(beads) == sorted(
             (_serialize_bead_oracle(bead), bead) for bead in _binary_trees_oracle(m)
         )
-        assert list(_compose(m, tables)) == list(zip(codes, beads))
+    # the code tables of the tests' oracle count are the same
+    assert [tuple(code for code, _ in beads) for beads in tables[1:]] == bead_code_tables(9)[1:]
+
+
+def _key_of_code(code, width):
+    """A bead's key read off its code: ")" dropped, "(" as 0 and "L" as 1, left-aligned."""
+    word = code.replace(b")", b"").replace(b"(", b"0").replace(b"L", b"1")
+    return int(word, 2) << width - len(word)
+
+
+def test_bead_keys_order_the_beads_as_their_codes():
+    # the beads with up to 11 leaves: the tables of star_tree_class_count(12),
+    # whose keys are 21 bits wide
+    keys, _ = _bead_tables(12, 1 << 20, _join_keys, lambda beads: array("Q", beads))
+    codes, _ = _bead_tables(12, (b"L", LEAF), _join_codes, tuple)
+    pairs = []
+    for m in range(1, 12):
+        assert list(keys[m]) == sorted(keys[m])
+        for key, (code, bead) in zip(keys[m], codes[m], strict=True):
+            assert code == _serialize_bead(bead)
+            assert key == _key_of_code(code, 21)
+            pairs.append((key, code))
+    assert len(pairs) == 23714
+    # across leaf counts too: key order is code order
+    assert sorted(pairs) == sorted(pairs, key=lambda pair: pair[1])
+
+
+def test_key_count_matches_the_code_table_count():
+    for n in range(1, 14):
+        assert star_tree_class_count(n) == star_tree_class_count_by_codes(n)
 
 
 def test_star_tree_classes_match_the_sorted_oracle():
@@ -354,7 +419,9 @@ def test_star_tree_classes_match_the_sorted_oracle():
 
 
 def test_bead_tables_do_not_outlive_the_count():
-    # the tables of the beads with 1..12 leaves take about 12 MB
+    # the key tables of the beads with 1..12 leaves take 0.66 MB: 82 500
+    # keys of 8 bytes
+    star_tree_class_count(2)  # imports array, which the count loads on first use
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -362,7 +429,19 @@ def test_bead_tables_do_not_outlive_the_count():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 1 << 20
+    assert held < 1 << 17
+
+
+def test_the_count_peaks_below_2_mb():
+    # 17.6 MB on tables of bytes codes and bead tuples, 1.3 MB on keys
+    star_tree_class_count(2)
+    tracemalloc.start()
+    try:
+        assert star_tree_class_count(13) == 400024
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_star_tree_classes_come_bead_by_bead_in_leaf_count_then_code_order():
