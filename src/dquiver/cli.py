@@ -378,31 +378,24 @@ def _cmd_mutate(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-# agreement key -> the report field holding a route's count, the reference
-# it must equal, and the route that fails when it does not
-_AGREEMENTS = (
-    ("quiver_bfs_vs_formula", "quiver_bfs_count", "formula", "quiver_bfs"),
-    ("trees_vs_necklace", "tree_count", "necklace", "trees"),
-    ("triangulations_vs_formula", "triangulation_class_count", "formula", "triangulations"),
-    ("trees_vs_formula", "tree_count", "formula", "trees"),
+# agreement key, the route (a key of _ROUTES) whose count it checks, the
+# reference that count must equal, and the count allowed instead at n = 4:
+# there the formula gives 6 classes, but triangulations up to rotation and
+# tag inversion and star trees give 10, a documented fact, not a failure
+_CHECKS = (
+    ("quiver_bfs_vs_formula", "quivers", "formula", None),
+    ("trees_vs_necklace", "trees", "necklace", None),
+    ("triangulations_vs_formula", "triangulations", "formula", 10),
+    ("trees_vs_formula", "trees", "formula", 10),
 )
-
-# (agreement key, n, count) disagreements that are documented facts, not
-# failures: at n = 4 the formula gives 6 classes, but triangulations up to
-# rotation and tag inversion and star trees give 10
-_ALLOWED_DIVERGENCES = {
-    ("triangulations_vs_formula", 4, 10),
-    ("trees_vs_formula", 4, 10),
-}
 
 
 def _verify_one(n: int, args) -> dict:
     report: dict = {"n": n, "agreement": {}, "wall_time": {}}
 
     start = time.perf_counter()
-    formula = counting.d_count(n)
-    necklace = counting.necklace_count(n)
-    report["formula_count"] = formula
+    references = {"formula": counting.d_count(n), "necklace": counting.necklace_count(n)}
+    report["formula_count"] = references["formula"]
     report["wall_time"]["formula"] = time.perf_counter() - start
 
     for what, (_, _, _, field, timer) in _ROUTES.items():
@@ -414,18 +407,18 @@ def _verify_one(n: int, args) -> dict:
         report[field] = _class_count(what, n, bound, args.seed_orientation)
         report["wall_time"][timer] = time.perf_counter() - start
 
-    references = {"formula": formula, "necklace": necklace}
     agreement = report["agreement"]
     failures = []
     diverged = False
-    for key, field, reference, route in _AGREEMENTS:
+    for key, what, reference, allowed in _CHECKS:
+        _, _, _, field, route = _ROUTES[what]
         count = report[field]
         if count == "skipped":
             continue
         agreement[key] = count == references[reference]
         if agreement[key]:
             continue
-        if (key, n, count) in _ALLOWED_DIVERGENCES:
+        if n == 4 and count == allowed:
             diverged = True
         elif route not in failures:
             failures.append(route)

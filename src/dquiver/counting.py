@@ -29,7 +29,7 @@ import math
 import sys
 from itertools import compress, islice
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, _check_int
 
 __all__ = ["catalan", "necklace_count", "d_count", "a_count", "d_cluster_count"]
 
@@ -136,15 +136,6 @@ def _divisors_with_phi(n: int, sieve: bytearray) -> list[tuple[int, int]]:
         powers = [(p**b, p ** (a - b - 1) * (p - 1)) for b in range(a)] + [(p**a, 1)]
         pairs = [(d * q, phi * f) for d, phi in pairs for q, f in powers]
     return pairs
-
-
-def _check_int(count: str, name: str, value: int, least: int) -> None:
-    """ValueError unless ``value`` is an int (not a bool) of at least ``least``."""
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(value) is not int:
-        raise ValueError(f"{count} needs an integer {name}, got {value!r}")
-    if value < least:
-        raise ValueError(f"{count} needs {name} >= {least}, got {value}")
 
 
 def _catalan(i: int, sieve: bytearray) -> int:

@@ -58,7 +58,7 @@ from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, _check_int
 from .quiver import Quiver, _read_only
 
 # largest n of a JSON triangulation, read or written: checking it builds
@@ -154,21 +154,13 @@ def opposite_tag(tag: str) -> str:
     return NOTCHED if tag == PLAIN else PLAIN
 
 
-def _check_n(n: int) -> None:
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(n) is not int:
-        raise ValueError(f"punctured polygon needs an integer n, got {n!r}")
-    if n < 3:
-        raise ValueError(f"punctured polygon needs n >= 3, got {n}")
-
-
 def check_diagonal(d: Diagonal, n: int) -> None:
     """Raise ValueError unless ``d`` is a valid diagonal of the n-gon.
 
     n and the endpoints must be ints; a bool or a float is rejected, since
     ``Radius(True, PLAIN)`` would otherwise pass as ``Radius(1, PLAIN)``.
     """
-    _check_n(n)
+    _check_int("punctured polygon", "n", n, 3)
     if isinstance(d, Arc):
         if type(d.a) is not int or type(d.b) is not int:
             raise ValueError(f"{d} endpoints must be integers")
@@ -227,7 +219,7 @@ def crossing_number(d1: Diagonal, d2: Diagonal, n: int) -> int:
 
 def all_diagonals(n: int) -> list[Diagonal]:
     """Every diagonal of the punctured n-gon: n(n-2) arcs plus 2n radii."""
-    _check_n(n)
+    _check_int("punctured polygon", "n", n, 3)
     out: list[Diagonal] = [
         Arc(a, (a + k) % n) for a in range(n) for k in range(2, n)
     ]
@@ -379,7 +371,7 @@ class Triangulation:
     __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
-        _check_n(n)
+        _check_int("punctured polygon", "n", n, 3)
         ds = frozenset(diagonals)
         for d in ds:
             check_diagonal(d, n)

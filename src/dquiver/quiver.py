@@ -25,7 +25,7 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, _check_int
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -525,11 +525,7 @@ def _oriented(edges: list[tuple[int, int]], orientation) -> list[tuple[int, int]
 
 def dynkin_a(n: int, orientation: Sequence[bool] | None = None) -> Quiver:
     """An orientation of the A_n path 0 - 1 - ... - n-1 (default: forward)."""
-    if _orders(n) and n < 1:
-        raise ValueError(f"type A needs n >= 1, got {n}")
-    # a bool n goes on to the rank check, which rejects it
-    if not isinstance(n, int):
-        raise ValueError(f"type A needs an integer n, got {n!r}")
+    _check_int("type A", "n", n, 1)
     edges = [(i, i + 1) for i in range(n - 1)]
     return Quiver.from_arrows(n, _oriented(edges, orientation))
 
@@ -540,9 +536,6 @@ def dynkin_d(n: int, orientation: Sequence[bool] | None = None) -> Quiver:
     The diagram is the path 0 - 1 - ... - (n-3) with the fork vertices
     n-2 and n-1 both attached to n-3.  D_3 coincides with the A_3 path.
     """
-    if _orders(n) and n < 3:
-        raise ValueError(f"type D needs n >= 3, got {n}")
-    if not isinstance(n, int):
-        raise ValueError(f"type D needs an integer n, got {n!r}")
+    _check_int("type D", "n", n, 3)
     edges = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
     return Quiver.from_arrows(n, _oriented(edges, orientation))

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, _check_int
 from .polygon import (
     LEAF,
     NOTCHED,
@@ -66,39 +66,27 @@ __all__ = [
 
 
 def leaf_count(tree: BinaryTree) -> int:
+    """The leaves of a bead; ValueError naming the innermost subtree that is
+    neither a leaf nor a pair."""
     if tree == LEAF:
         return 1
-    return leaf_count(tree[0]) + leaf_count(tree[1])
-
-
-def _check_leaves(n: int, caller: str) -> None:
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(n) is not int:
-        raise ValueError(f"{caller} needs an integer n, got {n!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 leaves, got {n}")
+    if isinstance(tree, tuple) and len(tree) == 2:
+        return leaf_count(tree[0]) + leaf_count(tree[1])
+    raise ValueError(f"not a full binary tree: {tree!r}")
 
 
 def leaf_star(n: int) -> StarTree:
     """The star tree of n bare leaf beads; the dual tree of the plain fan."""
-    _check_leaves(n, "leaf_star")
+    _check_int("leaf_star", "n", n, 1)
     return (LEAF,) * n
-
-
-def _check_bead(tree: BinaryTree) -> None:
-    if tree == LEAF:
-        return
-    if isinstance(tree, tuple) and len(tree) == 2:
-        _check_bead(tree[0])
-        _check_bead(tree[1])
-        return
-    raise ValueError(f"not a full binary tree: {tree!r}")
 
 
 def _serialize_bead(tree: BinaryTree) -> bytes:
     if tree == LEAF:
         return b"L"
-    return b"(" + _serialize_bead(tree[0]) + _serialize_bead(tree[1]) + b")"
+    if isinstance(tree, tuple) and len(tree) == 2:
+        return b"(" + _serialize_bead(tree[0]) + _serialize_bead(tree[1]) + b")"
+    raise ValueError(f"not a full binary tree: {tree!r}")
 
 
 def _least_rotation(star: StarTree) -> tuple[bytes, StarTree]:
@@ -223,7 +211,7 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     the order of their canonical rotations compared bead by bead by leaf
     count, then serialization; that is not key order.
     """
-    _check_leaves(n, "star_tree_classes")
+    _check_int("star_tree_classes", "n", n, 1)
     if n == 1:
         return {b"[L]": (LEAF,)}
     classes: dict[bytes, StarTree] = {}
@@ -251,7 +239,7 @@ def star_tree_class_count(n: int) -> int:
     which closes a node after its second child in both, so keys compare as
     codes.  64-bit keys reach n = 33; no larger table could ever be built.
     """
-    _check_leaves(n, "star_tree_class_count")
+    _check_int("star_tree_class_count", "n", n, 1)
     if n == 1:
         return 1
     if 2 * n - 3 > 64:
@@ -312,8 +300,6 @@ def triangulation_of(star: StarTree, n: int) -> Triangulation:
     """
     if not star:
         raise ValueError("star tree needs at least one bead")
-    for bead in star:
-        _check_bead(bead)
     counts = [leaf_count(bead) for bead in star]
     if sum(counts) != n:
         raise ValueError(f"star tree has {sum(counts)} leaves, expected {n}")

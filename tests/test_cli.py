@@ -730,6 +730,19 @@ def test_verify_reports_expected_divergence_at_four(capsys):
     assert "10" in out and "6" in out
 
 
+def test_verify_prints_one_row_per_n_under_its_header(capsys):
+    code, out, err = run(capsys, "verify", "3", "6")
+    assert (code, err) == (0, "")
+    assert out == (
+        "  n    formula quiver_bfs   triang    trees  status\n"
+        "---------------------------------------------------\n"
+        "  3          4          4        4        4  ok\n"
+        "  4          6          6       10       10  ok (expected divergence at n=4)\n"
+        "  5         26         26       26       26  ok\n"
+        "  6         80         80       80       80  ok\n"
+    )
+
+
 def test_verify_skips_out_of_bound_methods(capsys, tmp_path):
     report_file = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "11", "11", "--json", str(report_file))
@@ -833,6 +846,25 @@ def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n,
     code, out, _ = run(capsys, "verify", str(n), str(n))
     assert code == 1
     assert out.splitlines()[2].endswith(f"FAIL: {route}")
+
+
+@pytest.mark.parametrize(
+    "n, module, name, ten, row",
+    [
+        # the quiver route's check allows nothing at n = 4
+        (4, quiver, "mutation_class_representatives", dict.fromkeys(range(10)),
+         "  4          6         10       10       10  FAIL: quiver_bfs"),
+        # the triangulation route's allowance holds at n = 4 only
+        (5, polygon, "triangulation_class_count", 10,
+         "  5         26         26       10       26  FAIL: triangulations"),
+    ],
+    ids=["quivers", "triangulations"],
+)
+def test_verify_allows_ten_classes_only_where_a_check_says_so(capsys, monkeypatch, n, module, name, ten, row):
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: ten)
+    code, out, _ = run(capsys, "verify", str(n), str(n))
+    assert code == 1
+    assert out.splitlines()[2:] == [row]
 
 
 def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypatch):

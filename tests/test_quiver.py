@@ -80,6 +80,9 @@ def test_constructors_keep_their_errors(build, message):
         (lambda: Quiver(None, ((0,),)), "rank must be an integer, got None"),
         (lambda: dynkin_d(5.0), "type D needs an integer n, got 5.0"),
         (lambda: dynkin_a(4.0), "type A needs an integer n, got 4.0"),
+        (lambda: dynkin_a(True), "type A needs an integer n, got True"),
+        (lambda: dynkin_d(True), "type D needs an integer n, got True"),
+        (lambda: dynkin_d(0.5), "type D needs an integer n, got 0.5"),
     ],
 )
 def test_constructors_reject_entries_that_are_not_integers(build, message):

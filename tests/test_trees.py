@@ -57,6 +57,34 @@ def test_leaf_count():
     assert leaf_count(COMB5) == 5
 
 
+@pytest.mark.parametrize(
+    "bead, bad",
+    [
+        ((LEAF, LEAF, LEAF), (LEAF, LEAF, LEAF)),
+        ("x", "x"),
+        ((LEAF,), (LEAF,)),
+        (5, 5),
+        # the innermost subtree that is neither a leaf nor a pair is named
+        ((LEAF, ((LEAF, LEAF), "x")), "x"),
+        (((LEAF, LEAF), (LEAF, [LEAF, LEAF])), [LEAF, LEAF]),
+    ],
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        leaf_count,
+        lambda bead: tree_key((LEAF, bead)),
+        lambda bead: canonical_star((bead,)),
+        lambda bead: triangulation_of((LEAF, bead), 3),
+    ],
+    ids=["leaf_count", "tree_key", "canonical_star", "triangulation_of"],
+)
+def test_a_bead_that_is_not_a_full_binary_tree_is_named(check, bead, bad):
+    with pytest.raises(ValueError) as err:
+        check(bead)
+    assert str(err.value) == f"not a full binary tree: {bad!r}"
+
+
 def test_tree_key_quotients_by_rotation_only():
     t1, t2 = (LEAF, LEAF), ((LEAF, LEAF), LEAF)
     assert tree_key((t1, t2)) == tree_key((t2, t1))
@@ -87,7 +115,7 @@ def test_enumeration_matches_necklace_formula():
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("enumeration", [star_tree_classes, star_tree_class_count])
 def test_enumeration_needs_a_leaf(enumeration, n):
-    with pytest.raises(ValueError, match=f"need n >= 1 leaves, got {n}"):
+    with pytest.raises(ValueError, match=f"{enumeration.__name__} needs n >= 1, got {n}"):
         enumeration(n)
 
 
