@@ -2,9 +2,11 @@
 
 Runs ``verify``, ``count`` and ``enumerate`` in a temporary directory and
 compares what they write with what bench/reference.json pins; the
-reference file is only read.  After ``pip install -e .``, run it from
-anywhere as ``python .github/check_console.py``.  It exits 0 when every
-check holds, and otherwise with the message of the first that fails.
+reference file is only read.  Then it feeds each JSON reader one
+malformed file, which must exit 2 with one ``error:`` line and write no
+output.  After ``pip install -e .``, run it from anywhere as
+``python .github/check_console.py``.  It exits 0 when every check holds,
+and otherwise with the message of the first that fails.
 """
 
 import hashlib
@@ -58,6 +60,25 @@ def main() -> None:
             got = hashlib.sha256((work / name).read_bytes()).hexdigest()
             if got != want:
                 sys.exit(f"{name} has SHA-256 {got}, bench/reference.json pins {want}")
+
+        radii = [{"radius": a, "tag": "plain"} for a in (1, 2)]
+        for name, obj, argv in [
+            ("float_vertex.json", {"rank": 2, "arrows": [[0, 1.5]]},
+             ["mutate", "--what", "quiver", "--at", "0"]),
+            ("unknown_tag.json", {"n": 3, "diagonals": [{"radius": 0, "tag": "tagged"}, *radii]},
+             ["convert", "--from", "triangulation", "--to", "tree"]),
+            ("three_element_bead.json", {"beads": [["L", "L", "L"]]},
+             ["convert", "--from", "tree", "--to", "triangulation"]),
+        ]:
+            (work / name).write_text(json.dumps(obj))
+            run = subprocess.run(["dquiver", *argv, name, "--out", "out.json"],
+                                 cwd=tmp, capture_output=True, text=True)
+            lines = run.stderr.splitlines()
+            if not (run.returncode == 2 and len(lines) == 1 and lines[0].startswith("error: ")):
+                sys.exit(f"dquiver {' '.join(argv)} {name} should exit 2 with one error: line, "
+                         f"got exit {run.returncode} and stderr {run.stderr!r}")
+            if (work / "out.json").exists():
+                sys.exit(f"dquiver {' '.join(argv)} {name} left its --out file")
 
 
 if __name__ == "__main__":

@@ -372,9 +372,12 @@ class Triangulation:
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         _check_int("punctured polygon", "n", n, 3)
-        ds = frozenset(diagonals)
+        # each diagonal is checked before it is hashed: a JSON endpoint or tag
+        # such as [0] is unhashable, and raises ValueError here, not TypeError
+        ds = list(diagonals)
         for d in ds:
             check_diagonal(d, n)
+        ds = frozenset(ds)
         # checked before the table is built, whose size grows as n^2
         if len(ds) != n:
             raise ValueError(f"a triangulation of the {n}-gon needs {n} diagonals, got {len(ds)}")
@@ -447,24 +450,17 @@ def triangulation_to_json_obj(t: Triangulation) -> dict:
     return {"n": t.n, "diagonals": out}
 
 
-def _json_int(value, what: str) -> int:
-    # bool is an int subclass, and a float would be rewritten to the table's
-    # int diagonal: both are rejected rather than reinterpreted
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _check_json_n(n: int) -> None:
     """Refuse a JSON triangulation past ``MAX_JSON_N``, before any table is built."""
-    if n > MAX_JSON_N:
+    if type(n) is int and n > MAX_JSON_N:
         raise BoundExceededError(f"n = {n} exceeds the JSON triangulation limit {MAX_JSON_N}")
 
 
 def triangulation_from_json_obj(obj: dict) -> Triangulation:
+    # only the JSON shape and the size limit: Triangulation checks every value
     if not isinstance(obj, dict) or "n" not in obj or "diagonals" not in obj:
         raise ValueError('expected an object with "n" and "diagonals"')
-    n = _json_int(obj["n"], "n")
+    n = obj["n"]
     _check_json_n(n)
     if not isinstance(obj["diagonals"], list):
         raise ValueError('"diagonals" must be a list')
@@ -474,11 +470,9 @@ def triangulation_from_json_obj(obj: dict) -> Triangulation:
             ends = item["arc"]
             if not isinstance(ends, list) or len(ends) != 2:
                 raise ValueError(f"an arc needs two endpoints, got {ends!r}")
-            ds.append(Arc(_json_int(ends[0], "arc endpoint"), _json_int(ends[1], "arc endpoint")))
+            ds.append(Arc(*ends))
         elif isinstance(item, dict) and item.keys() == {"radius", "tag"}:
-            if item["tag"] not in _TAGS:
-                raise ValueError(f"unknown radius tag: {item['tag']!r}")
-            ds.append(Radius(_json_int(item["radius"], "radius base"), item["tag"]))
+            ds.append(Radius(item["radius"], item["tag"]))
         else:
             raise ValueError(f"unrecognized diagonal entry: {item!r}")
     return Triangulation(n, ds)
@@ -636,29 +630,27 @@ def _orbit_key(images: int, n: int) -> int:
 
 
 def _class_masks(n: int) -> Iterator[int]:
-    """The first mask of each triangulation class, by clique search.
+    """The least mask of each triangulation class, by clique search.
 
     The search ORs each chosen diagonal's packed images, so every
-    triangulation comes with all its images, and ``_orbit_key`` sorts it
-    into its class by integer comparison.  The search builds compatibility
-    and size in, but not the radius shape, so that is read off every mask.
+    triangulation comes with all its images, and a mask is kept only when
+    it is the least of them, ``_orbit_key``.  The search builds
+    compatibility and size in, but not the radius shape, so that is read
+    off every mask.
     """
     table = _diagonal_table(n)
     full = (1 << len(table.diagonals)) - 1
-    seen: set[int] = set()
     for images in _cliques(table, _orbit_images(table)):
         mask = images & full
         _radius_config(n, mask)
-        key = _orbit_key(images, n)
-        if key not in seen:
-            seen.add(key)
+        if mask == _orbit_key(images, n):
             yield mask
 
 
 def triangulation_classes(n: int) -> dict[bytes, Triangulation]:
     """``{class_key(t): class representative}`` over all triangulations of the n-gon.
 
-    A ``Triangulation`` is built only for the first member of each class,
+    A ``Triangulation`` is built only for the least member of each class,
     which ``class_representative`` turns into the key and the representative.
     """
     return dict(class_representative(Triangulation._of(n, mask)) for mask in _class_masks(n))

@@ -9,9 +9,10 @@ derived from them when read.  Mutation and canonicalization work on sparse rows 
 which cannot represent a 2-cycle at all; that makes the cancellation step of
 quiver mutation automatic.
 
-``Quiver(rank, b)`` and ``Quiver.from_arrows`` check their input once.  Every
-quiver built inside the package (a mutation, a canonical form, a class
-representative, ``polygon.quiver_of``) goes through ``Quiver._of``
+``Quiver(rank, b)`` and ``Quiver.from_arrows`` check every value once;
+``Quiver.from_json_obj`` checks only the JSON shape and the size limit.
+Every quiver built inside the package (a mutation, a canonical form, a
+class representative, ``polygon.quiver_of``) goes through ``Quiver._of``
 unchecked, from arrows that are valid by construction.
 
 All values are immutable after construction (``b`` is cached on first read,
@@ -50,20 +51,12 @@ __all__ = [
 ]
 
 
-def _orders(*values) -> bool:
-    """Whether every value compares with an int, as a bool or a float does."""
-    try:
-        min(0, *values)
-    except TypeError:
-        return False
-    return True
-
-
 def _check_rank(rank: int) -> None:
-    if _orders(rank) and rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    # type(...) is int: a bool or a float is rejected, not reinterpreted
     if type(rank) is not int:
         raise ValueError(f"rank must be an integer, got {rank!r}")
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
 
 
 def _read_only(self, name: str, *value) -> None:
@@ -88,17 +81,6 @@ class Quiver:
         _check_rank(rank)
         if len(b) != rank or any(len(row) != rank for row in b):
             raise ValueError(f"matrix shape does not match rank {rank}")
-        for i in range(rank):
-            if b[i][i] != 0:
-                raise ValueError(f"nonzero diagonal entry at vertex {i} (loop)")
-            for j in range(i):
-                x = b[j][i]
-                try:
-                    negated = -x
-                except TypeError:
-                    raise ValueError(f"matrix entry ({j},{i}) is not an integer: {x!r}") from None
-                if b[i][j] != negated:
-                    raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
         arrows = []
         for i, row in enumerate(b):
             for j, x in enumerate(row):
@@ -107,6 +89,12 @@ class Quiver:
                     raise ValueError(f"matrix entry ({i},{j}) is not an integer: {x!r}")
                 if x > 0:
                     arrows.append((i, j, x))
+        for i in range(rank):
+            if b[i][i] != 0:
+                raise ValueError(f"nonzero diagonal entry at vertex {i} (loop)")
+            for j in range(i):
+                if b[i][j] != -b[j][i]:
+                    raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
         vars(self).update(rank=rank, _arrows=tuple(arrows))
 
     __setattr__ = __delattr__ = _read_only
@@ -131,25 +119,19 @@ class Quiver:
 
     @classmethod
     def from_arrows(cls, rank: int, arrows: Iterable[tuple[int, int]]) -> "Quiver":
-        if not _orders(rank):
-            _check_rank(rank)  # a rank no vertex compares with is not an integer
+        _check_rank(rank)
         arrows = list(arrows)
         for arrow in arrows:
             try:
                 i, j = arrow
             except (TypeError, ValueError):
                 raise ValueError(f"arrow {arrow!r} is not a pair of vertices") from None
-            try:
-                inside = 0 <= i < rank and 0 <= j < rank
-            except TypeError:
-                raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer") from None
-            if not inside:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer")
+            if not (0 <= i < rank and 0 <= j < rank):
                 raise ValueError(f"arrow ({i},{j}) out of range for rank {rank}")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not representable")
-            if type(i) is not int or type(j) is not int:
-                raise ValueError(f"arrow ({i!r},{j!r}) has a vertex that is not an integer")
-        _check_rank(rank)
         return _quiver(_rows(rank, ((i, j, 1) for i, j in arrows)), range(rank))
 
     @cached_property
@@ -170,17 +152,13 @@ class Quiver:
         if not isinstance(obj, dict) or "rank" not in obj or "arrows" not in obj:
             raise ValueError('expected an object with "rank" and "arrows"')
         rank, arrows = obj["rank"], obj["arrows"]
-        # type(...) is int: a bool or a float is rejected, not reinterpreted
-        if type(rank) is not int or rank < 1:
-            raise ValueError(f"invalid rank: {rank!r}")
+        # the size limit first, so that a rank past it exits 3 whatever else is wrong
+        if type(rank) is int and rank > MAX_JSON_RANK:
+            raise BoundExceededError(f"rank {rank} exceeds the JSON rank limit {MAX_JSON_RANK}")
         if not isinstance(arrows, list):
             raise ValueError(f'"arrows" must be a list, got {arrows!r}')
-        for a in arrows:
-            if not (isinstance(a, list) and len(a) == 2 and all(type(v) is int for v in a)):
-                raise ValueError(f"an arrow is a pair of integer vertices, got {a!r}")
-        if rank > MAX_JSON_RANK:
-            raise BoundExceededError(f"rank {rank} exceeds the JSON rank limit {MAX_JSON_RANK}")
-        return cls.from_arrows(rank, (tuple(a) for a in arrows))
+        # from_arrows checks the rank and every arrow; a JSON [i, j] unpacks as a pair
+        return cls.from_arrows(rank, arrows)
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]

@@ -409,6 +409,48 @@ def test_mutate_rejects_bool_and_float_numbers(capsys, tmp_path, what, obj):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def _triangle(first):
+    """The plain fan of the triangle with its first radius replaced."""
+    return {"n": 3, "diagonals": [first] + [{"radius": a, "tag": "plain"} for a in (1, 2)]}
+
+
+_MUTATE_TRIANGULATION = ("mutate", "--what", "triangulation", "--at", "0")
+_CONVERT_TRIANGULATION = ("convert", "--from", "triangulation", "--to", "tree")
+_MUTATE_QUIVER = ("mutate", "--what", "quiver", "--at", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, obj, code, message",
+    [
+        (_MUTATE_TRIANGULATION, _triangle({"radius": 5, "tag": "plain"}), 2,
+         "Radius(a=5, tag='plain') base out of range for n=3"),
+        (_CONVERT_TRIANGULATION, _triangle({"radius": 0, "tag": "tagged"}), 2,
+         "Radius(a=0, tag='tagged') has unknown tag"),
+        (_MUTATE_TRIANGULATION, _triangle({"arc": [0, 2.0]}), 2,
+         "Arc(a=0, b=2.0) endpoints must be integers"),
+        # an unhashable endpoint is checked before the diagonals are hashed
+        (_CONVERT_TRIANGULATION, _triangle({"arc": [[0], 2]}), 2,
+         "Arc(a=[0], b=2) endpoints must be integers"),
+        (_MUTATE_QUIVER, {"rank": 2, "arrows": [[0, 1.5]]}, 2,
+         "arrow (0,1.5) has a vertex that is not an integer"),
+        # a size past the JSON limit exits 3 whatever else is wrong
+        (_MUTATE_QUIVER, {"rank": 2000, "arrows": [[0, 1.5]]}, 3,
+         f"rank 2000 exceeds the JSON rank limit {quiver.MAX_JSON_RANK}"),
+    ],
+)
+def test_json_input_gets_the_constructors_one_line_error(capsys, tmp_path, argv, obj, code, message):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(obj))
+    assert run(capsys, *argv, str(src)) == (code, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source, to", [("tree", "quiver"), ("triangulation", "triangulation")])
+def test_convert_names_a_pair_it_does_not_define(capsys, tmp_path, source, to):
+    src = _leaf_star_file(tmp_path, 3) if source == "tree" else write_fan(tmp_path, 3)
+    code, out, err = run(capsys, "convert", "--from", source, "--to", to, str(src))
+    assert (code, out, err) == (2, "", f"error: conversion {source} -> {to} is not defined\n")
+
+
 def test_mutate_bad_position(capsys, tmp_path):
     src = tmp_path / "r3.json"
     src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(3))))
@@ -904,3 +946,26 @@ def test_verify_refuses_a_tree_count_past_64_bit_bead_keys(capsys, monkeypatch, 
     code, out, err = run(capsys, "verify", str(n), str(n), "--tree-bound", str(n))
     assert code == 3 and out == ""
     assert err == f"error: star_tree_class_count supports n <= 33, got {n}\n"
+
+
+# the routes stay independent: each route's count and class map run in
+# cli, errors (the int checks) and the route's own module, and nowhere else
+@pytest.mark.parametrize(
+    "what, module",
+    [("quivers", "dquiver.quiver"), ("triangulations", "dquiver.polygon"), ("trees", "dquiver.trees")],
+)
+@pytest.mark.parametrize("build", [cli._class_count, cli._class_map], ids=["count", "map"])
+def test_each_route_runs_only_in_its_own_module(what, module, build):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_globals.get("__name__"))
+
+    sys.setprofile(profile)
+    try:
+        build(what, 7, 7, None)
+    finally:
+        sys.setprofile(None)
+    ours = {name for name in entered if isinstance(name, str) and name.split(".")[0] == "dquiver"}
+    assert {"dquiver.cli", module} <= ours <= {"dquiver.cli", "dquiver.errors", module}

@@ -371,6 +371,13 @@ def test_factor_out_requires_close_to_border():
         factor_out(t, Arc(1, 3))  # not a member
 
 
+def test_factor_out_refuses_the_triangle():
+    t = Triangulation(3, [Arc(0, 2), Radius(0, PLAIN), Radius(0, NOTCHED)])
+    with pytest.raises(ValueError) as err:
+        factor_out(t, Arc(0, 2))
+    assert str(err.value) == "factoring out needs n >= 4"
+
+
 def test_factor_out_wraps_around_zero():
     t = Triangulation(5, [Arc(4, 1)] + [Radius(a, PLAIN) for a in (1, 2, 3, 4)])
     out = factor_out(t, Arc(4, 1))

@@ -49,7 +49,7 @@ def test_quiver_rejects_loops_and_asymmetry():
         (lambda: Quiver(2, ((0, 1), (-1, 1))), "nonzero diagonal entry at vertex 1 (loop)"),
         (lambda: Quiver(3, ((0, 1, 0), (-1, 0, 1), (0, 1, 0))), "matrix is not skew-symmetric at (2,1)"),
         (lambda: Quiver.from_arrows(2, [(0, 1), (0, 2)]), "arrow (0,2) out of range for rank 2"),
-        (lambda: Quiver.from_arrows(0, [(0, 1)]), "arrow (0,1) out of range for rank 0"),
+        (lambda: Quiver.from_arrows(0, [(0, 1)]), "rank must be positive, got 0"),
         (lambda: Quiver.from_arrows(0, []), "rank must be positive, got 0"),
         (lambda: Quiver.from_arrows(3, [(0, 1), (2, 2)]), "loop at vertex 2 is not representable"),
     ],

@@ -607,6 +607,20 @@ def test_bead_moves_reject_out_of_range_indices(move):
         apply_tree_move(star, move)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply_tree_move((LEAF, LEAF, LEAF), ("spin", 0)), "unknown tree move: ('spin', 0)"),
+        (lambda: tree_key(()), "star tree needs at least one bead"),
+    ],
+    ids=["apply_tree_move", "tree_key"],
+)
+def test_star_functions_keep_their_one_line_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # bead 1 can be split and rotated at "L", so an index taken as 1 would pass
 _STAR = (LEAF, ((LEAF, LEAF), LEAF), (LEAF, LEAF))
 
