@@ -40,6 +40,12 @@ def main() -> None:
         if not (len(reports) == 4 and all(r["status"].startswith("ok") and not r["failures"] for r in reports)):
             sys.exit(f"verify.json should hold four ok reports, got {reports!r}")
 
+        # n = 10 is the triangulation route's verify bound
+        dquiver(tmp, "verify", "10", "10", "--quiver-bound", "9", "--json", "verify10.json")
+        (report,) = json.loads((work / "verify10.json").read_text())
+        if not (report["triangulation_class_count"] == 9252 and report["status"] == "ok"):
+            sys.exit(f"verify10.json should report 9252 triangulation classes and ok, got {report!r}")
+
         with open(work / "d100000.txt", "w") as out:
             dquiver(tmp, "count", "100000", "--type", "D", stdout=out)
         if hasattr(sys, "set_int_max_str_digits"):

@@ -169,7 +169,7 @@ def _json_text(writer: Callable[[Iterable, int], Iterator[str]], obj) -> str:
 _ROUTES = {
     "quivers": (10, 10, _quiver_texts, "quiver_bfs_count", "quiver_bfs"),
     "triangulations": (
-        9, 9, _triangulation_texts, "triangulation_class_count", "triangulations"
+        10, 9, _triangulation_texts, "triangulation_class_count", "triangulations"
     ),
     "trees": (14, 12, _star_texts, "tree_count", "trees"),
 }

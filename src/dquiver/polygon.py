@@ -40,11 +40,10 @@ walked in one place, ``_images``, which ``rotate``, ``class_key`` and the
 packed orbits of the class search read.
 
 The classes up to rotation and tag inversion (``triangulation_classes``,
-``triangulation_class_count``) come from the same clique search as
-``enumerate_triangulations``: each diagonal contributes one integer that
-packs its 2n images, so every enumerated mask arrives with its whole orbit
-and is sorted into its class by integer comparison.  A ``Triangulation``
-is built only per class.
+``triangulation_class_count``) come from the clique search of
+``enumerate_triangulations`` as an orderly generation: it drops a partial
+clique once one of its 2n packed images is smaller, so it reaches only the
+least member of each class, the one ``Triangulation`` built per class.
 
 The region decomposition (``_decomposition``) also lives here: one linear
 sweep per triangulation, on first use, kept on the triangulation and read
@@ -176,7 +175,7 @@ def check_diagonal(d: Diagonal, n: int) -> None:
         if d.tag not in _TAGS:
             raise ValueError(f"{d} has unknown tag")
     else:
-        raise TypeError(f"not a diagonal: {d!r}")
+        raise ValueError(f"not a diagonal: {d!r}")
 
 
 def span(d: Arc, n: int) -> int:
@@ -483,33 +482,34 @@ def fan_triangulation(n: int, tag: str = PLAIN) -> Triangulation:
     return Triangulation(n, (Radius(a, tag) for a in range(n)))
 
 
-def _cliques(table: _DiagonalTable, weights: list[int]) -> Iterator[int]:
+def _cliques(table: _DiagonalTable, weights: list[int], beaten=None) -> Iterator[int]:
     """The OR of ``weights`` over each triangulation, by clique search.
 
-    Backtracks over the compatibility masks of all diagonals, looking for
-    size-n sets of pairwise compatible diagonals (every such set is
-    maximal, hence a triangulation), and ORs ``weights[i]`` in for each
-    chosen diagonal i; with ``weights[i] = 1 << i`` it yields the masks.
+    Backtracks in index order over the compatibility masks of all
+    diagonals for size-n sets of pairwise compatible ones (each is maximal,
+    hence a triangulation), ORing in ``weights[i]`` for each chosen i.  An
+    OR that ``beaten`` finds nonzero is dropped, with all it grows into.
     """
     n = table.n
     compat = [table.row(i) for i in range(len(weights))]
     stack = [((1 << len(compat)) - 1, n, 0)]
     while stack:
-        cand, need, acc = stack.pop()
-        if cand.bit_count() < need:
+        rest, need, acc = stack.pop()
+        if rest.bit_count() < need:
             continue
-        if need == 1:
-            for i in _bits(cand):
-                yield acc | weights[i]
-            continue
-        rest = cand
         while rest:
             low = rest & -rest
             rest ^= low
             if rest.bit_count() + 1 < need:
                 break
             i = low.bit_length() - 1
-            stack.append((rest & compat[i], need - 1, acc | weights[i]))
+            out = acc | weights[i]
+            if beaten is not None and beaten(out):
+                continue
+            if need == 1:
+                yield out
+            else:
+                stack.append((rest & compat[i], need - 1, out))
 
 
 def enumerate_triangulations(n: int) -> set[Triangulation]:
@@ -607,44 +607,49 @@ def class_representative(t: Triangulation) -> tuple[bytes, Triangulation]:
 def _orbit_images(table: _DiagonalTable) -> list[int]:
     """Per diagonal, its 2n images packed as one bit in each of 2n fields.
 
-    Field k holds image k of ``_images``; a field is as wide as a mask.
-    ORed over a triangulation's diagonals, field k is the mask of that
-    image of the triangulation, and field 0 is its own mask.
+    Field k holds image k of ``_images``, a mask and a guard bit, always 0,
+    above it.  ORed over a triangulation's diagonals, field k is the mask
+    of that image of the triangulation, and field 0 is its own mask.
     """
     size = len(table.diagonals)
     return [
-        sum(1 << k * size + j for k, (j,) in enumerate(_images(table, [i])))
+        sum(1 << k * (size + 1) + j for k, (j,) in enumerate(_images(table, [i])))
         for i in range(size)
     ]
 
 
-def _orbit_key(images: int, n: int) -> int:
-    """Least image mask packed in ``images`` (see ``_orbit_images``).
+def _beaten(table: _DiagonalTable):
+    """``beaten(images)``: nonzero iff a packed image is smaller than field 0.
 
-    Rotation and tag inversion commute, so the 2n images are the whole
-    orbit, and two triangulations get the same key iff they share a class.
+    Masks are ordered by sorted diagonal indices: an image is smaller iff
+    the lowest bit in which it differs is set in it.  All fields are tested
+    at once; each field's guard bit stops the subtraction's borrow.
     """
-    size = n * n
-    full = (1 << size) - 1
-    return min([images >> shift & full for shift in range(0, 2 * n * size, size)])
+    size = len(table.diagonals)
+    ones = sum(1 << k * (size + 1) for k in range(2 * table.n))
+    full, guards = (1 << size) - 1, ones << size
+
+    def beaten(images: int) -> int:
+        mine = (images & full) * ones
+        x = images ^ mine
+        return x & ~((x | guards) - ones | mine)
+
+    return beaten
 
 
 def _class_masks(n: int) -> Iterator[int]:
-    """The least mask of each triangulation class, by clique search.
+    """The least mask of each class, by orderly generation (Read 1978; McKay 1998).
 
-    The search ORs each chosen diagonal's packed images, so every
-    triangulation comes with all its images, and a mask is kept only when
-    it is the least of them, ``_orbit_key``.  The search builds
-    compatibility and size in, but not the radius shape, so that is read
-    off every mask.
+    The search adds diagonals in increasing order, so if an image of a
+    partial clique is smaller, so is that image of every completion: the
+    branch is dropped.  The radius shape is read off each mask kept.
     """
     table = _diagonal_table(n)
     full = (1 << len(table.diagonals)) - 1
-    for images in _cliques(table, _orbit_images(table)):
+    for images in _cliques(table, _orbit_images(table), _beaten(table)):
         mask = images & full
         _radius_config(n, mask)
-        if mask == _orbit_key(images, n):
-            yield mask
+        yield mask
 
 
 def triangulation_classes(n: int) -> dict[bytes, Triangulation]:

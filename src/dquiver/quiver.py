@@ -79,7 +79,11 @@ class Quiver:
 
     def __init__(self, rank: int, b: Matrix) -> None:
         _check_rank(rank)
-        if len(b) != rank or any(len(row) != rank for row in b):
+        try:
+            shaped = len(b) == rank and all(len(row) == rank for row in b)
+        except TypeError:
+            raise ValueError(f"matrix {b!r} is not a sequence of rows") from None
+        if not shaped:
             raise ValueError(f"matrix shape does not match rank {rank}")
         arrows = []
         for i, row in enumerate(b):
@@ -120,7 +124,10 @@ class Quiver:
     @classmethod
     def from_arrows(cls, rank: int, arrows: Iterable[tuple[int, int]]) -> "Quiver":
         _check_rank(rank)
-        arrows = list(arrows)
+        try:
+            arrows = list(arrows)
+        except TypeError:
+            raise ValueError(f"arrows {arrows!r} are not an iterable of pairs") from None
         for arrow in arrows:
             try:
                 i, j = arrow

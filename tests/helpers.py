@@ -3,7 +3,8 @@
 Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
-the pairwise triangulation predicate, the serializer, the star tree count
+the pairwise triangulation predicate, the serializer, the class search
+that keeps each clique equal to its least packed image, the star tree count
 on tables of bead codes, Euler's totient by trial division, the central
 binomial one prime at a time, the quiver BFS that canonicalizes every
 exchange-graph edge between classes, and dataclass twins of the package's
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
@@ -27,8 +28,10 @@ from dquiver.polygon import (
     Radius,
     Triangulation,
     _bits,
+    _cliques,
     _diagonal_table,
     _mask,
+    _orbit_images,
     check_diagonal,
     fan_triangulation,
     flip,
@@ -208,6 +211,32 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
     table = _diagonal_table(n)
     mask = _mask(table.index[d] for d in lst)
     return all(not mask & ~table.row(i) for i in _bits(mask))
+
+
+def _orbit_key(images: int, n: int) -> int:
+    """Least image mask packed in ``images`` (see ``_orbit_images``), as an integer.
+
+    Rotation and tag inversion commute, so the 2n images are the whole
+    orbit, and two triangulations get the same key iff they share a class.
+    """
+    size = n * n
+    full = (1 << size) - 1
+    return min([images >> shift & full for shift in range(0, 2 * n * (size + 1), size + 1)])
+
+
+def class_masks_by_orbit_key(n: int) -> Iterator[int]:
+    """One mask per triangulation class, by the clique search with no pruning.
+
+    The search ORs each chosen diagonal's packed images, so every
+    triangulation comes with all its images, and a mask is kept only when
+    it is the least of them as an integer, ``_orbit_key``.
+    """
+    table = _diagonal_table(n)
+    full = (1 << len(table.diagonals)) - 1
+    for images in _cliques(table, _orbit_images(table)):
+        mask = images & full
+        if mask == _orbit_key(images, n):
+            yield mask
 
 
 def triangulations_by_flips(n: int) -> set[Triangulation]:

@@ -17,10 +17,14 @@ from dquiver.polygon import (
     Arc,
     Radius,
     Triangulation,
+    _beaten,
+    _bits,
+    _class_masks,
     _decomposition,
     _diagonal_table,
+    _images,
+    _mask,
     _orbit_images,
-    _orbit_key,
     _radius_config,
     all_diagonals,
     class_key,
@@ -49,6 +53,7 @@ from dquiver.trees import _triangles, apply_tree_move, star_tree_of, tree_key, t
 from dquiver.quiver import Quiver, canonical_key, mutate, dynkin_d
 from helpers import (
     chord_lift,
+    class_masks_by_orbit_key,
     crossing_number_via_lift,
     is_triangulation,
     mutation_class,
@@ -196,6 +201,13 @@ def test_constructor_rejects_bool_and_float_coordinates():
 def test_check_diagonal_rejects_bool_and_float(d, n):
     with pytest.raises(ValueError):
         polygon.check_diagonal(d, n)
+
+
+def test_a_value_that_is_not_a_diagonal_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^not a diagonal: 5$"):
+        polygon.check_diagonal(5, 3)
+    with pytest.raises(ValueError, match=r"^not a diagonal: 5$"):
+        Triangulation(3, [5, 6, 7])
 
 
 def test_config_detection():
@@ -496,12 +508,12 @@ def _class_map_oracle(n):
     return classes
 
 
-def _orbit_key_of(t, images):
+def _packed(t, images):
+    """The OR of the packed images of t's diagonals, as the class search builds it."""
     packed = 0
-    for i, image in enumerate(images):
-        if t.mask >> i & 1:
-            packed |= image
-    return _orbit_key(packed, t.n)
+    for i in _bits(t.mask):
+        packed |= images[i]
+    return packed
 
 
 # -- the diagonal table and the mask operations against the oracles ------------
@@ -605,18 +617,52 @@ def test_class_map_matches_the_per_triangulation_oracle(n):
         _assert_passes_the_boundary_check(t)
 
 
-def test_orbit_key_is_one_key_per_class():
+def test_the_image_test_passes_one_member_per_class():
     for n in range(3, 8):
-        images = _orbit_images(_diagonal_table(n))
-        keys = {}
+        table = _diagonal_table(n)
+        images, beaten = _orbit_images(table), _beaten(table)
+        passed = {}
         for t in enumerate_triangulations(n):
-            key = _orbit_key_of(t, images)
-            for base in (t, invert_tags(t)):
-                for i in range(n):
-                    assert _orbit_key_of(rotate(base, i), images) == key
-            keys.setdefault(class_key(t), set()).add(key)
-        assert all(len(found) == 1 for found in keys.values())
-        assert len(set().union(*keys.values())) == len(keys)
+            members = passed.setdefault(class_key(t), [])
+            if not beaten(_packed(t, images)):
+                members.append(t)
+        assert all(len(members) == 1 for members in passed.values())
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_orderly_generation_matches_the_orbit_key_oracle(n):
+    masks = list(_class_masks(n))
+    keys = {class_key(Triangulation._of(n, mask)) for mask in masks}
+    assert len(keys) == len(masks)
+    assert keys == {class_key(Triangulation._of(n, mask)) for mask in class_masks_by_orbit_key(n)}
+    assert triangulation_class_count(n) == len(keys)
+
+
+def test_orderly_generation_yields_the_lex_least_image_and_sets_no_guard_bit(monkeypatch):
+    tested = []
+
+    def watched(table):
+        size = len(table.diagonals)
+        guards = sum(1 << k * (size + 1) + size for k in range(2 * table.n))
+        real = _beaten(table)
+
+        def beaten(images):
+            assert not images & guards
+            tested.append(images)
+            return real(images)
+
+        return beaten
+
+    monkeypatch.setattr(polygon, "_beaten", watched)
+    for n in range(3, 8):
+        table = _diagonal_table(n)
+        del tested[:]
+        masks = set(_class_masks(n))
+        assert tested
+        for t in enumerate_triangulations(n):
+            # lists compare lexicographically
+            least = min(sorted(image) for image in _images(table, _bits(t.mask)))
+            assert _mask(least) in masks
 
 
 def test_table_compatibility_matches_crossing_number():

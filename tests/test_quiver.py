@@ -52,6 +52,9 @@ def test_quiver_rejects_loops_and_asymmetry():
         (lambda: Quiver.from_arrows(0, [(0, 1)]), "rank must be positive, got 0"),
         (lambda: Quiver.from_arrows(0, []), "rank must be positive, got 0"),
         (lambda: Quiver.from_arrows(3, [(0, 1), (2, 2)]), "loop at vertex 2 is not representable"),
+        (lambda: Quiver(2, 5), "matrix 5 is not a sequence of rows"),
+        (lambda: Quiver(2, (1, 2)), "matrix (1, 2) is not a sequence of rows"),
+        (lambda: Quiver.from_arrows(2, 5), "arrows 5 are not an iterable of pairs"),
     ],
 )
 def test_constructors_keep_their_errors(build, message):
