@@ -2,9 +2,10 @@
 
 Runs ``verify``, ``count`` and ``enumerate`` in a temporary directory and
 compares what they write with what bench/reference.json pins; the
-reference file is only read.  Then it feeds each JSON reader one
-malformed file, which must exit 2 with one ``error:`` line and write no
-output.  After ``pip install -e .``, run it from anywhere as
+reference file is only read.  ``convert`` must turn the plain n = 5 fan
+into the oriented 5-cycle, in JSON and in DOT.  Then it feeds each JSON
+reader one malformed file, which must exit 2 with one ``error:`` line and
+write no output.  After ``pip install -e .``, run it from anywhere as
 ``python .github/check_console.py``.  It exits 0 when every check holds,
 and otherwise with the message of the first that fails.
 """
@@ -66,6 +67,22 @@ def main() -> None:
             got = hashlib.sha256((work / name).read_bytes()).hexdigest()
             if got != want:
                 sys.exit(f"{name} has SHA-256 {got}, bench/reference.json pins {want}")
+
+        # the plain fan's quiver is the oriented cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0
+        cycle = [[i, (i + 1) % 5] for i in range(5)]
+        fan = {"n": 5, "diagonals": [{"radius": a, "tag": "plain"} for a in range(5)]}
+        (work / "fan5.json").write_text(json.dumps(fan))
+        convert = ["convert", "--from", "triangulation", "--to", "quiver", "fan5.json"]
+        dquiver(tmp, *convert, "--out", "fan5_quiver.json")
+        got = json.loads((work / "fan5_quiver.json").read_text())
+        if got != {"rank": 5, "arrows": cycle}:
+            sys.exit(f"the n = 5 fan's quiver should be the oriented 5-cycle, got {got!r}")
+        dquiver(tmp, *convert, "--format", "dot", "--out", "fan5.dot")
+        want = "".join(["digraph quiver {\n", *(f"  {v};\n" for v in range(5)),
+                        *(f"  {i} -> {j};\n" for i, j in cycle), "}\n"])
+        got = (work / "fan5.dot").read_text()
+        if got != want:
+            sys.exit(f"the n = 5 fan's quiver in DOT should be the oriented 5-cycle, got {got!r}")
 
         radii = [{"radius": a, "tag": "plain"} for a in (1, 2)]
         for name, obj, argv in [

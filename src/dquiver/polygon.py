@@ -47,7 +47,8 @@ least member of each class, the one ``Triangulation`` built per class.
 
 The region decomposition (``_decomposition``) also lives here: one linear
 sweep per triangulation, on first use, kept on the triangulation and read
-by ``quiver_of`` and the dual-tree maps of ``trees``.
+by ``quiver_of`` and the dual-tree maps of ``trees``.  ``quiver_of`` keeps
+its quiver on the triangulation the same way.
 """
 
 from __future__ import annotations
@@ -362,12 +363,13 @@ class Triangulation:
     Every triangulation the package builds itself comes from a mask that is
     one by construction, through ``Triangulation._of``, which reads only
     the radius shape.
-    ``sorted_diagonals`` and the region decomposition are derived on first
-    use and kept; ``diagonals`` is built on each access, so that an instance
-    stays 80 bytes in the enumerations that hold thousands.
+    ``sorted_diagonals``, the region decomposition and the quiver are
+    derived on first use and kept; ``diagonals`` is built on each access, so
+    that an instance stays 88 bytes (``sys.getsizeof``) in the enumerations
+    that hold thousands.
     """
 
-    __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition")
+    __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition", "_quiver")
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         _check_int("punctured polygon", "n", n, 3)
@@ -402,7 +404,7 @@ class Triangulation:
         self.config, self.radius_bases = _radius_config(n, mask)
         self.n = n
         self.mask = mask
-        self._sorted = self._decomposition = None
+        self._sorted = self._decomposition = self._quiver = None
 
     @property
     def sorted_diagonals(self) -> tuple[Diagonal, ...]:
@@ -795,40 +797,61 @@ def _decompose(t: Triangulation) -> tuple[tuple, tuple]:
 
 
 def quiver_of(t: Triangulation) -> Quiver:
-    """Adjacency quiver of a triangulation.
+    """Adjacency quiver of a triangulation, computed on first use and kept on t.
 
     One vertex per diagonal, in the order of ``t.sorted_diagonals``.  Two
     sides of a common triangle contribute an arrow oriented by rotating
     counterclockwise about their shared corner; oriented 2-cycles cancel.
+    A ``Quiver`` is immutable, so racing callers store equal values.
+    """
+    if t._quiver is None:
+        t._quiver = _build_quiver(t)
+    return t._quiver
+
+
+def _build_quiver(t: Triangulation) -> Quiver:
+    """The quiver of t's triangles, with sides keyed by integers.
+
+    Side (a, b) of an arc or a border edge keys as a * n + b and radius
+    (a, tag) as n * n + 2a, plus one when notched; ``vertex`` maps a key to
+    its quiver vertex, and a border edge to the spare vertex n.
     """
     n, ds = t.n, t.sorted_diagonals
-    # keyed by endpoints: (a, b) for an arc or a border edge, (a, tag) for a radius
-    vertex = {(d.a, d.b if isinstance(d, Arc) else d.tag): i for i, d in enumerate(ds)}
-    vertex.update(((a, (a + 1) % n), n) for a in range(n))
+    nn = n * n
+    vertex = [n] * (nn + 2 * n)
+    for i, d in enumerate(ds):
+        vertex[d.a * n + d.b if d.__class__ is Arc else nn + 2 * d.a + (d.tag == NOTCHED)] = i
     arrows = []
     regions, triangles = _decomposition(t)
     if t.config == "A":
-        tag = ds[-1].tag  # radii sort last
-        cycles = [(vertex[u, tag], vertex[u, v % n], vertex[v % n, tag]) for u, v, _ in regions]
+        r = nn + (ds[-1].tag == NOTCHED)  # radius (a, tag) keys as r + 2a; radii sort last
+        cycles = [
+            (vertex[r + 2 * u], vertex[u * n + v % n], vertex[r + 2 * (v % n)])
+            for u, v, _ in regions
+        ]
     else:
         # the root triangle's third side is the loop: one copy per radius,
         # but the outer sides bound one region, so an arrow before -> after
         # takes one copy's arrow after -> before back
         *triangles, (u, w, v) = triangles
-        before, after = vertex[u, w % n], vertex[w % n, v % n]
-        cycles = [(vertex[u, tag], before, after) for tag in _TAGS]
+        before, after = vertex[u * n + w % n], vertex[w % n * n + v % n]
+        cycles = [(vertex[nn + 2 * u + k], before, after) for k in (0, 1)]
         arrows.append((before, after))
     for u, w, v in triangles:
-        cycles.append((vertex[u % n, w % n], vertex[w % n, v % n], vertex[u % n, v % n]))
-    # sides x, y, z in ccw order: arrows x -> z, y -> x and z -> y
-    net: dict[tuple[int, int], int] = {}  # arrows i -> j minus arrows j -> i
+        u, w, v = u % n, w % n, v % n
+        cycles.append((vertex[u * n + w], vertex[w * n + v], vertex[u * n + v]))
+    # sides x, y, z in ccw order: arrows x -> z, y -> x and z -> y; the net
+    # count of arrows i -> j minus j -> i is kept once per pair i < j
+    net: dict[tuple[int, int], int] = {}
     for i, j in arrows + [a for x, y, z in cycles for a in ((x, z), (y, x), (z, y))]:
-        if i < n and j < n:
+        if i < j < n:
             net[i, j] = net.get((i, j), 0) + 1
+        elif j < i < n:
             net[j, i] = net.get((j, i), 0) - 1
-    if max(net.values(), default=0) > 1:
+    if any(abs(x) > 1 for x in net.values()):
         raise AssertionError("triangulation quiver acquired a multiple arrow")
-    return Quiver._of(n, tuple(sorted((i, j, x) for (i, j), x in net.items() if x > 0)))
+    out = sorted((i, j, x) if x > 0 else (j, i, -x) for (i, j), x in net.items() if x)
+    return Quiver._of(n, tuple(out))
 
 
 def quiver_vertex(t: Triangulation, d: Diagonal) -> int:

@@ -79,11 +79,11 @@ class Quiver:
 
     def __init__(self, rank: int, b: Matrix) -> None:
         _check_rank(rank)
-        try:
-            shaped = len(b) == rank and all(len(row) == rank for row in b)
-        except TypeError:
-            raise ValueError(f"matrix {b!r} is not a sequence of rows") from None
-        if not shaped:
+        # rows are read by iterating and checked by indexing, so both must
+        # agree: a dict or a set row would not
+        if not (isinstance(b, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in b)):
+            raise ValueError(f"matrix {b!r} is not a sequence of rows")
+        if not (len(b) == rank and all(len(row) == rank for row in b)):
             raise ValueError(f"matrix shape does not match rank {rank}")
         arrows = []
         for i, row in enumerate(b):

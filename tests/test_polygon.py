@@ -846,19 +846,21 @@ def _quiver_of_oracle(t):
 
 
 def test_quiver_of_matches_region_recursion_oracle():
-    for n in range(3, 8):
+    for n in range(3, 9):
         for t in enumerate_triangulations(n):
             assert quiver_of(t).b == _quiver_of_oracle(t)
 
 
 def test_quiver_of_passes_the_quiver_boundary_check_along_a_flip_walk():
-    # quiver_of builds its Quiver unchecked; the public constructor must agree
+    # quiver_of builds its Quiver unchecked; the public constructor must
+    # agree, and so must the oracle, on the traffic of a 500-flip walk
     rng = random.Random("boundary:12")
     t = fan_triangulation(12)
     configs = set()
-    for _ in range(300):
+    for _ in range(500):
         q = quiver_of(t)
         assert Quiver(q.rank, q.b) == q
+        assert q.b == _quiver_of_oracle(t), t
         assert q.arrows() == sorted(q.arrows())
         configs.add(t.config)
         t = flip(t, rng.choice(t.sorted_diagonals))
@@ -956,6 +958,39 @@ def test_every_map_of_a_triangulation_shares_one_decomposition(monkeypatch):
         calls.clear()
 
 
+def test_every_map_of_a_triangulation_builds_one_quiver(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return build(t)
+
+    build = polygon._build_quiver
+    monkeypatch.setattr(polygon, "_build_quiver", counting)
+    fan = fan_triangulation(6)
+    pair = Triangulation(5, [Radius(0, PLAIN), Radius(0, NOTCHED), Arc(0, 2), Arc(0, 3), Arc(0, 4)])
+    for t in (fan, flip(fan, Radius(0, PLAIN)), pair):
+        q = quiver_of(t)
+        star_tree_of(t)
+        for d in t.sorted_diagonals:
+            tree_move_for_flip(t, d)
+        assert quiver_of(t) is q is t._quiver
+        assert calls == [t]
+        calls.clear()
+
+
+def test_the_cached_quiver_is_per_object():
+    t = flip(fan_triangulation(7), Radius(3, PLAIN))
+    q = quiver_of(t)
+    assert type(q) is Quiver and quiver_of(t) is q
+    # a triangulation built equal to t, and each symmetry or flip of it,
+    # builds its own quiver
+    twin = Triangulation(7, t.diagonals)
+    for other in (twin, flip(t, t.sorted_diagonals[0]), rotate(t, 0), rotate(t, 3), invert_tags(t)):
+        assert other._quiver is None
+    assert quiver_of(twin) == q and quiver_of(twin) is not q
+
+
 def test_the_cached_decomposition_is_immutable():
     t = flip(fan_triangulation(7), Radius(3, PLAIN))
     regions, triangles = _decomposition(t)
@@ -990,6 +1025,7 @@ def test_threads_sharing_fresh_triangulations_read_one_decomposition():
     assert not any(thread.is_alive() for thread in threads)
     assert results == [expected] * 4
     assert all(type(t._decomposition) is tuple for t in fresh)
+    assert all(type(t._quiver) is Quiver for t in fresh)
 
 
 def test_quiver_of_asserts_on_a_multiple_arrow(monkeypatch):
@@ -1001,8 +1037,10 @@ def test_quiver_of_asserts_on_a_multiple_arrow(monkeypatch):
         return regions + regions, triangles
 
     monkeypatch.setattr(polygon, "_decompose", doubled)
+    fan = fan_triangulation(5)
     with pytest.raises(AssertionError, match="multiple arrow"):
-        quiver_of(fan_triangulation(5))
+        quiver_of(fan)
+    assert fan._quiver is None
 
 
 def test_decompose_asserts_when_a_side_has_no_apex():

@@ -54,6 +54,10 @@ def test_quiver_rejects_loops_and_asymmetry():
         (lambda: Quiver.from_arrows(3, [(0, 1), (2, 2)]), "loop at vertex 2 is not representable"),
         (lambda: Quiver(2, 5), "matrix 5 is not a sequence of rows"),
         (lambda: Quiver(2, (1, 2)), "matrix (1, 2) is not a sequence of rows"),
+        # a dict row iterates its keys but indexes by them: it read as a loop arrow
+        (lambda: Quiver(2, ({1: 1, 0: 0}, {1: 0, 0: -1})),
+         "matrix ({1: 1, 0: 0}, {1: 0, 0: -1}) is not a sequence of rows"),
+        (lambda: Quiver(2, ({0, 1}, {-1, 0})), "matrix ({0, 1}, {0, -1}) is not a sequence of rows"),
         (lambda: Quiver.from_arrows(2, 5), "arrows 5 are not an iterable of pairs"),
     ],
 )
