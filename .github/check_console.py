@@ -47,6 +47,14 @@ def main() -> None:
         if not (report["triangulation_class_count"] == 9252 and report["status"] == "ok"):
             sys.exit(f"verify10.json should report 9252 triangulation classes and ok, got {report!r}")
 
+        # n = 10 is also the quiver route's verify bound: the pair search
+        # runs at its largest n
+        dquiver(tmp, "verify", "9", "10", "--json", "verify9_10.json")
+        reports = json.loads((work / "verify9_10.json").read_text())
+        got = [(r["quiver_bfs_count"], r["status"]) for r in reports]
+        if got != [(2704, "ok"), (9252, "ok")]:
+            sys.exit(f"verify9_10.json should report 2704 and 9252 quiver classes, both ok, got {got!r}")
+
         with open(work / "d100000.txt", "w") as out:
             dquiver(tmp, "count", "100000", "--type", "D", stdout=out)
         if hasattr(sys, "set_int_max_str_digits"):

@@ -404,49 +404,81 @@ def canonical_form(q: Quiver) -> Quiver:
 def mutation_class_representatives(
     seed: Quiver, *, max_classes: int = 10_000_000
 ) -> dict[bytes, Quiver]:
-    """All isomorphism classes reachable from ``seed`` by mutation.
+    """All isomorphism classes reachable from ``seed`` by mutation, in key order.
 
-    Breadth-first search over canonical keys, in which each edge of the
-    exchange graph between two classes is canonicalized at most once.  A
-    queued class keeps the set of its vertices whose mutation is known to
-    lead to a known class, and is mutated only at the others: when mutating
+    Breadth-first search over pairs {Q, Q^op} of a class and its opposite,
+    in which each edge of the exchange graph between two pairs is
+    canonicalized at most once.  Taking the opposite, b -> -b, keeps every
+    vertex label and commutes with mutation, so the search queues only the
+    member of each pair found first, the pair's class.  Its opposite, the
+    partner, is canonicalized once, from the class's form with its arrows
+    reversed, and stored too unless it is the same class.  An edge that
+    reaches a partner by the labeling ``perm`` is read as reaching the
+    pair's class by ``perm2[q[a]] = perm[a]``, a labeling of the mutated
+    quiver's opposite, where ``q`` labeled the partner's form.  Each mutated
+    quiver is canonicalized once, on sparse rows; a ``Quiver``, unchecked,
+    is built only for a new pair.
+
+    A queued class keeps the set of its vertices whose mutation is known to
+    lead to a known pair, and is mutated only at the others: when mutating
     at k reaches a class by the labeling ``perm``, mutating that class's
-    stored form at ``perm.index(k)`` leads back, since the stored form is
-    the mutated quiver relabeled by ``perm`` (equal keys give equal forms)
-    and mutation is an involution.  Each mutated quiver is canonicalized
-    once, on sparse rows; a ``Quiver``, unchecked, is built only for a new
-    class.
+    stored form at ``perm.index(k)`` leads back to the pair, since the
+    stored form is the mutated quiver, or its opposite, relabeled by
+    ``perm`` (equal keys give equal forms) and mutation is an involution.
 
     Squares of the exchange graph close without a canonicalization.  When
     a class A is mutated at two vertices j, k with b[j][k] = 0, reaching
     B at k by the labeling ``pb`` and C at j by ``pc``, then mu_j mu_k =
     mu_k mu_j: B's edge at ``pb.index(j)`` and C's edge at ``pc.index(k)``
-    reach one class D, and D's edge at the position of A's vertex k leads
+    reach one pair D, and D's edge at the position of A's vertex k leads
     back to C (at j, to B).  Both queued classes keep the square, and
     whichever of the two edges is canonicalized first marks the other one,
-    and D's edge back to its partner, as leading to a known class.
+    and D's edge back to its partner, as leading to a known pair.
 
-    Every skipped edge leads to a class known before it is skipped, so the
-    classes, their forms and their order are those of mutating every class
-    at every vertex.  The stored representative of each class is its
-    canonical form, so the result is deterministic.  The cap guards against
-    seeds of non-finite mutation type.
+    Every skipped edge leads to a pair known before it is skipped, so the
+    pairs are those of mutating every class at every vertex.  The class is
+    closed under opposites once the search meets a class that is its own
+    opposite or an edge that reaches a partner; then both members of every
+    pair are returned.  Otherwise every edge stayed among the queued
+    classes, so each pair has exactly one member in the class, the queued
+    one, and only those are returned.  Each representative is its class's
+    canonical form, so the result does not depend on the search order.
+    The cap guards against seeds of non-finite mutation type: the search
+    raises iff the class has more than ``max_classes`` members.
     """
+    _check_int("mutation_class_representatives", "max_classes", max_classes, 1)
     if not is_connected(seed):
         raise ValueError("seed quiver must be connected")
     n = seed.rank
-    rows = _rows(n, seed._arrows)
-    key, perm = _canonical(rows, n)
-    reps = {key: _quiver(rows, perm)}
+    reps: dict[bytes, Quiver] = {}
+    # partner key -> its pair's class and the labeling q that puts vertex
+    # q[a] of the opposite of the class's form at position a of its form
+    partners: dict[bytes, tuple[bytes, tuple[int, ...]]] = {}
     # queued class -> the set of its vertices whose mutation leads to a
-    # known class, as a bitmask
-    known = {key: 0}
+    # known pair, as a bitmask
+    known: dict[bytes, int] = {}
     # queued class -> its squares, flat to keep the store small: each four
     # entries v, partner, w, back say that its edge at v and the partner's
-    # edge at w reach one class, whose edge at the position of vertex back
-    # (of the quiver mutated at v) leads to the partner
+    # edge at w reach one pair, whose class's edge at the position of
+    # vertex back (of the quiver mutated at v) leads to the partner
     squares: dict[bytes, list] = {}
-    queue = deque([key])
+    queue: deque[bytes] = deque()
+
+    def new_pair(m: Rows, key: bytes, perm: tuple[int, ...], bits: int) -> bool:
+        """Store and queue a new class and its partner; True iff it is self-opposite."""
+        form = reps[key] = _quiver(m, perm)
+        known[key] = bits
+        queue.append(key)
+        opposite = _rows(n, [(j, i, x) for i, j, x in form._arrows])
+        okey, q = _canonical(opposite, n)
+        if okey == key:
+            return True
+        reps[okey] = _quiver(opposite, q)
+        partners[okey] = key, q
+        return False
+
+    rows = _rows(n, seed._arrows)
+    closed = new_pair(rows, *_canonical(rows, n), 0)
     while queue:
         here = queue.popleft()
         skip = known.pop(here)
@@ -457,17 +489,14 @@ def mutation_class_representatives(
                 continue
             m = _mutate_rows(rows, k)
             key, perm = _canonical(m, n)
+            if key in partners:
+                key, q = partners[key]
+                perm = [perm[a] for a in _positions(q)]
+                closed = True
             if key in known:
                 known[key] |= 1 << perm.index(k)
             elif key not in reps:
-                if len(reps) >= max_classes:
-                    raise BoundExceededError(
-                        f"mutation class exceeded {max_classes} classes; "
-                        "the seed is probably not of finite mutation type"
-                    )
-                reps[key] = _quiver(m, perm)
-                known[key] = 1 << perm.index(k)
-                queue.append(key)
+                closed = new_pair(m, key, perm, 1 << perm.index(k)) or closed
             reached[k] = key, perm
         pending = squares.pop(here, [])
         for i in range(0, len(pending), 4):
@@ -488,7 +517,14 @@ def mutation_class_representatives(
                     continue
                 squares.setdefault(b, []).extend((v, c, w, pb.index(k)))
                 squares.setdefault(c, []).extend((w, b, v, pc.index(j)))
-    return reps
+        # members never leave the class and it is closed for good once
+        # proven, so no later count is smaller
+        if len(reps) - (0 if closed else len(partners)) > max_classes:
+            raise BoundExceededError(
+                f"mutation class exceeded {max_classes} classes; "
+                "the seed is probably not of finite mutation type"
+            )
+    return {key: reps[key] for key in sorted(reps) if closed or key not in partners}
 
 
 # -- Dynkin seeds ------------------------------------------------------------

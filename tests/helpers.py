@@ -7,8 +7,9 @@ the pairwise triangulation predicate, the serializer, the class search
 that keeps each clique equal to its least packed image, the star tree count
 on tables of bead codes, Euler's totient by trial division, the central
 binomial one prime at a time, the quiver BFS that canonicalizes every
-exchange-graph edge between classes, and dataclass twins of the package's
-value classes.
+exchange-graph edge between classes and the one that closes squares of
+them, both over classes rather than opposite pairs, and dataclass twins of
+the package's value classes.
 """
 
 from __future__ import annotations
@@ -59,8 +60,13 @@ def enumerate_star_trees(n: int) -> set[bytes]:
     return set(star_tree_classes(n))
 
 
+def opposite(q: Quiver) -> Quiver:
+    """The opposite quiver, of exchange matrix -b: every arrow reversed."""
+    return Quiver(q.rank, tuple(tuple(-x for x in row) for row in q.b))
+
+
 def edge_once_bfs(seed: Quiver, *, max_classes: int = 10_000_000) -> dict[bytes, Quiver]:
-    """``mutation_class_representatives`` without closing squares.
+    """``square_closing_bfs`` without closing squares.
 
     Each queued class is mutated at every vertex whose edge is not yet known
     to lead to a known class, so every exchange-graph edge between two
@@ -94,6 +100,73 @@ def edge_once_bfs(seed: Quiver, *, max_classes: int = 10_000_000) -> dict[bytes,
                 reps[key] = _quiver(m, perm)
                 known[key] = 1 << perm.index(k)
                 queue.append(key)
+    return reps
+
+
+def square_closing_bfs(seed: Quiver, *, max_classes: int = 10_000_000) -> dict[bytes, Quiver]:
+    """``mutation_class_representatives`` over classes, not opposite pairs.
+
+    The BFS that the pair search replaced: it mutates every class it
+    reaches, skips an edge known to lead to a known class, closes squares of
+    commuting mutations (see ``mutation_class_representatives``), and
+    returns the classes in the order it found them.
+    """
+    if not is_connected(seed):
+        raise ValueError("seed quiver must be connected")
+    n = seed.rank
+    rows = _rows(n, seed._arrows)
+    key, perm = _canonical(rows, n)
+    reps = {key: _quiver(rows, perm)}
+    # queued class -> the set of its vertices whose mutation leads to a
+    # known class, as a bitmask
+    known = {key: 0}
+    # queued class -> its squares, flat to keep the store small: each four
+    # entries v, partner, w, back say that its edge at v and the partner's
+    # edge at w reach one class, whose edge at the position of vertex back
+    # (of the quiver mutated at v) leads to the partner
+    squares: dict[bytes, list] = {}
+    queue = deque([key])
+    while queue:
+        here = queue.popleft()
+        skip = known.pop(here)
+        rows = _rows(n, reps[here]._arrows)
+        reached = {}
+        for k in range(n):
+            if skip >> k & 1:
+                continue
+            m = _mutate_rows(rows, k)
+            key, perm = _canonical(m, n)
+            if key in known:
+                known[key] |= 1 << perm.index(k)
+            elif key not in reps:
+                if len(reps) >= max_classes:
+                    raise BoundExceededError(
+                        f"mutation class exceeded {max_classes} classes; "
+                        "the seed is probably not of finite mutation type"
+                    )
+                reps[key] = _quiver(m, perm)
+                known[key] = 1 << perm.index(k)
+                queue.append(key)
+            reached[k] = key, perm
+        pending = squares.pop(here, [])
+        for i in range(0, len(pending), 4):
+            v, partner, w, back = pending[i : i + 4]
+            if v in reached:
+                key, perm = reached[v]
+                if partner in known:
+                    known[partner] |= 1 << w
+                if key in known:
+                    known[key] |= 1 << perm.index(back)
+        edges = list(reached.items())
+        for a, (j, (c, pc)) in enumerate(edges):
+            for k, (b, pb) in edges[a + 1 :]:
+                if j in rows[k] or b not in known or c not in known:
+                    continue
+                v, w = pb.index(j), pc.index(k)
+                if known[b] >> v & 1 or known[c] >> w & 1:
+                    continue
+                squares.setdefault(b, []).extend((v, c, w, pb.index(k)))
+                squares.setdefault(c, []).extend((w, b, v, pc.index(j)))
     return reps
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from collections import deque
@@ -22,7 +23,8 @@ from dquiver.quiver import (
     mutation_class_representatives,
 )
 
-from helpers import edge_once_bfs, mutation_class
+import helpers
+from helpers import edge_once_bfs, mutation_class, opposite, square_closing_bfs
 
 
 def arrows_set(q):
@@ -542,7 +544,7 @@ def test_bfs_matches_the_two_pass_oracle_on_every_d5_orientation():
     for bits in product((True, False), repeat=4):
         seed = dynkin_d(5, bits)
         got = mutation_class_representatives(seed)
-        assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+        assert list(got.items()) == sorted(_two_pass_bfs_oracle(seed).items())
 
 
 MARKOV = Quiver(3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
@@ -582,7 +584,7 @@ def _bits_id(bits):
 )
 def test_bfs_matches_the_two_pass_oracle(seed):
     got = mutation_class_representatives(seed)
-    assert list(got.items()) == list(_two_pass_bfs_oracle(seed).items())
+    assert list(got.items()) == sorted(_two_pass_bfs_oracle(seed).items())
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -596,26 +598,41 @@ def test_bfs_canonicalizes_each_quiver_once(monkeypatch, n):
     monkeypatch.setattr(
         quiver_module, "_mutate_rows", lambda rows, k: mutations.append(k) or real_mutate(rows, k)
     )
-    mutation_class_representatives(dynkin_d(n))
-    # the seed, then every quiver the BFS mutates to: its key and its
-    # canonical form come from one search
-    assert len(calls) == 1 + len(mutations)
+    reps = mutation_class_representatives(dynkin_d(n))
+    monkeypatch.undo()
+    self_opposite = sum(canonical_key(opposite(rep)) == key for key, rep in reps.items())
+    # the seed, then every quiver the BFS mutates to, its key and its
+    # canonical form from one search, and the opposite of each dequeued
+    # class: one class of each pair {Q, Q^op} is dequeued
+    assert len(calls) == 1 + len(mutations) + (len(reps) + self_opposite) // 2
 
 
-@pytest.mark.parametrize("n, calls", [(5, 59), (6, 188), (7, 624), (8, 2228)])
-def test_bfs_canonicalizes_each_exchange_edge_once(monkeypatch, n, calls):
-    seen = []
+@pytest.mark.parametrize(
+    "n, calls, oracle_calls", [(5, 54, 59), (6, 167, 188), (7, 469, 624), (8, 1631, 2228)]
+)
+def test_bfs_canonicalizes_each_exchange_edge_once(monkeypatch, n, calls, oracle_calls):
+    seen, oracle_seen = [], []
     real = quiver_module._canonical
     monkeypatch.setattr(
         quiver_module, "_canonical", lambda rows, rank: seen.append(rank) or real(rows, rank)
+    )
+    monkeypatch.setattr(
+        helpers, "_canonical", lambda rows, rank: oracle_seen.append(rank) or real(rows, rank)
     )
     r = len(mutation_class_representatives(dynkin_d(n)))
     assert len(seen) == calls
     # fewer than the seed and every mutation of every representative but
     # the one leading back to the class it was reached from: an edge
-    # between two known classes is canonicalized from one end at most, and
-    # the fourth edge of a square of commuting mutations from neither
+    # between two known pairs is canonicalized from one end at most, the
+    # fourth edge of a square of commuting mutations from neither, and of
+    # each pair {Q, Q^op} one class is mutated and the other canonicalized
+    # once
     assert calls < 1 + n * r - (r - 1)
+    # the square-closing search over classes, which mutates both classes of
+    # a pair, finds the same classes with more canonicalizations
+    assert len(square_closing_bfs(dynkin_d(n))) == r
+    assert len(oracle_seen) == oracle_calls
+    assert calls < oracle_calls
 
 
 def _bfs_outcome(bfs, seed, max_classes):
@@ -623,6 +640,12 @@ def _bfs_outcome(bfs, seed, max_classes):
         return list(bfs(seed, max_classes=max_classes).items())
     except BoundExceededError as err:
         return str(err)
+
+
+def _oracle_outcome(bfs, seed, max_classes):
+    """``_bfs_outcome`` of an oracle, with its classes in key order."""
+    got = _bfs_outcome(bfs, seed, max_classes)
+    return got if isinstance(got, str) else sorted(got)
 
 
 def _seeded_orientation(n, seed):
@@ -653,7 +676,8 @@ def _seeded_orientation(n, seed):
 )
 def test_bfs_matches_the_edge_once_oracle(seed, max_classes):
     got = _bfs_outcome(mutation_class_representatives, seed, max_classes)
-    assert got == _bfs_outcome(edge_once_bfs, seed, max_classes)
+    assert got == _oracle_outcome(edge_once_bfs, seed, max_classes)
+    assert got == _oracle_outcome(square_closing_bfs, seed, max_classes)
     assert isinstance(got, str) == (seed is TRIPLE_ARROWS)
 
 
@@ -690,28 +714,153 @@ def test_bfs_skips_only_edges_to_known_classes(monkeypatch, seed):
     monkeypatch.setattr(quiver_module, "_mutate_rows", mutate_rows)
     reps = mutation_class_representatives(seed)
     monkeypatch.undo()
-    # a class is dequeued, in the order of reps, right before its first
-    # mutation, and one mutated at no vertex right before the next class's
-    key_of = {rep: key for key, rep in reps.items()}
-    dequeued, done = {}, {key: set() for key in reps}
-    for form, k, count in mutated:
-        dequeued.setdefault(key_of[form], count)
-        done[key_of[form]].add(k)
     first_found = {}
     for i, key in enumerate(found):
         first_found.setdefault(key, i)
+    # of each pair {Q, Q^op} the class found first is queued, and its
+    # opposite is canonicalized right after it
+    queued = sorted(
+        {min(key, canonical_key(opposite(rep)), key=first_found.get) for key, rep in reps.items()},
+        key=first_found.get,
+    )
+    # a class is dequeued right before its first mutation, and one mutated
+    # at no vertex right before the next class's
+    key_of = {rep: key for key, rep in reps.items()}
+    dequeued, done = {}, {key: set() for key in queued}
+    for form, k, count in mutated:
+        dequeued.setdefault(key_of[form], count)
+        done[key_of[form]].add(k)
+    # only queued classes are mutated, first in, first out
+    assert list(dequeued) == [key for key in queued if key in dequeued]
     at, skipped = len(found), 0
-    for key in reversed(reps):
+    for key in reversed(queued):
         at = dequeued.get(key, at)
         for v in set(range(n)) - done[key]:
             assert first_found[canonical_key(mutate(reps[key], v))] < at, (key, v)
             skipped += 1
-    assert skipped == n * len(reps) - len(mutated) > 0
+    assert skipped == n * len(queued) - len(mutated) > 0
 
 
 def test_class_cap_is_enforced():
     with pytest.raises(BoundExceededError):
         mutation_class(dynkin_d(5), max_classes=3)
+
+
+@pytest.mark.parametrize(
+    "max_classes, message",
+    [
+        (0, "max_classes >= 1, got 0"),
+        (-5, "max_classes >= 1, got -5"),
+        ("3", "an integer max_classes, got '3'"),
+        (True, "an integer max_classes, got True"),
+    ],
+)
+def test_the_class_cap_must_be_a_positive_integer(max_classes, message):
+    # checked before any search: A_1 has one class, so none of these would
+    # be reached by the cap itself
+    with pytest.raises(ValueError, match=message):
+        mutation_class_representatives(dynkin_a(1), max_classes=max_classes)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(dynkin_d(5), id="D5"),
+        pytest.param(dynkin_d(6, _seeded_orientation(6, 0)), id="D6-seeded"),
+        pytest.param(dynkin_a(4), id="A4"),
+        pytest.param(dynkin_e(6), id="E6"),
+        pytest.param(KRONECKER, id="kronecker"),
+        pytest.param(ORIENTED_4_CYCLE, id="oriented-4-cycle"),
+    ],
+)
+def test_the_class_cap_counts_both_classes_of_a_pair(seed):
+    # the cap raises iff the class has more members than it allows, however
+    # many of them the pair search mutated
+    size = len(mutation_class_representatives(seed))
+    assert len(mutation_class_representatives(seed, max_classes=size)) == size
+    if size > 1:
+        with pytest.raises(BoundExceededError, match=f"exceeded {size - 1} classes"):
+            mutation_class_representatives(seed, max_classes=size - 1)
+
+
+def _opposites_unreached(monkeypatch, *, self_opposite_only=False):
+    """Fault: a class's opposite gets a key that no mutation reaches.
+
+    Every canonicalization but the seed's and the mutated quivers' is of an
+    opposite, of the class found right before it.  Its key is prefixed, so
+    no class is its own opposite and no edge reaches a partner, and the
+    search never proves that the class is closed under opposites.  With
+    ``self_opposite_only`` only the opposites equal to their class are
+    prefixed, so the proof must come from an edge that reaches a partner.
+    Returns the keys of the seed and the mutated quivers, in the order they
+    were found.
+    """
+    real_canonical, real_mutate = quiver_module._canonical, quiver_module._mutate_rows
+    mutated, reached = [None], []
+
+    def mutate_rows(rows, k):
+        mutated[:] = [real_mutate(rows, k)]
+        return mutated[0]
+
+    def canonical(rows, rank):
+        key, perm = real_canonical(rows, rank)
+        if not reached or rows is mutated[0]:
+            reached.append(key)
+        elif not self_opposite_only or key == reached[-1]:
+            key = b"op:" + key
+        return key, perm
+
+    monkeypatch.setattr(quiver_module, "_canonical", canonical)
+    monkeypatch.setattr(quiver_module, "_mutate_rows", mutate_rows)
+    return reached
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [pytest.param(dynkin_d(n), id=f"D{n}") for n in (4, 5, 6)]
+    + [pytest.param(dynkin_e(6), id="E6"), pytest.param(MARKOV, id="markov")],
+)
+def test_an_unproven_closure_returns_only_the_classes_reached_by_mutation(monkeypatch, seed):
+    reached = _opposites_unreached(monkeypatch)
+    got = mutation_class_representatives(seed)
+    monkeypatch.undo()
+    # the prefixed partners are stored but not returned: the result is
+    # exactly the classes the search queued, and so dequeued; with no pair
+    # to share, it mutates every class, and finds the whole class
+    assert set(got) == set(reached)
+    assert list(got.items()) == sorted(square_closing_bfs(seed).items())
+    # the cap counts only the classes returned, not the partners stored
+    _opposites_unreached(monkeypatch)
+    assert mutation_class_representatives(seed, max_classes=len(got)) == got
+
+
+@pytest.mark.parametrize(
+    "seed", [pytest.param(dynkin_d(n), id=f"D{n}") for n in (5, 6)] + [pytest.param(dynkin_e(6), id="E6")]
+)
+def test_an_edge_that_reaches_a_partner_proves_the_closure(monkeypatch, seed):
+    # every class tried has a class that is its own opposite, which proves
+    # the closure alone; the fault hides those
+    _opposites_unreached(monkeypatch, self_opposite_only=True)
+    got = mutation_class_representatives(seed)
+    monkeypatch.undo()
+    want = sorted(square_closing_bfs(seed).items())
+    hidden = [key for key in got if key.startswith(b"op:")]
+    assert len(hidden) == sum(canonical_key(opposite(rep)) == key for key, rep in want) > 0
+    assert [item for item in got.items() if item[0] not in hidden] == want
+
+
+@pytest.mark.parametrize(
+    "n, self_opposite", [(3, 2), (4, 2), (5, 4), (6, 10), (7, 10), (8, 28), (9, 28)]
+)
+def test_the_d_classes_are_closed_under_opposites(n, self_opposite):
+    reps = mutation_class_representatives(dynkin_d(n))
+    opposite_keys = [canonical_key(opposite(rep)) for rep in reps.values()]
+    assert set(opposite_keys) == set(reps)
+    assert sum(o == key for o, key in zip(opposite_keys, reps)) == self_opposite
+    # 2 * C_{floor(n/2)}, as on the other routes, except at n = 4, where
+    # the quiver route has 6 classes to the triangulation route's 10
+    if n != 4:
+        assert self_opposite == 2 * math.comb(2 * (n // 2), n // 2) // (n // 2 + 1)
 
 
 # a Quiver stores one (i, j, m) per joined pair, so its size does not grow
