@@ -55,6 +55,12 @@ def main() -> None:
         if got != [(2704, "ok"), (9252, "ok")]:
             sys.exit(f"verify9_10.json should report 2704 and 9252 quiver classes, both ok, got {got!r}")
 
+        # n = 15 is the tree count's target bound, past its default 14
+        dquiver(tmp, "verify", "15", "15", "--tree-bound", "15", "--json", "verify15.json")
+        (report,) = json.loads((work / "verify15.json").read_text())
+        if not (report["tree_count"] == 5170604 and report["status"] == "ok"):
+            sys.exit(f"verify15.json should report 5170604 tree classes and ok, got {report!r}")
+
         with open(work / "d100000.txt", "w") as out:
             dquiver(tmp, "count", "100000", "--type", "D", stdout=out)
         if hasattr(sys, "set_int_max_str_digits"):

@@ -23,7 +23,7 @@ too.  Three local moves on star trees match diagonal flips:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, chain
 
 from .errors import BoundExceededError, _check_int
@@ -128,7 +128,7 @@ def _join_codes(left: tuple, tables: list, m: int) -> list[tuple]:
 
 
 def _bead_tables(n: int, leaf, join: Callable, table: Callable) -> tuple[list, Iterator]:
-    """``tables[m]``, ``table`` of the m-leaf beads, 1 <= m < n, and the n-leaf
+    """``tables[m]``, ``table`` of the m-leaf beads, 0 <= m < n, and the n-leaf
     beads, streamed and not kept, all in code order.
 
     A bead's code is its serialization, ``"(" + left + right + ")"``.  Codes
@@ -137,7 +137,7 @@ def _bead_tables(n: int, leaf, join: Callable, table: Callable) -> tuple[list, I
     beads of every leaf count in code order, and ``join(left, tables, m)``
     writes the m-leaf beads with that left subtree, one per right subtree.
     """
-    tables: list = [None, table([leaf])]
+    tables: list = [table(()), table([leaf])]  # no bead has 0 leaves
     lefts: Iterable = ()  # the beads with fewer than m - 1 leaves, in code order
 
     def beads(m: int) -> Iterator:
@@ -167,11 +167,13 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     a dead end.
 
     The last bead takes all the leaves left, so the rule fixes it to one run
-    of ``tables[left]``: ``visit(prefix, table, lo)`` stands for the stars
-    ``(*prefix, table[j])``, j >= lo, with ``prefix`` valid during the call
-    only.  Runs, and the stars in a run, come ordered bead by bead by (leaf
-    count, code).  The n-leaf beads, single-bead stars, are not runs, so
-    ``tables`` must reach n - 1 leaves.
+    of ``tables[left]``: ``visit(prefix, table, lo, tail)`` stands for the
+    stars ``(*prefix, table[j], *tail)``, j >= lo, with ``prefix`` valid
+    during the call only.  After any bead above the floor, the leaf bead, the
+    greatest, ends a Lyndon word: those stars are one run with the leaf tail
+    ``tables[1]``, after the floor's recursion.  Runs, and their stars, come
+    bead by bead by (leaf count, code).  The n-leaf beads, single-bead stars,
+    are not runs, so ``tables`` must reach n - 1 leaves.
     """
     prefix: list = []
 
@@ -181,23 +183,30 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
         floor = prefix[t - p]
         for m in range(1, left):
             table = tables[m]
-            for bead in table[bisect_left(table, floor) :]:
+            lo = bisect_left(table, floor)
+            # before the leaf bead only floor recurses; the beads above it are the run below
+            hi = len(table) if m < left - 1 else lo + (lo < len(table) and table[lo] == floor)
+            for bead in table[lo:hi]:
                 prefix.append(bead)
                 extend(left - m, p if bead == floor else t + 1)
                 prefix.pop()
+        if left > 1:
+            visit(prefix, table, hi, tables[1])
         # a last bead above floor makes a Lyndon word; floor itself keeps p
         table = tables[left]
         lo = bisect_left(table, floor)
         if lo < len(table) and table[lo] == floor and (t + 1) % p:
             lo += 1
-        visit(prefix, table, lo)
+        visit(prefix, table, lo, ())
 
     try:
-        for m in range(1, n):
+        for m in range(1, n - 1):
             for bead in tables[m]:
                 prefix.append(bead)
                 extend(n - m, 1)
                 prefix.pop()
+        # each first bead with n - 1 leaves, then the leaf; (L, L) at n = 2
+        visit(prefix, tables[n - 1], 0, tables[1])
     finally:
         # extend refers to itself, a cycle that would keep the tables alive
         # until the next full garbage collection
@@ -216,11 +225,12 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
         return {b"[L]": (LEAF,)}
     classes: dict[bytes, StarTree] = {}
 
-    def add(prefix: list, table: tuple, lo: int) -> None:
-        codes, front = zip(*prefix)
-        head = b"[" + b",".join(codes) + b","
+    def add(prefix: list, table: tuple, lo: int, tail: tuple) -> None:
+        head = b"[" + b"".join([code + b"," for code, _ in prefix])
+        end = b"".join([b"," + code for code, _ in tail]) + b"]"
+        front, back = [bead for _, bead in prefix], [bead for _, bead in tail]
         for code, bead in table[lo:]:
-            classes[head + code + b"]"] = (*front, bead)
+            classes[head + code + end] = (*front, bead, *back)
 
     # the beads as (code, tree) pairs, which compare as their codes
     tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
@@ -249,7 +259,7 @@ def star_tree_class_count(n: int) -> int:
 
     total = 0
 
-    def add(prefix: list, table: array, lo: int) -> None:
+    def add(prefix: list, table: array, lo: int, tail: Sequence) -> None:
         nonlocal total
         total += len(table) - lo
 

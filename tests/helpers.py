@@ -5,11 +5,11 @@ obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, the class search
 that keeps each clique equal to its least packed image, the star tree count
-on tables of bead codes, Euler's totient by trial division, the central
-binomial one prime at a time, the quiver BFS that canonicalizes every
-exchange-graph edge between classes and the one that closes squares of
-them, both over classes rather than opposite pairs, and dataclass twins of
-the package's value classes.
+on tables of bead codes, the star generation that recurses once per bead,
+Euler's totient by trial division, the central binomial one prime at a
+time, the quiver BFS that canonicalizes every exchange-graph edge between
+classes and the one that closes squares of them, both over classes rather
+than opposite pairs, and dataclass twins of the package's value classes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from dquiver.errors import BoundExceededError
 from dquiver.polygon import (
@@ -380,6 +380,39 @@ def star_tree_class_count_by_codes(n: int) -> int:
             count += extend(n - m, 1)
             prefix.pop()
     return count + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
+
+
+def least_rotations_per_bead(n: int, visit: Callable[..., None], tables: list) -> None:
+    """The star classes with two or more beads, as runs, one recursion per bead.
+
+    The generation that ``trees._least_rotations`` replaced: every bead but
+    the last recurses, a leaf bead included, and only the last bead is a run,
+    ``visit(prefix, table, lo)`` for the stars ``(*prefix, table[j])``, j >=
+    lo.  With p the longest Lyndon prefix, a bead is never less than the one
+    p places back, and a complete star is kept iff p divides its length.
+    """
+    prefix: list = []
+
+    def extend(left: int, p: int) -> None:
+        t = len(prefix)
+        floor = prefix[t - p]
+        for m in range(1, left):
+            table = tables[m]
+            for bead in table[bisect_left(table, floor):]:
+                prefix.append(bead)
+                extend(left - m, p if bead == floor else t + 1)
+                prefix.pop()
+        table = tables[left]
+        lo = bisect_left(table, floor)
+        if lo < len(table) and table[lo] == floor and (t + 1) % p:
+            lo += 1
+        visit(prefix, table, lo)
+
+    for m in range(1, n):
+        for bead in tables[m]:
+            prefix.append(bead)
+            extend(n - m, 1)
+            prefix.pop()
 
 
 # -- counting ------------------------------------------------------------------

@@ -855,12 +855,12 @@ def _first_dropped(real):
     def fake(n, visit, tables):
         dropped = False
 
-        def shortened(prefix, table, lo):
+        def shortened(prefix, table, lo, tail):
             nonlocal dropped
             if not dropped and lo < len(table):
                 dropped = True
                 lo += 1
-            visit(prefix, table, lo)
+            visit(prefix, table, lo, tail)
 
         real(n, shortened, tables)
 

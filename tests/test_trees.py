@@ -28,6 +28,7 @@ from dquiver.trees import (
     _join_codes,
     _join_keys,
     _least_rotation,
+    _least_rotations,
     _serialize_bead,
     apply_tree_move,
     canonical_star,
@@ -46,7 +47,12 @@ from dquiver.trees import (
     triangulation_of,
 )
 
-from helpers import bead_code_tables, enumerate_star_trees, star_tree_class_count_by_codes
+from helpers import (
+    bead_code_tables,
+    enumerate_star_trees,
+    least_rotations_per_bead,
+    star_tree_class_count_by_codes,
+)
 
 COMB5 = ((((LEAF, LEAF), LEAF), LEAF), LEAF)
 
@@ -472,8 +478,41 @@ def test_the_count_peaks_below_2_mb():
     assert peak < 2 << 20
 
 
+def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
+    for n in range(1, 12):
+        tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+        stars, oracle, tails = [], [], []
+
+        def expand(prefix, table, lo, tail):
+            stars.extend((*prefix, bead, *tail) for bead in table[lo:])
+            tails.append(tail)
+
+        def expand_per_bead(prefix, table, lo):
+            oracle.extend((*prefix, bead) for bead in table[lo:])
+
+        _least_rotations(n, expand, tables)
+        least_rotations_per_bead(n, expand_per_bead, tables)
+        assert stars == oracle
+        # a tail is the leaf bead or nothing; below n = 3 the top-level run,
+        # whose tail is the leaf, is the only one
+        leaf = ((b"L", LEAF),)
+        assert set(tails) == ({(), leaf} if n > 2 else {leaf})
+
+
+def test_periodic_stars_that_end_in_the_leaf_after_the_floor_are_kept():
+    # the second-to-last bead is the floor, the bead p places back, and the
+    # last the leaf: (L, L) is the top-level run at n = 2, the others recurse
+    pair = (LEAF, LEAF)
+    for key, star in [
+        (b"[L,L]", pair),
+        (b"[L,L,L,L]", (LEAF,) * 4),
+        (b"[(LL),L,(LL),L]", (pair, LEAF, pair, LEAF)),
+    ]:
+        assert star_tree_classes(sum(map(leaf_count, star)))[key] == star
+
+
 def test_star_tree_classes_come_bead_by_bead_in_leaf_count_then_code_order():
-    for n in range(1, 9):
+    for n in range(1, 11):
         order = [
             [(leaf_count(bead), _serialize_bead_oracle(bead)) for bead in star]
             for star in star_tree_classes(n).values()
