@@ -2,10 +2,11 @@
 
 Runs ``verify``, ``count`` and ``enumerate`` in a temporary directory and
 compares what they write with what bench/reference.json pins; the
-reference file is only read.  ``convert`` must turn the plain n = 5 fan
-into the oriented 5-cycle, in JSON and in DOT.  Then it feeds each JSON
-reader one malformed file, which must exit 2 with one ``error:`` line and
-write no output.  After ``pip install -e .``, run it from anywhere as
+reference file is only read.  A count whose sieve cannot be allocated must
+exit 3 with one ``error:`` line, and ``count 1_000`` must exit 2, both with
+no output.  ``convert`` must turn the plain n = 5 fan into the oriented
+5-cycle, in JSON and in DOT.  Then it feeds each JSON reader one malformed
+file, which must exit 2 with one ``error:`` line and write no output.  After ``pip install -e .``, run it from anywhere as
 ``python .github/check_console.py``.  It exits 0 when every check holds,
 and otherwise with the message of the first that fails.
 """
@@ -70,6 +71,21 @@ def main() -> None:
         got = hashlib.sha256(value.to_bytes((value.bit_length() + 7) // 8, "big")).hexdigest()
         if got != want:
             sys.exit(f"dquiver count 100000 --type D has SHA-256 {got}, bench/reference.json pins {want}")
+
+        # a sieve of 10^18 bytes cannot be mapped: one error line, exit 3;
+        # an integer that is not plain ASCII digits is a usage error, exit 2
+        for argv, code in [
+            (["count", str(10**18), "--type", "D"], 3),
+            (["count", str(10**18), "--type", "A"], 3),
+            (["count", "1_000"], 2),
+        ]:
+            run = subprocess.run(["dquiver", *argv], cwd=tmp, capture_output=True, text=True)
+            lines = run.stderr.splitlines()
+            if not (run.returncode == code and run.stdout == ""):
+                sys.exit(f"dquiver {' '.join(argv)} should exit {code} with no output, "
+                         f"got exit {run.returncode} and stdout {run.stdout!r}")
+            if code == 3 and not (len(lines) == 1 and lines[0].startswith("error: ")):
+                sys.exit(f"dquiver {' '.join(argv)} should print one error: line, got {run.stderr!r}")
 
         for name, argv, pinned in [
             ("q8.json", ["8", "--what", "quivers"], "quivers 8"),

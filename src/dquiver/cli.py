@@ -33,6 +33,17 @@ def _parse_orientation(text: str | None, edges: int) -> list[bool] | None:
     return [c == "1" for c in text]
 
 
+def _parse_int(text: str) -> int:
+    """Every integer argument: ASCII digits with an optional leading minus.
+
+    int() would also take "1_0", " 2", "+2" and other scripts' digits.  The
+    error reads as argparse's own for ``type=int``, which exits 2.
+    """
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 @contextlib.contextmanager
 def _output(out: str | None):
     """Yield a write function for ``out``, or for stdout when it is None.
@@ -332,10 +343,10 @@ def _cmd_convert(args) -> int:
 
 
 def _parse_index(text: str) -> int:
-    # ASCII digits only: int() would also take "1_0", " 2" and other scripts' digits
-    if re.fullmatch("-?[0-9]+", text) is None:
-        raise ValueError(f"--at needs an integer index, got {text!r}")
-    return int(text)
+    try:
+        return _parse_int(text)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"--at needs an integer index, got {text!r}") from None
 
 
 def _parse_tree_move(text: str) -> tuple:
@@ -481,15 +492,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="closed-form mutation class count")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.add_argument("--type", choices=("D", "A"), default="D")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="enumerate canonical representatives")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_parse_int)
     p.add_argument("--what", choices=("quivers", "triangulations", "trees"), required=True)
     p.add_argument("--out", help="write the JSON array here instead of stdout")
-    p.add_argument("--bound", type=int, help="override the desk-scale bound")
+    p.add_argument("--bound", type=_parse_int, help="override the desk-scale bound")
     p.add_argument("--seed-orientation", help="0/1 string choosing the D_n seed orientation")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -511,10 +522,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mutate)
 
     p = sub.add_parser("verify", help="cross-check all counting methods")
-    p.add_argument("nmin", type=int)
-    p.add_argument("nmax", type=int)
+    p.add_argument("nmin", type=_parse_int)
+    p.add_argument("nmax", type=_parse_int)
     for what, (bound, _, _, _, _) in _ROUTES.items():
-        p.add_argument(f"--{what[:-1]}-bound", type=int, default=bound)
+        p.add_argument(f"--{what[:-1]}-bound", type=_parse_int, default=bound)
     p.add_argument("--seed-orientation", help="0/1 string choosing the D_n seed orientation")
     p.add_argument("--json", help="also write the verification report as JSON here")
     p.set_defaults(func=_cmd_verify)

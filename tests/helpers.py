@@ -6,8 +6,8 @@ crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, the class search
 that keeps each clique equal to its least packed image, the star tree count
 on tables of bead codes, the star generation that recurses once per bead,
-Euler's totient by trial division, the central binomial one prime at a
-time, the quiver BFS that canonicalizes every exchange-graph edge between
+Euler's totient by trial division, the bytearray sieve of Eratosthenes
+over every integer, the central binomial one prime at a time, the quiver BFS that canonicalizes every exchange-graph edge between
 classes and the one that closes squares of them, both over classes rather
 than opposite pairs, and dataclass twins of the package's value classes.
 """
@@ -434,12 +434,26 @@ def euler_phi(m: int) -> int:
     return phi
 
 
+def prime_sieve(m: int) -> bytearray:
+    """``sieve[k]`` is 1 exactly when k is a prime, for 0 <= k <= m.
+
+    The sieve over every integer that the counts read before their table of
+    odd-sieved primes.
+    """
+    sieve = bytearray([1]) * (m + 1)
+    sieve[: min(2, m + 1)] = bytes(min(2, m + 1))
+    for p in compress(range(math.isqrt(m) + 1), sieve):
+        sieve[p * p :: p] = bytes(len(range(p * p, m + 1, p)))
+    return sieve
+
+
 def central_binomial_by_primes(d: int, sieve: bytearray) -> int:
     """binom(2d, d) from its prime exponents, visiting every prime up to 2d.
 
-    ``sieve`` must reach 2d.  Legendre's sum below sqrt(2d), floor(2d/p) mod 2
-    above it (Kummer), and each prime power pushed through a binary-counter
-    stack on its own: the loop that the Kummer intervals replaced.
+    ``sieve``, from ``prime_sieve``, must reach 2d.  Legendre's sum below
+    sqrt(2d), floor(2d/p) mod 2 above it (Kummer), and each prime power
+    pushed through a binary-counter stack on its own: the loop that the
+    Kummer intervals replaced.
     """
     m = 2 * d
     root = math.isqrt(m)

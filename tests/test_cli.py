@@ -65,10 +65,23 @@ def test_count_out_of_memory_exits_3(capsys, monkeypatch):
     def no_memory(m):
         raise MemoryError
 
-    monkeypatch.setattr(counting, "_sieve", no_memory)
+    monkeypatch.setattr(counting, "_primes", no_memory)
     code, out, err = run(capsys, "count", "100")
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["D", "A"])
+def test_count_past_memory_prints_one_error_line(kind):
+    # a sieve of 10^18 bytes cannot be mapped on any address space, so the
+    # allocation fails at once and touches no memory.  Before the sieve was
+    # grown in place, freeing the failed bytearray also printed a stray
+    # SystemError in most runs
+    for _ in range(4):
+        child = cli_process("count", str(10**18), "--type", kind,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, out, err) == (3, "", "error: out of memory\n")
 
 
 def _decimal_cases():
@@ -92,6 +105,29 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--type", "Z", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["1_000", " 7 ", "7 ", "+7", "\u0667", "7.0", "1e3", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "{}"],
+        ["enumerate", "{}", "--what", "quivers"],
+        ["enumerate", "5", "--what", "quivers", "--bound", "{}"],
+        ["verify", "{}", "5"],
+        ["verify", "3", "{}"],
+        ["verify", "3", "3", "--quiver-bound", "{}"],
+        ["verify", "3", "3", "--triangulation-bound", "{}"],
+        ["verify", "3", "3", "--tree-bound", "{}"],
+    ],
+)
+def test_integer_arguments_take_ascii_digits_only(capsys, argv, value):
+    # int() once read "1_000", " 7 ", "+7" and the Arabic-Indic 7 as numbers
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(value) for arg in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"invalid int value: {value!r}" in captured.err
 
 
 # -- enumerate -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from itertools import combinations
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from dquiver import counting, polygon, quiver, trees
 from dquiver.counting import (
     _central_binomial,
     _divisors_with_phi,
-    _sieve,
+    _primes,
     a_count,
     catalan,
     d_cluster_count,
@@ -19,7 +20,7 @@ from dquiver.counting import (
     necklace_count,
 )
 from dquiver.errors import BoundExceededError
-from helpers import central_binomial_by_primes, euler_phi
+from helpers import central_binomial_by_primes, euler_phi, prime_sieve
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
@@ -178,52 +179,79 @@ def _necklace_oracle(n):
     return total // (2 * n)
 
 
+def _trial_division_primes(m):
+    return [k for k in range(2, m + 1) if all(k % j for j in range(2, math.isqrt(k) + 1))]
+
+
 def test_sieve_marks_exactly_the_primes():
     for m in range(0, 300):
-        sieve = _sieve(m)
+        sieve = prime_sieve(m)
         assert len(sieve) == m + 1
-        assert [k for k in range(m + 1) if sieve[k]] == [
-            k for k in range(2, m + 1) if all(k % j for j in range(2, math.isqrt(k) + 1))
-        ]
+        assert [k for k in range(m + 1) if sieve[k]] == _trial_division_primes(m)
+
+
+def test_primes_are_exactly_the_primes():
+    for m in range(0, 300):
+        primes = _primes(m)
+        assert primes.typecode == "Q"
+        assert list(primes) == _trial_division_primes(m), m
+
+
+def _primes_by_sieve(limit):
+    sieve = prime_sieve(limit)
+    return [k for k in range(limit + 1) if sieve[k]]
+
+
+def test_primes_match_the_sieve():
+    # every m up to 20000, against the primes up to m of one oracle sieve
+    expected = _primes_by_sieve(20000)
+    for m in range(20001):
+        assert _primes(m).tolist() == expected[: bisect_right(expected, m)], m
+
+
+def test_primes_match_the_sieve_next_to_prime_squares():
+    # p^2 is the first multiple of an odd prime p that the odd sieve strikes out
+    expected = _primes_by_sieve(447**2 + 1)
+    for p in _odd_primes(447):
+        for m in (p * p - 1, p * p, p * p + 1):
+            assert _primes(m).tolist() == expected[: bisect_right(expected, m)], m
 
 
 def test_central_binomial_matches_math_comb():
     # math.comb at every d would take seconds; the exact step
     # binom(2d + 2, d + 1) = binom(2d, d) * 2 (2d + 1) / (d + 1) walks
     # from one math.comb value to the next
-    sieve = _sieve(10000)
+    primes = _primes(10000)
     expected = math.comb(0, 0)
     for d in range(5001):
         if d % 500 == 0:
             assert expected == math.comb(2 * d, d)
-        assert _central_binomial(d, sieve) == expected, d
+        assert _central_binomial(d, primes) == expected, d
         expected = expected * 2 * (2 * d + 1) // (d + 1)
 
 
 def test_central_binomial_matches_the_prime_loop():
-    sieve = _sieve(10000)
+    primes, sieve = _primes(10000), prime_sieve(10000)
     for d in range(5001):
-        assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve), d
+        assert _central_binomial(d, primes) == central_binomial_by_primes(d, sieve), d
 
 
 def _odd_primes(limit):
-    sieve = _sieve(limit)
-    return [p for p in range(3, limit + 1) if sieve[p]]
+    return _primes_by_sieve(limit)[1:]
 
 
 def test_central_binomial_where_the_root_moves():
     # at 2d = p^2 - 1 the largest small prime is below p and p is the first
     # Kummer-interval prime; at 2d = p^2 + 1 p has just become small
-    sieve = _sieve(447**2 + 1)
+    primes, sieve = _primes(447**2 + 1), prime_sieve(447**2 + 1)
     for p in _odd_primes(447):
         for d in ((p * p - 1) // 2, (p * p + 1) // 2):
-            assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve), d
+            assert _central_binomial(d, primes) == central_binomial_by_primes(d, sieve), d
 
 
 @pytest.mark.parametrize("d", [55440, 100000])
 def test_central_binomial_at_the_benchmark_sizes(d):
-    sieve = _sieve(2 * d)
-    assert _central_binomial(d, sieve) == central_binomial_by_primes(d, sieve)
+    assert _central_binomial(d, _primes(2 * d)) == central_binomial_by_primes(d, prime_sieve(2 * d))
 
 
 def test_catalan_and_d_cluster_count_match_math_comb():
@@ -239,9 +267,9 @@ def test_necklace_count_matches_the_divisor_scan():
 
 
 def test_divisors_with_phi_match_the_scan():
-    sieve = _sieve(2 * 3000)
+    primes = _primes(2 * 3000)
     for n in range(1, 3001):
-        assert sorted(_divisors_with_phi(n, sieve)) == [
+        assert sorted(_divisors_with_phi(n, primes)) == [
             (d, euler_phi(n // d)) for d in range(1, n + 1) if n % d == 0
         ]
 
@@ -257,8 +285,8 @@ def test_large_counts_match_the_benchmark_digests(key):
 
 @pytest.mark.parametrize("count", [d_count, necklace_count, a_count, catalan, d_cluster_count])
 def test_counts_past_the_sieve_reach_are_bound_errors(count):
-    # a sieve to 2n would need more than sys.maxsize bytes: refused before
-    # anything is allocated
+    # a sieve of the odd numbers to 2n would need more than sys.maxsize
+    # bytes: refused before anything is allocated
     with pytest.raises(BoundExceededError):
         count(10**19)
 
@@ -266,23 +294,36 @@ def test_counts_past_the_sieve_reach_are_bound_errors(count):
 @pytest.mark.parametrize("count", [d_count, necklace_count, a_count, catalan, d_cluster_count])
 @pytest.mark.parametrize("n", [True, False, 5.0, "5", None])
 def test_counts_take_only_int(count, n, monkeypatch):
-    # rejected before any sieve is built
-    monkeypatch.setattr(counting, "_sieve", None)
+    # rejected before any prime table is built
+    monkeypatch.setattr(counting, "_primes", None)
     with pytest.raises(ValueError, match="needs an integer"):
         count(n)
 
 
+def _record_prime_tables(monkeypatch):
+    tables = []
+
+    def recording_primes(m):
+        tables.append(m)
+        return _primes(m)
+
+    monkeypatch.setattr(counting, "_primes", recording_primes)
+    return tables
+
+
 def test_a_count_sieves_once(monkeypatch):
-    sieves = []
-
-    def recording_sieve(m):
-        sieves.append(m)
-        return _sieve(m)
-
-    monkeypatch.setattr(counting, "_sieve", recording_sieve)
+    tables = _record_prime_tables(monkeypatch)
     # n = 9 has all three terms: C(10), C(5) and C(3)
     assert a_count(9) == (6 * 16796 + 3 * 12 * 42 + 4 * 12 * 5) // (6 * 12)
-    assert sieves == [20]
+    assert tables == [20]
+
+
+def test_necklace_count_builds_one_prime_table(monkeypatch):
+    tables = _record_prime_tables(monkeypatch)
+    # 12 has six divisors, each with its binomial, and is factored on the
+    # same table
+    assert necklace_count(12) == _necklace_oracle(12)
+    assert tables == [24]
 
 
 # -- the enumeration routes never use the closed forms -------------------------

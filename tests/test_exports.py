@@ -41,10 +41,11 @@ def test_the_package_reexports_only_exported_names():
 
 def test_importing_the_package_loads_no_module_it_does_not_need():
     """Start-up pays for every module the import loads: ``json`` and
-    ``decimal`` load only in the commands that use them, and the value
+    ``decimal`` load only in the commands that use them, ``array`` only in
+    the counts that build their tables in one, and the value
     classes are plain classes, so ``dataclasses`` and ``inspect`` stay out.
     ``-S`` keeps site's own imports (``typing``, on some hosts) out too."""
-    unwanted = ("dataclasses", "inspect", "json", "decimal", "typing")
+    unwanted = ("dataclasses", "inspect", "json", "decimal", "typing", "array")
     code = f"import sys, dquiver, dquiver.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(dquiver.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
