@@ -1,12 +1,14 @@
 """Check the installed ``dquiver`` console script against bench/reference.json.
 
 Runs ``verify``, ``count`` and ``enumerate`` in a temporary directory and
-compares what they write with what bench/reference.json pins; the
-reference file is only read.  A count whose sieve cannot be allocated must
-exit 3 with one ``error:`` line, and ``count 1_000`` must exit 2, both with
-no output.  ``convert`` must turn the plain n = 5 fan into the oriented
-5-cycle, in JSON and in DOT.  Then it feeds each JSON reader one malformed
-file, which must exit 2 with one ``error:`` line and write no output.  After ``pip install -e .``, run it from anywhere as
+compares what they write, ``verify 12 12``'s table among them, with what
+bench/reference.json pins; the reference file is only read.  A count whose
+sieve cannot be allocated must exit 3 with one ``error:`` line, and
+``count 1_000`` must exit 2, both with no output.  ``convert`` must turn
+the plain n = 5 fan into the oriented 5-cycle, in JSON and in DOT.  Then it
+feeds each JSON reader one malformed file, and asks for DOT from a
+conversion that gives no quiver; each must exit 2 with one ``error:`` line
+and write no output.  After ``pip install -e .``, run it from anywhere as
 ``python .github/check_console.py``.  It exits 0 when every check holds,
 and otherwise with the message of the first that fails.
 """
@@ -36,6 +38,14 @@ def main() -> None:
         work = Path(tmp)
         dquiver(tmp, "verify", "3", "8")
         dquiver(tmp, "verify", "13", "14")
+
+        # default bounds: only the formula and the tree route run at n = 12
+        with open(work / "verify12.txt", "wb") as out:
+            dquiver(tmp, "verify", "12", "12", stdout=out)
+        want = reference["verify_stdout_sha256"]["12 12"]
+        got = hashlib.sha256((work / "verify12.txt").read_bytes()).hexdigest()
+        if got != want:
+            sys.exit(f"dquiver verify 12 12 printed SHA-256 {got}, bench/reference.json pins {want}")
 
         dquiver(tmp, "verify", "3", "6", "--json", "verify.json")
         reports = json.loads((work / "verify.json").read_text())
@@ -122,6 +132,8 @@ def main() -> None:
              ["convert", "--from", "triangulation", "--to", "tree"]),
             ("three_element_bead.json", {"beads": [["L", "L", "L"]]},
              ["convert", "--from", "tree", "--to", "triangulation"]),
+            # --format applies only to --to quiver
+            ("fan5.json", fan, ["convert", "--from", "triangulation", "--to", "tree", "--format", "dot"]),
         ]:
             (work / name).write_text(json.dumps(obj))
             run = subprocess.run(["dquiver", *argv, name, "--out", "out.json"],

@@ -8,6 +8,7 @@ deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import os
 import re
@@ -171,19 +172,34 @@ def _json_text(writer: Callable[[Iterable, int], Iterator[str]], obj) -> str:
     return next(writer([obj], 0)) + "\n"
 
 
-# route -> its desk-scale bounds on n, for verify's count (overridden by
-# the --*-bound options) and for enumerate's JSON (overridden by --bound),
-# its JSON text writer, the verify report field holding its count and its
-# wall_time entry.  The library enumerations take only n.  The tree count
-# reaches past the tree JSON, whose size limits enumerate: 61 MB at n = 12,
-# about four times that for each further leaf.
-_ROUTES = {
-    "quivers": (10, 10, _quiver_texts, "quiver_bfs_count", "quiver_bfs"),
-    "triangulations": (
-        10, 9, _triangulation_texts, "triangulation_class_count", "triangulations"
-    ),
-    "trees": (14, 12, _star_texts, "tree_count", "trees"),
-}
+# route -> its record: its desk-scale bounds on n, for verify's count
+# (overridden by the --*-bound options) and for enumerate's JSON
+# (overridden by --bound), its JSON text writer, the verify report field
+# holding its count, its wall_time entry, and its class map
+# ``{class key: representative}`` and class count at n, given the parsed
+# seed orientation, which only the quiver route reads.  enumerate writes a
+# class map's representatives in key order and verify counts the same
+# classes; the triangulation and tree routes count without building them.
+# Each function looks its module's function up at call time, so a test that
+# monkeypatches that function reaches the route.  The tree count reaches
+# past the tree JSON, whose size limits enumerate: 61 MB at n = 12, about
+# four times that for each further leaf.
+_ROUTES = dict(zip(
+    ("quivers", "triangulations", "trees"),
+    map(collections.namedtuple(
+        "Route", "verify_bound enumerate_bound writer field timer classes count"
+    )._make, [
+        (10, 10, _quiver_texts, "quiver_bfs_count", "quiver_bfs",
+         lambda n, o: quiver.mutation_class_representatives(quiver.dynkin_d(n, o)),
+         lambda n, o: len(quiver.mutation_class_representatives(quiver.dynkin_d(n, o)))),
+        (10, 9, _triangulation_texts, "triangulation_class_count", "triangulations",
+         lambda n, o: polygon.triangulation_classes(n),
+         lambda n, o: polygon.triangulation_class_count(n)),
+        (14, 12, _star_texts, "tree_count", "trees",
+         lambda n, o: trees.star_tree_classes(n),
+         lambda n, o: trees.star_tree_class_count(n)),
+    ]),
+))
 
 
 # -- count --------------------------------------------------------------------
@@ -237,59 +253,28 @@ def _cmd_count(args) -> int:
     return 0
 
 
-# -- the classes of one route ------------------------------------------------
-
-
-def _check_domain(what: str, n: int, bound: int) -> None:
-    """Reject n before any work, the same way for every route and command."""
-    if n < 3:
-        raise ValueError(f"enumeration starts at n = 3, got {n}")
-    if n > bound:
-        raise BoundExceededError(f"{what[:-1]} enumeration supports n <= {bound}, got {n}")
-
-
-def _class_map(what: str, n: int, bound: int, seed_orientation: str | None) -> dict:
-    """``{class key: representative}`` for one route at n.
-
-    ``enumerate`` writes the representatives in key order and ``verify``
-    counts the classes (``_class_count``) from the same class search, so the
-    two report the same classes.
-    """
-    _check_domain(what, n, bound)
-    if what == "quivers":
-        orientation = _parse_orientation(seed_orientation, n - 1)
-        return quiver.mutation_class_representatives(quiver.dynkin_d(n, orientation))
-    if what == "triangulations":
-        return polygon.triangulation_classes(n)
-    return trees.star_tree_classes(n)
-
-
-def _class_count(what: str, n: int, bound: int, seed_orientation: str | None) -> int:
-    """``len(_class_map(...))``; the triangulation and tree routes count
-    without building their classes."""
-    if what == "quivers":
-        return len(_class_map(what, n, bound, seed_orientation))
-    _check_domain(what, n, bound)
-    if what == "triangulations":
-        return polygon.triangulation_class_count(n)
-    return trees.star_tree_class_count(n)
-
-
 # -- enumerate ----------------------------------------------------------------
 
 
 def _cmd_enumerate(args) -> int:
     if args.seed_orientation is not None and args.what != "quivers":
         raise ValueError("--seed-orientation applies only to --what quivers")
-    _, bound, writer, _, _ = _ROUTES[args.what]
-    if args.bound is not None:
-        bound = args.bound
+    route = _ROUTES[args.what]
+    bound = route.enumerate_bound if args.bound is None else args.bound
+    # every input check comes before --out is opened, which truncates it
+    if args.n < 3:
+        raise ValueError(f"enumeration starts at n = 3, got {args.n}")
+    if args.n > bound:
+        raise BoundExceededError(
+            f"{args.what[:-1]} enumeration supports n <= {bound}, got {args.n}"
+        )
+    orientation = _parse_orientation(args.seed_orientation, args.n - 1)
     with _output(args.out) as write:
-        classes = _class_map(args.what, args.n, bound, args.seed_orientation)
+        classes = route.classes(args.n, orientation)
         # the array json.dumps writes, one element at a time: a class map
         # is never empty, since n >= 3
         opening = "[\n  "
-        for text in writer((classes[key] for key in sorted(classes)), 1):
+        for text in route.writer((classes[key] for key in sorted(classes)), 1):
             write(opening + text)
             opening = ",\n  "
         write("\n]\n")
@@ -315,6 +300,8 @@ def _load_json(path: str):
 
 
 def _cmd_convert(args) -> int:
+    if args.format == "dot" and args.to != "quiver":
+        raise ValueError("--format dot applies only to --to quiver")
     obj = _load_json(args.input)
     if args.source == "triangulation":
         t = polygon.triangulation_from_json_obj(obj)
@@ -401,7 +388,7 @@ _CHECKS = (
 )
 
 
-def _verify_one(n: int, args) -> dict:
+def _verify_one(n: int, args, orientation: list[bool] | None) -> dict:
     report: dict = {"n": n, "agreement": {}, "wall_time": {}}
 
     start = time.perf_counter()
@@ -409,21 +396,20 @@ def _verify_one(n: int, args) -> dict:
     report["formula_count"] = references["formula"]
     report["wall_time"]["formula"] = time.perf_counter() - start
 
-    for what, (_, _, _, field, timer) in _ROUTES.items():
-        bound = getattr(args, f"{what[:-1]}_bound")
-        if n > bound:
-            report[field] = "skipped"
+    for what, route in _ROUTES.items():
+        if n > getattr(args, f"{what[:-1]}_bound"):
+            report[route.field] = "skipped"
             continue
         start = time.perf_counter()
-        report[field] = _class_count(what, n, bound, args.seed_orientation)
-        report["wall_time"][timer] = time.perf_counter() - start
+        report[route.field] = route.count(n, orientation)
+        report["wall_time"][route.timer] = time.perf_counter() - start
 
     agreement = report["agreement"]
     failures = []
     diverged = False
     for key, what, reference, allowed in _CHECKS:
-        _, _, _, field, route = _ROUTES[what]
-        count = report[field]
+        route = _ROUTES[what]
+        count = report[route.field]
         if count == "skipped":
             continue
         agreement[key] = count == references[reference]
@@ -431,8 +417,8 @@ def _verify_one(n: int, args) -> dict:
             continue
         if n == 4 and count == allowed:
             diverged = True
-        elif route not in failures:
-            failures.append(route)
+        elif route.timer not in failures:
+            failures.append(route.timer)
     report["failures"] = failures
     if failures:
         report["status"] = "FAIL: " + ",".join(failures)
@@ -448,21 +434,20 @@ def _cmd_verify(args) -> int:
         raise ValueError("nmin must not exceed nmax")
     if args.nmin < 3:
         raise ValueError("verification starts at n = 3")
-    if args.seed_orientation is not None:
-        # one orientation string fits one n, and only the quiver route reads it
-        if args.nmin != args.nmax:
-            raise ValueError(
-                f"--seed-orientation needs a single n, got the range {args.nmin}..{args.nmax}"
-            )
-        _parse_orientation(args.seed_orientation, args.nmin - 1)
-        if args.nmin > args.quiver_bound:
-            raise ValueError(
-                f"--seed-orientation is for the quiver route, which skips n = {args.nmin} "
-                f"(quiver bound {args.quiver_bound})"
-            )
+    # one orientation string fits one n, and only the quiver route reads it
+    if args.seed_orientation is not None and args.nmin != args.nmax:
+        raise ValueError(
+            f"--seed-orientation needs a single n, got the range {args.nmin}..{args.nmax}"
+        )
+    orientation = _parse_orientation(args.seed_orientation, args.nmin - 1)
+    if orientation is not None and args.nmin > args.quiver_bound:
+        raise ValueError(
+            f"--seed-orientation is for the quiver route, which skips n = {args.nmin} "
+            f"(quiver bound {args.quiver_bound})"
+        )
     json_output = _output(args.json) if args.json is not None else contextlib.nullcontext()
     with json_output as write:
-        reports = [_verify_one(n, args) for n in range(args.nmin, args.nmax + 1)]
+        reports = [_verify_one(n, args, orientation) for n in range(args.nmin, args.nmax + 1)]
 
         header = f"{'n':>3} {'formula':>10} {'quiver_bfs':>10} {'triang':>8} {'trees':>8}  status"
         print(header)
@@ -524,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check all counting methods")
     p.add_argument("nmin", type=_parse_int)
     p.add_argument("nmax", type=_parse_int)
-    for what, (bound, _, _, _, _) in _ROUTES.items():
-        p.add_argument(f"--{what[:-1]}-bound", type=_parse_int, default=bound)
+    for what, route in _ROUTES.items():
+        p.add_argument(f"--{what[:-1]}-bound", type=_parse_int, default=route.verify_bound)
     p.add_argument("--seed-orientation", help="0/1 string choosing the D_n seed orientation")
     p.add_argument("--json", help="also write the verification report as JSON here")
     p.set_defaults(func=_cmd_verify)

@@ -13,6 +13,7 @@ import pytest
 import dquiver
 from dquiver import cli, counting, polygon, quiver, trees
 from dquiver.cli import main
+from dquiver.errors import BoundExceededError
 from dquiver.quiver import Quiver, canonical_key, dynkin_d
 
 
@@ -250,38 +251,69 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, argv):
     [["enumerate", "8", "--what", "quivers", "--out"], ["verify", "3", "8", "--json"]],
 )
 def test_unwritable_output_path_fails_before_the_work(capsys, monkeypatch, tmp_path, argv):
+    # both commands reach the quiver BFS first
     def no_work(*args):
         raise AssertionError("a class map was built before the output path was opened")
 
-    monkeypatch.setattr(cli, "_class_map", no_work)
+    monkeypatch.setattr(quiver, "mutation_class_representatives", no_work)
     code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "x.json"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def _raising(error):
+    def fail(*args):
+        raise error("the work failed")
+
+    return fail
+
+
 @pytest.mark.parametrize(
     "argv, expected",
-    [(["enumerate", "11", "--what", "quivers", "--out"], 3),
-     (["enumerate", "2", "--what", "trees", "--out"], 2),
-     (["verify", "5", "5", "--seed-orientation", "01", "--json"], 2)],
+    [(["enumerate", "5", "--what", "quivers", "--out"], 3),
+     (["enumerate", "5", "--what", "quivers", "--out"], 2),
+     (["verify", "5", "5", "--seed-orientation", "01", "--json"], 2),
+     (["verify", "5", "5", "--json"], 3)],
 )
-def test_a_failed_command_leaves_no_output_file(capsys, tmp_path, argv, expected):
+def test_a_failed_command_leaves_no_output_file(capsys, monkeypatch, tmp_path, argv, expected):
+    # all but the bad --seed-orientation fail inside the output block, after
+    # the file was opened: a bound error exits 3, an input error 2
+    error = {3: BoundExceededError, 2: ValueError}[expected]
+    monkeypatch.setattr(quiver, "mutation_class_representatives", _raising(error))
     out_file = tmp_path / "x.json"
     code, _, err = run(capsys, *argv, str(out_file))
     assert code == expected and err.startswith("error: ")
     assert not out_file.exists()
 
 
-def test_a_failed_command_keeps_a_symlinked_output_path(capsys, tmp_path):
+def test_a_failed_command_keeps_a_symlinked_output_path(capsys, monkeypatch, tmp_path):
     # only a regular file opened at the path itself is removed, so a link
     # such as /dev/stdout survives a failed command
+    monkeypatch.setattr(quiver, "mutation_class_representatives", _raising(BoundExceededError))
     target = tmp_path / "target.json"
     target.write_text("old")
     link = tmp_path / "link.json"
     link.symlink_to(target)
-    code, _, _ = run(capsys, "enumerate", "11", "--what", "quivers", "--out", str(link))
+    code, _, _ = run(capsys, "enumerate", "5", "--what", "quivers", "--out", str(link))
     assert code == 3
     assert link.is_symlink() and target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["enumerate", "2", "--what", "trees"], 2),
+     (["enumerate", "5", "--what", "quivers", "--seed-orientation", "zz"], 2),
+     (["enumerate", "11", "--what", "quivers"], 3)],
+)
+def test_an_enumerate_input_error_keeps_the_existing_output_file(capsys, tmp_path, argv, expected):
+    # n and --seed-orientation are checked before --out is opened, so the
+    # file is neither truncated nor removed
+    out_file = tmp_path / "keep.json"
+    out_file.write_text("old\n")
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert out_file.read_text() == "old\n"
 
 
 @pytest.mark.parametrize(
@@ -311,6 +343,12 @@ def write_fan(tmp_path, n):
     return path
 
 
+def write_leaf_star(tmp_path, n):
+    path = tmp_path / f"r{n}.json"
+    path.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(n))))
+    return path
+
+
 def test_convert_fan_to_dot_cycle(capsys, tmp_path):
     src = write_fan(tmp_path, 5)
     code, out, _ = run(capsys, "convert", "--from", "triangulation", "--to", "quiver",
@@ -321,8 +359,7 @@ def test_convert_fan_to_dot_cycle(capsys, tmp_path):
 
 
 def test_convert_leaf_star_to_fan(capsys, tmp_path):
-    src = tmp_path / "r5.json"
-    src.write_text(json.dumps(trees.star_to_json_obj(trees.leaf_star(5))))
+    src = write_leaf_star(tmp_path, 5)
     code, out, _ = run(capsys, "convert", "--from", "tree", "--to", "triangulation", str(src))
     assert code == 0
     t = polygon.triangulation_from_json_obj(json.loads(out))
@@ -349,6 +386,24 @@ def test_convert_rejects_malformed_json(capsys, tmp_path):
     code, _, err = run(capsys, "convert", "--from", "triangulation", "--to", "tree", str(bad))
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize(
+    "source, to, fixture",
+    [("triangulation", "tree", write_fan), ("tree", "triangulation", write_leaf_star)],
+)
+def test_convert_takes_format_dot_only_for_a_quiver(capsys, tmp_path, source, to, fixture):
+    src = fixture(tmp_path, 4)
+    out_file = tmp_path / "out.json"
+    argv = ["convert", "--from", source, "--to", to, str(src)]
+    code, out, err = run(capsys, *argv, "--format", "dot", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: --format dot applies only to --to quiver\n"
+    assert not out_file.exists()
+    # an explicit --format json writes what the default does
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--format", "json") == default
 
 
 def test_convert_rejects_unsupported_pair(capsys, tmp_path):
@@ -699,7 +754,7 @@ def _route_sha256(what, n):
         "triangulations": polygon.triangulation_to_json_obj,
         "trees": trees.star_to_json_obj,
     }[what]
-    classes = cli._class_map(what, n, n, None)
+    classes = cli._ROUTES[what].classes(n, None)
     objs = [to_json(classes[key]) for key in sorted(classes)]
     return hashlib.sha256(dumps(objs).encode()).hexdigest()
 
@@ -799,6 +854,15 @@ def test_verify_range(capsys, tmp_path):
         assert r["formula_count"] == r["tree_count"]
         assert all(r["agreement"].values())
         assert "quiver_bfs" in r["wall_time"]
+
+
+def test_verify_at_twelve_prints_the_table_the_benchmark_pins(capsys):
+    # bench/reference.json is only read
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    pinned = json.loads(reference.read_text(encoding="utf-8"))["verify_stdout_sha256"]["12 12"]
+    code, out, err = run(capsys, "verify", "12", "12")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
 def test_verify_reports_expected_divergence_at_four(capsys):
@@ -990,7 +1054,7 @@ def test_verify_refuses_a_tree_count_past_64_bit_bead_keys(capsys, monkeypatch, 
     "what, module",
     [("quivers", "dquiver.quiver"), ("triangulations", "dquiver.polygon"), ("trees", "dquiver.trees")],
 )
-@pytest.mark.parametrize("build", [cli._class_count, cli._class_map], ids=["count", "map"])
+@pytest.mark.parametrize("build", ["count", "classes"], ids=["count", "map"])
 def test_each_route_runs_only_in_its_own_module(what, module, build):
     entered = set()
 
@@ -1000,7 +1064,7 @@ def test_each_route_runs_only_in_its_own_module(what, module, build):
 
     sys.setprofile(profile)
     try:
-        build(what, 7, 7, None)
+        getattr(cli._ROUTES[what], build)(7, None)
     finally:
         sys.setprofile(None)
     ours = {name for name in entered if isinstance(name, str) and name.split(".")[0] == "dquiver"}
