@@ -72,6 +72,12 @@ def main() -> None:
         if not (report["tree_count"] == 5170604 and report["status"] == "ok"):
             sys.exit(f"verify15.json should report 5170604 tree classes and ok, got {report!r}")
 
+        # n = 16, one past it: the count builds bead tables up to 14 leaves
+        dquiver(tmp, "verify", "16", "16", "--tree-bound", "16", "--json", "verify16.json")
+        (report,) = json.loads((work / "verify16.json").read_text())
+        if not (report["tree_count"] == 18784170 and report["status"] == "ok"):
+            sys.exit(f"verify16.json should report 18784170 tree classes and ok, got {report!r}")
+
         with open(work / "d100000.txt", "w") as out:
             dquiver(tmp, "count", "100000", "--type", "D", stdout=out)
         if hasattr(sys, "set_int_max_str_digits"):

@@ -518,22 +518,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: object, code: int) -> int:
+    """Print the one error line and return ``code``.  If stderr's reader has
+    gone too (``2>&1 | head``), the line is lost: stderr moves to devnull,
+    so neither this write nor the interpreter's flush at exit raises."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except BoundExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 3
+        return _error("out of memory", 3)
     except (ValueError, IndexError, OSError) as exc:
         # bad input, out-of-range positions, unreadable or unwritable files;
         # exit 1 stays reserved for failed verification
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
 
 
 def entry() -> None:
@@ -547,8 +555,7 @@ def entry() -> None:
         # interpreter's flush at exit has nothing left to report.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if code == 0:
-            print(f"error: {exc}", file=sys.stderr)
-            code = 2
+            code = _error(exc, 2)
     raise SystemExit(code)
 
 

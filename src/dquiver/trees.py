@@ -164,7 +164,7 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     bead is less than the first, and a complete star is its own least
     rotation exactly when p divides its bead count; periodic stars are kept.
     Any prefix completes with leaf beads, the greatest code, so no branch is
-    a dead end.
+    a dead end, and a least rotation that starts with the leaf is all leaves.
 
     The last bead takes all the leaves left, so the rule fixes it to one run
     of ``tables[left]``: ``visit(prefix, table, lo, tail)`` stands for the
@@ -173,7 +173,8 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     greatest, ends a Lyndon word: those stars are one run with the leaf tail
     ``tables[1]``, after the floor's recursion.  Runs, and their stars, come
     bead by bead by (leaf count, code).  The n-leaf beads, single-bead stars,
-    are not runs, so ``tables`` must reach n - 1 leaves.
+    are not runs.  ``tables[n - 1]`` is read only as the last run, so a
+    visitor that counts may be given any sequence of its length there.
     """
     prefix: list = []
 
@@ -200,7 +201,10 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
         visit(prefix, table, lo, ())
 
     try:
-        for m in range(1, n - 1):
+        # the all-leaf star, the one whose first bead is the leaf; at n = 2 the last run
+        if n > 2:
+            visit([*tables[1]] * (n - 1), tables[1], 0, ())
+        for m in range(2, n - 1):
             for bead in tables[m]:
                 prefix.append(bead)
                 extend(n - m, 1)
@@ -248,10 +252,12 @@ def star_tree_class_count(n: int) -> int:
     left-aligned in 2n - 3 bits.  Two codes never first differ at a ")",
     which closes a node after its second child in both, so keys compare as
     codes.  64-bit keys reach n = 33; no larger table could ever be built.
+    Only the beads with up to n - 2 leaves are built; those with n - 1 and n
+    are counted as pairs of a left and a right subtree.
     """
     _check_int("star_tree_class_count", "n", n, 1)
-    if n == 1:
-        return 1
+    if n < 3:
+        return n  # [L]; [L,L] and [(LL)]
     if 2 * n - 3 > 64:
         raise BoundExceededError(f"star_tree_class_count supports n <= 33, got {n}")
     # imported here, so that importing the package does not load it
@@ -263,10 +269,11 @@ def star_tree_class_count(n: int) -> int:
         nonlocal total
         total += len(table) - lo
 
-    tables, _ = _bead_tables(n, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    # add reads only the length of the last run, that of the n - 1 leaf beads
+    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
     _least_rotations(n, add, tables)
-    # the single-bead classes, which _bead_tables streams and the count does
-    # not: a left subtree with k leaves and a right one with n - k
+    # the single-bead classes
     return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
 
 

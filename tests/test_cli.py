@@ -838,6 +838,22 @@ def test_a_stdout_closed_before_a_short_output_exits_2(argv):
     assert (proc.returncode, err.decode()) == (2, BROKEN_PIPE)
 
 
+@pytest.mark.parametrize("argv", [("enumerate", "9", "--what", "trees"), ("enumerate", "7", "--what", "quivers")])
+def test_a_pipe_closed_under_stdout_and_stderr_alike_exits_2(argv):
+    # as ``2>&1 | head -1``: the error line's own write fails too.  Each
+    # output is larger than a 64 KiB pipe, so a write finds the pipe closed
+    read_end, write_end = os.pipe()
+    try:
+        proc = cli_process(*argv, stdout=write_end, stderr=write_end)
+    finally:
+        os.close(write_end)
+    try:
+        assert os.read(read_end, 16)
+    finally:
+        os.close(read_end)
+    assert proc.wait(timeout=120) == 2
+
+
 # -- verify --------------------------------------------------------------------
 
 

@@ -453,9 +453,9 @@ def test_star_tree_classes_match_the_sorted_oracle():
 
 
 def test_bead_tables_do_not_outlive_the_count():
-    # the key tables of the beads with 1..12 leaves take 0.66 MB: 82 500
+    # the key tables of the beads with 1..11 leaves take 0.19 MB: 23 714
     # keys of 8 bytes
-    star_tree_class_count(2)  # imports array, which the count loads on first use
+    star_tree_class_count(3)  # imports array, which the count loads on first use
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -466,9 +466,33 @@ def test_bead_tables_do_not_outlive_the_count():
     assert held < 1 << 17
 
 
+def test_the_count_never_builds_the_n_minus_1_leaf_beads(monkeypatch):
+    asked = []
+    for name in ("_join_keys", "_join_codes"):
+        def join(left, tables, m, real=getattr(trees, name)):
+            asked.append(m)
+            return real(left, tables, m)
+
+        monkeypatch.setattr(trees, name, join)
+    for n in range(3, 14):
+        # the count builds the tables up to n - 2 leaves and streams nothing;
+        # the leaf table is not joined, so at n = 3 nothing is
+        asked.clear()
+        star_tree_class_count(n)
+        assert sorted(set(asked)) == list(range(2, n - 1))
+        assert max(asked, default=1) == n - 2
+        # the class map still builds the n - 1 leaf table, whose beads it
+        # writes, and streams the n-leaf beads, the single-bead classes
+        asked.clear()
+        star_tree_classes(n)
+        assert sorted(set(asked)) == list(range(2, n + 1))
+
+
 def test_the_count_peaks_below_2_mb():
-    # 17.6 MB on tables of bytes codes and bead tuples, 1.3 MB on keys
-    star_tree_class_count(2)
+    # 0.43 MB on the key tables up to 11 leaves, with Python 3.11; 1.47 MB
+    # when the count built the 12-leaf table too, and 14.8 MB for the tables
+    # of bytes codes and bead tuples up to 12 leaves
+    star_tree_class_count(3)
     tracemalloc.start()
     try:
         assert star_tree_class_count(13) == 400024
