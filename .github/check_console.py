@@ -2,10 +2,13 @@
 
 Runs ``verify``, ``count`` and ``enumerate`` in a temporary directory and
 compares what they write, ``verify 12 12``'s table among them, with what
-bench/reference.json pins; the reference file is only read.  A count whose
-sieve cannot be allocated must exit 3 with one ``error:`` line, and
-``count 1_000`` must exit 2, both with no output.  ``convert`` must turn
-the plain n = 5 fan into the oriented 5-cycle, in JSON and in DOT.  Then it
+bench/reference.json pins; the reference file is only read.  That file
+pins the triangulation route at n = 7 only, so ``enumerate 9 --what
+triangulations``, at the route's enumerate bound, is checked against the
+digest ``T9_SHA256`` kept here.  A count whose sieve cannot be allocated
+must exit 3 with one ``error:`` line, and ``count 1_000`` must exit 2,
+both with no output.  ``convert`` must turn the plain n = 5 fan into the
+oriented 5-cycle, in JSON and in DOT.  Then it
 feeds each JSON reader one malformed file, and asks for DOT from a
 conversion that gives no quiver; each must exit 2 with one ``error:`` line
 and write no output.  After ``pip install -e .``, run it from anywhere as
@@ -22,6 +25,8 @@ import tempfile
 from pathlib import Path
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+# SHA-256 of what enumerate 9 --what triangulations writes, measured at 7d5b80a
+T9_SHA256 = "bc59f2d3d785ec8e319f92262cbdec9e62a2fbabaf6bd2a9e9c2a17e62ed2403"
 
 
 def dquiver(cwd: str, *argv: str, stdout=None) -> None:
@@ -113,6 +118,13 @@ def main() -> None:
             got = hashlib.sha256((work / name).read_bytes()).hexdigest()
             if got != want:
                 sys.exit(f"{name} has SHA-256 {got}, bench/reference.json pins {want}")
+
+        with open(work / "t9.txt", "wb") as out:
+            dquiver(tmp, "enumerate", "9", "--what", "triangulations", "--out", "t9.json", stdout=out)
+        got = (work / "t9.txt").read_text(), hashlib.sha256((work / "t9.json").read_bytes()).hexdigest()
+        if got != ("2704\n", T9_SHA256):
+            sys.exit(f"enumerate 9 --what triangulations printed {got[0]!r} and wrote SHA-256 {got[1]}, "
+                     f"want '2704\\n' and {T9_SHA256}")
 
         # the plain fan's quiver is the oriented cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0
         cycle = [[i, (i + 1) % 5] for i in range(5)]

@@ -39,11 +39,13 @@ the symmetries and the enumerations build through the unchecked
 walked in one place, ``_images``, which ``rotate``, ``class_key`` and the
 packed orbits of the class search read.
 
-The classes up to rotation and tag inversion (``triangulation_classes``,
-``triangulation_class_count``) come from the clique search of
-``enumerate_triangulations`` as an orderly generation: it drops a partial
-clique once one of its 2n packed images is smaller, so it reaches only the
-least member of each class, the one ``Triangulation`` built per class.
+One clique search, ``_orbits``, reaches every triangulation.  It is an
+orderly generation: it drops a partial clique once one of its 2n packed
+images is smaller, so it reaches only the least member of each class, and
+yields it with its 2n images.  The classes up to rotation and tag inversion
+(``triangulation_classes``, ``triangulation_class_count``) read the least
+member, the one ``Triangulation`` built per class, and
+``enumerate_triangulations`` reads every image.
 
 The region decomposition (``_decomposition``) also lives here: one linear
 sweep per triangulation, on first use, kept on the triangulation and read
@@ -484,43 +486,6 @@ def fan_triangulation(n: int, tag: str = PLAIN) -> Triangulation:
     return Triangulation(n, (Radius(a, tag) for a in range(n)))
 
 
-def _cliques(table: _DiagonalTable, weights: list[int], beaten=None) -> Iterator[int]:
-    """The OR of ``weights`` over each triangulation, by clique search.
-
-    Backtracks in index order over the compatibility masks of all
-    diagonals for size-n sets of pairwise compatible ones (each is maximal,
-    hence a triangulation), ORing in ``weights[i]`` for each chosen i.  An
-    OR that ``beaten`` finds nonzero is dropped, with all it grows into.
-    """
-    n = table.n
-    compat = [table.row(i) for i in range(len(weights))]
-    stack = [((1 << len(compat)) - 1, n, 0)]
-    while stack:
-        rest, need, acc = stack.pop()
-        if rest.bit_count() < need:
-            continue
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest.bit_count() + 1 < need:
-                break
-            i = low.bit_length() - 1
-            out = acc | weights[i]
-            if beaten is not None and beaten(out):
-                continue
-            if need == 1:
-                yield out
-            else:
-                stack.append((rest & compat[i], need - 1, out))
-
-
-def enumerate_triangulations(n: int) -> set[Triangulation]:
-    """All triangulations of the punctured n-gon, by clique search."""
-    table = _diagonal_table(n)
-    masks = _cliques(table, [1 << i for i in range(len(table.diagonals))])
-    return {Triangulation._of(n, mask) for mask in masks}
-
-
 def flip(t: Triangulation, d: Diagonal) -> Triangulation:
     """Exchange ``d`` for the unique other diagonal completing t - {d}.
 
@@ -639,19 +604,49 @@ def _beaten(table: _DiagonalTable):
     return beaten
 
 
-def _class_masks(n: int) -> Iterator[int]:
-    """The least mask of each class, by orderly generation (Read 1978; McKay 1998).
+def _orbits(n: int) -> Iterator[int]:
+    """The 2n packed images of each class's least member, by orderly generation.
 
-    The search adds diagonals in increasing order, so if an image of a
-    partial clique is smaller, so is that image of every completion: the
-    branch is dropped.  The radius shape is read off each mask kept.
+    Backtracks in index order over the compatibility masks of all
+    diagonals for size-n sets of pairwise compatible ones (each is maximal,
+    hence a triangulation), ORing in ``_orbit_images`` of each chosen one.
+    As diagonals are added in increasing order, if an image of a partial
+    clique is smaller, so is that image of every completion, and a branch
+    that ``_beaten`` finds is dropped (Read 1978; McKay 1998).  So each
+    class is reached once, at its least member in field 0, whose radius
+    shape is read.
     """
     table = _diagonal_table(n)
-    full = (1 << len(table.diagonals)) - 1
-    for images in _cliques(table, _orbit_images(table), _beaten(table)):
-        mask = images & full
-        _radius_config(n, mask)
-        yield mask
+    images, beaten = _orbit_images(table), _beaten(table)
+    full = (1 << len(images)) - 1
+    compat = [table.row(i) for i in range(len(images))]
+    stack = [(full, n, 0)]
+    while stack:
+        rest, need, acc = stack.pop()
+        if rest.bit_count() < need:
+            continue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest.bit_count() + 1 < need:
+                break
+            i = low.bit_length() - 1
+            out = acc | images[i]
+            if beaten(out):
+                continue
+            if need == 1:
+                _radius_config(n, out & full)
+                yield out
+            else:
+                stack.append((rest & compat[i], need - 1, out))
+
+
+def enumerate_triangulations(n: int) -> set[Triangulation]:
+    """All triangulations of the punctured n-gon: every field of ``_orbits``."""
+    size = len(_diagonal_table(n).diagonals)
+    full, shifts = (1 << size) - 1, range(0, 2 * n * (size + 1), size + 1)
+    masks = {orbit >> shift & full for orbit in _orbits(n) for shift in shifts}
+    return {Triangulation._of(n, mask) for mask in masks}
 
 
 def triangulation_classes(n: int) -> dict[bytes, Triangulation]:
@@ -660,12 +655,13 @@ def triangulation_classes(n: int) -> dict[bytes, Triangulation]:
     A ``Triangulation`` is built only for the least member of each class,
     which ``class_representative`` turns into the key and the representative.
     """
-    return dict(class_representative(Triangulation._of(n, mask)) for mask in _class_masks(n))
+    full = (1 << len(_diagonal_table(n).diagonals)) - 1
+    return dict(class_representative(Triangulation._of(n, orbit & full)) for orbit in _orbits(n))
 
 
 def triangulation_class_count(n: int) -> int:
     """Number of triangulation classes, without building any of them."""
-    return sum(1 for _ in _class_masks(n))
+    return sum(1 for _ in _orbits(n))
 
 
 def tau(d: Diagonal, n: int) -> Diagonal:

@@ -3,8 +3,9 @@
 Besides shortcuts over the package's enumerations, these are the slow but
 obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
-the pairwise triangulation predicate, the serializer, the class search
-that keeps each clique equal to its least packed image, the star tree count
+the pairwise triangulation predicate, the serializer, the clique search
+with no pruning and the class search over it that keeps each clique equal
+to its least packed image, the star tree count
 on tables of bead codes, the star generation that recurses once per bead,
 Euler's totient by trial division, the bytearray sieve of Eratosthenes
 over every integer, the central binomial one prime at a time, the quiver BFS that canonicalizes every exchange-graph edge between
@@ -28,8 +29,8 @@ from dquiver.polygon import (
     Diagonal,
     Radius,
     Triangulation,
+    _DiagonalTable,
     _bits,
-    _cliques,
     _diagonal_table,
     _mask,
     _orbit_images,
@@ -286,6 +287,46 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
     return all(not mask & ~table.row(i) for i in _bits(mask))
 
 
+def unpruned_cliques(table: _DiagonalTable, weights: list[int]) -> Iterator[int]:
+    """The OR of ``weights`` over each triangulation, by clique search.
+
+    Backtracks in index order over the compatibility masks of all
+    diagonals for size-n sets of pairwise compatible ones (each is maximal,
+    hence a triangulation), ORing in ``weights[i]`` for each chosen i.  The
+    search of ``polygon._orbits`` with no pruning: it reaches every
+    triangulation, not only the least member of each class.
+    """
+    n = table.n
+    compat = [table.row(i) for i in range(len(weights))]
+    stack = [((1 << len(compat)) - 1, n, 0)]
+    while stack:
+        rest, need, acc = stack.pop()
+        if rest.bit_count() < need:
+            continue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest.bit_count() + 1 < need:
+                break
+            i = low.bit_length() - 1
+            out = acc | weights[i]
+            if need == 1:
+                yield out
+            else:
+                stack.append((rest & compat[i], need - 1, out))
+
+
+def triangulations_by_clique_search(n: int) -> set[Triangulation]:
+    """Every triangulation, one per clique of the unpruned search.
+
+    The path ``enumerate_triangulations`` took before it read the 2n images
+    of each class's least member from ``polygon._orbits``.
+    """
+    table = _diagonal_table(n)
+    masks = unpruned_cliques(table, [1 << i for i in range(len(table.diagonals))])
+    return {Triangulation._of(n, mask) for mask in masks}
+
+
 def _orbit_key(images: int, n: int) -> int:
     """Least image mask packed in ``images`` (see ``_orbit_images``), as an integer.
 
@@ -306,7 +347,7 @@ def class_masks_by_orbit_key(n: int) -> Iterator[int]:
     """
     table = _diagonal_table(n)
     full = (1 << len(table.diagonals)) - 1
-    for images in _cliques(table, _orbit_images(table)):
+    for images in unpruned_cliques(table, _orbit_images(table)):
         mask = images & full
         if mask == _orbit_key(images, n):
             yield mask

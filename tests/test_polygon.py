@@ -19,12 +19,12 @@ from dquiver.polygon import (
     Triangulation,
     _beaten,
     _bits,
-    _class_masks,
     _decomposition,
     _diagonal_table,
     _images,
     _mask,
     _orbit_images,
+    _orbits,
     _radius_config,
     all_diagonals,
     class_key,
@@ -58,6 +58,7 @@ from helpers import (
     is_triangulation,
     mutation_class,
     serialize_triangulation,
+    triangulations_by_clique_search,
     triangulations_by_flips,
 )
 
@@ -225,9 +226,15 @@ def test_enumeration_matches_flip_closure():
         assert enumerate_triangulations(n) == triangulations_by_flips(n)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_enumeration_matches_the_unpruned_clique_search(n):
+    assert enumerate_triangulations(n) == triangulations_by_clique_search(n)
+
+
 def test_triangulation_totals():
-    # total counts agree with the number of clusters in type D_n
-    for n in range(3, 9):
+    # total counts agree with the number of clusters in type D_n, up to the
+    # triangulation route's verify bound 10
+    for n in range(3, 11):
         assert len(enumerate_triangulations(n)) == d_cluster_count(n)
 
 
@@ -302,9 +309,9 @@ def test_tagged_pair_fan_gives_fork_in_class():
     assert canonical_key(q) in mutation_class(dynkin_d(5))
 
 
-def test_quiver_commutes_with_flip_spot_checks():
+def test_quiver_commutes_with_flip_on_every_triangulation():
     for n in (4, 5):
-        for t in list(enumerate_triangulations(n))[:40]:
+        for t in enumerate_triangulations(n):
             q = quiver_of(t)
             for d in t.sorted_diagonals:
                 lhs = canonical_key(quiver_of(flip(t, d)))
@@ -501,7 +508,7 @@ def _tag_config_oracle(diagonals):
 def _class_map_oracle(n):
     """The class map with one class_key per triangulation, as the CLI once built it."""
     classes = {}
-    for t in enumerate_triangulations(n):
+    for t in triangulations_by_clique_search(n):
         key = class_key(t)
         if key not in classes:
             classes[key] = class_representative(t)[1]
@@ -622,7 +629,7 @@ def test_the_image_test_passes_one_member_per_class():
         table = _diagonal_table(n)
         images, beaten = _orbit_images(table), _beaten(table)
         passed = {}
-        for t in enumerate_triangulations(n):
+        for t in triangulations_by_flips(n):
             members = passed.setdefault(class_key(t), [])
             if not beaten(_packed(t, images)):
                 members.append(t)
@@ -631,7 +638,8 @@ def test_the_image_test_passes_one_member_per_class():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_orderly_generation_matches_the_orbit_key_oracle(n):
-    masks = list(_class_masks(n))
+    full = (1 << n * n) - 1
+    masks = [orbit & full for orbit in _orbits(n)]
     keys = {class_key(Triangulation._of(n, mask)) for mask in masks}
     assert len(keys) == len(masks)
     assert keys == {class_key(Triangulation._of(n, mask)) for mask in class_masks_by_orbit_key(n)}
@@ -657,12 +665,21 @@ def test_orderly_generation_yields_the_lex_least_image_and_sets_no_guard_bit(mon
     for n in range(3, 8):
         table = _diagonal_table(n)
         del tested[:]
-        masks = set(_class_masks(n))
+        masks = {orbit & (1 << n * n) - 1 for orbit in _orbits(n)}
         assert tested
-        for t in enumerate_triangulations(n):
+        for t in triangulations_by_flips(n):
             # lists compare lexicographically
             least = min(sorted(image) for image in _images(table, _bits(t.mask)))
             assert _mask(least) in masks
+
+
+def test_each_orbit_packs_the_images_of_its_least_member_in_order():
+    for n in range(3, 8):
+        table = _diagonal_table(n)
+        size = len(table.diagonals)
+        for orbit in _orbits(n):
+            fields = [orbit >> k * (size + 1) & (1 << size + 1) - 1 for k in range(2 * n)]
+            assert fields == [_mask(image) for image in _images(table, _bits(fields[0]))]
 
 
 def test_table_compatibility_matches_crossing_number():
