@@ -5,8 +5,8 @@ obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, the clique search
 with no pruning and the class search over it that keeps each clique equal
-to its least packed image, the star tree count
-on tables of bead codes, the star generation that recurses once per bead,
+to its least packed image, the star tree count on tables of bead codes,
+the star generation that recurses once per bead,
 Euler's totient by trial division, the bytearray sieve of Eratosthenes
 over every integer, the central binomial one prime at a time, the quiver BFS that canonicalizes every exchange-graph edge between
 classes and the one that closes squares of them, both over classes rather
