@@ -8,7 +8,9 @@ triangulations``, at the route's enumerate bound, is checked against the
 digest ``T9_SHA256`` kept here.  A count whose sieve cannot be allocated
 must exit 3 with one ``error:`` line, and ``count 1_000`` must exit 2,
 both with no output.  ``convert`` must turn the plain n = 5 fan into the
-oriented 5-cycle, in JSON and in DOT.  Then it
+oriented 5-cycle, in JSON and in DOT, and ``mutate`` must rotate an inner
+edge of a star tree and flip a diagonal of that fan into the bytes kept
+here as ``ROTATED_STAR`` and ``FLIPPED_FAN5``.  Then it
 feeds each JSON reader one malformed file, and asks for DOT from a
 conversion that gives no quiver; each must exit 2 with one ``error:`` line
 and write no output.  After ``pip install -e .``, run it from anywhere as
@@ -27,6 +29,18 @@ from pathlib import Path
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 # SHA-256 of what enumerate 9 --what triangulations writes, measured at 7d5b80a
 T9_SHA256 = "bc59f2d3d785ec8e319f92262cbdec9e62a2fbabaf6bd2a9e9c2a17e62ed2403"
+# what mutate --what tree --at rotate:0:R writes for the beads [["L", ["L", "L"]], "L"],
+# and mutate --what triangulation --at 0 for the plain n = 5 fan, measured at 7dd0b06
+ROTATED_STAR = (
+    b'{\n  "beads": [\n    [\n      [\n        "L",\n        "L"\n      ],\n      "L"\n'
+    b'    ],\n    "L"\n  ]\n}\n'
+)
+FLIPPED_FAN5 = (
+    b'{\n  "diagonals": [\n    {\n      "arc": [\n        4,\n        1\n      ]\n    },\n'
+    b'    {\n      "radius": 1,\n      "tag": "plain"\n    },\n    {\n      "radius": 2,\n'
+    b'      "tag": "plain"\n    },\n    {\n      "radius": 3,\n      "tag": "plain"\n'
+    b'    },\n    {\n      "radius": 4,\n      "tag": "plain"\n    }\n  ],\n  "n": 5\n}\n'
+)
 
 
 def dquiver(cwd: str, *argv: str, stdout=None) -> None:
@@ -141,6 +155,16 @@ def main() -> None:
         got = (work / "fan5.dot").read_text()
         if got != want:
             sys.exit(f"the n = 5 fan's quiver in DOT should be the oriented 5-cycle, got {got!r}")
+
+        (work / "star.json").write_text(json.dumps({"beads": [["L", ["L", "L"]], "L"]}))
+        for argv, want in [
+            (["--what", "tree", "star.json", "--at", "rotate:0:R"], ROTATED_STAR),
+            (["--what", "triangulation", "fan5.json", "--at", "0"], FLIPPED_FAN5),
+        ]:
+            dquiver(tmp, "mutate", *argv, "--out", "mutated.json")
+            got = (work / "mutated.json").read_bytes()
+            if got != want:
+                sys.exit(f"dquiver mutate {' '.join(argv)} wrote {got!r}, want {want!r}")
 
         radii = [{"radius": a, "tag": "plain"} for a in (1, 2)]
         for name, obj, argv in [

@@ -60,8 +60,8 @@ from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 
-from .errors import BoundExceededError, _check_int
-from .quiver import Quiver, _read_only
+from .errors import BoundExceededError, _check_int, _check_type
+from .quiver import Quiver, _Value
 
 # largest n of a JSON triangulation, read or written: checking it builds
 # the n-gon's diagonal table and a compatibility row for every rotation
@@ -107,46 +107,18 @@ __all__ = [
 ]
 
 
-# Arc and Radius are immutable values, equal and hashed by their fields.
-# object.__setattr__ keeps attribute reads faster than vars(self) would,
-# and comparing field by field, not as tuples, keeps the table lookups that
-# diagonals key fast.
-class Arc:
+# Arc and Radius are immutable values, equal and hashed by their fields (``quiver._Value``).
+# object.__setattr__ keeps attribute reads faster than vars(self) would.
+class Arc(_Value, fields=("a", "b")):
     def __init__(self, a: int, b: int) -> None:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    __setattr__ = __delattr__ = _read_only
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"Arc(a={self.a!r}, b={self.b!r})"
-
-
-class Radius:
+class Radius(_Value, fields=("a", "tag")):
     def __init__(self, a: int, tag: str) -> None:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "tag", tag)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.tag == other.tag
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.tag))
-
-    def __repr__(self) -> str:
-        return f"Radius(a={self.a!r}, tag={self.tag!r})"
 
 
 Diagonal = Arc | Radius
@@ -437,7 +409,10 @@ class Triangulation:
 
 def _member_bit(t: Triangulation, d: Diagonal) -> int:
     """The mask bit of ``d`` in t; ValueError unless d is one of t's diagonals."""
-    i = _diagonal_table(t.n).index.get(d)
+    try:
+        i = _diagonal_table(t.n).index.get(d)
+    except TypeError:  # unhashable: a list, or an endpoint or tag that is one
+        i = None
     if i is None or not t.mask >> i & 1:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     return 1 << i
@@ -526,9 +501,7 @@ def _images(table: _DiagonalTable, bits: list[int]) -> Iterator[list[int]]:
 
 def rotate(t: Triangulation, i: int) -> Triangulation:
     """Rotate ``i`` steps clockwise: border index a becomes (a - i) mod n."""
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(i) is not int:
-        raise ValueError(f"rotation steps must be an integer, got {i!r}")
+    _check_type("rotation steps", i)
     images = _images(_diagonal_table(t.n), _bits(t.mask))
     return Triangulation._of(t.n, _mask(next(islice(images, i % t.n, None))))
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from operator import attrgetter
 
-from .errors import BoundExceededError, _check_int
+from .errors import BoundExceededError, _check_int, _check_type
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -52,19 +53,42 @@ __all__ = [
 
 
 def _check_rank(rank: int) -> None:
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(rank) is not int:
-        raise ValueError(f"rank must be an integer, got {rank!r}")
+    _check_type("rank", rank)
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
 
 
-def _read_only(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of an immutable value class."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Value:
+    """An immutable value, equal and hashed by the fields its class names once.
+
+    ``class Cls(_Value, fields=(...))`` keeps them as ``_fields`` and ``_key``,
+    which reads them as one tuple in one C call, so equality and hashing never
+    loop in Python.  The repr is ``Cls(f=v, ...)``; a constructor writes the
+    fields past the read-only ``__setattr__``.
+    """
+
+    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
+        cls._fields, cls._key = fields, attrgetter(*fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
-class Quiver:
+class Quiver(_Value, fields=("rank", "_arrows")):
     """Quiver on vertices 0..rank-1, stored as its rank and sorted arrows.
 
     ``_arrows`` holds ``(i, j, m)`` for each pair with m = b[i][j] > 0.
@@ -100,19 +124,6 @@ class Quiver:
                 if b[i][j] != -b[j][i]:
                     raise ValueError(f"matrix is not skew-symmetric at ({i},{j})")
         vars(self).update(rank=rank, _arrows=tuple(arrows))
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank, self._arrows) == (other.rank, other._arrows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self._arrows))
-
-    def __repr__(self) -> str:
-        return f"Quiver(rank={self.rank!r}, _arrows={self._arrows!r})"
 
     @classmethod
     def _of(cls, rank: int, arrows: tuple[tuple[int, int, int], ...]) -> "Quiver":
@@ -239,9 +250,7 @@ def _mutate_rows(rows: Rows, k: int) -> Rows:
 
 
 def _check_vertex(q: Quiver, k: int) -> None:
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(k) is not int:
-        raise ValueError(f"vertex must be an integer, got {k!r}")
+    _check_type("vertex", k)
     if not 0 <= k < q.rank:
         raise IndexError(f"vertex {k} out of range for rank {q.rank}")
 

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, chain
 
-from .errors import BoundExceededError, _check_int
+from .errors import BoundExceededError, _check_int, _check_type
 from .polygon import (
     LEAF,
     NOTCHED,
@@ -68,11 +68,7 @@ __all__ = [
 def leaf_count(tree: BinaryTree) -> int:
     """The leaves of a bead; ValueError naming the innermost subtree that is
     neither a leaf nor a pair."""
-    if tree == LEAF:
-        return 1
-    if isinstance(tree, tuple) and len(tree) == 2:
-        return leaf_count(tree[0]) + leaf_count(tree[1])
-    raise ValueError(f"not a full binary tree: {tree!r}")
+    return _serialize_bead(tree).count(b"L")
 
 
 def leaf_star(n: int) -> StarTree:
@@ -341,9 +337,7 @@ def triangulation_of(star: StarTree, n: int) -> Triangulation:
 
 
 def _check_bead_index(star: StarTree, i: int) -> None:
-    # type(...) is int: a bool or a float is rejected, not reinterpreted
-    if type(i) is not int:
-        raise ValueError(f"bead index must be an integer, got {i!r}")
+    _check_type("bead index", i)
     # a negative index would slice from the end and silently duplicate beads
     if not 0 <= i < len(star):
         raise IndexError(f"bead {i} out of range for {len(star)} beads (0..{len(star) - 1})")
@@ -386,6 +380,8 @@ def rotate_inner_edge(star: StarTree, i: int, path: str) -> StarTree:
     crosses.
     """
     _check_bead_index(star, i)
+    if not isinstance(path, str):
+        raise ValueError(f"a path must be a string of L and R steps, got {path!r}")
     if not path:
         raise ValueError("the empty path names the bead's root edge; use split/merge")
 
@@ -445,13 +441,13 @@ def tree_move_for_flip(t: Triangulation, d: Diagonal) -> tuple:
 
 
 def apply_tree_move(star: StarTree, move: tuple) -> StarTree:
-    kind = move[0]
-    if kind == "split":
-        return split_bead(star, move[1])
-    if kind == "merge":
-        return merge_beads(star, move[1])
-    if kind == "rotate":
-        return rotate_inner_edge(star, move[1], move[2])
+    match move:
+        case ("split", i):
+            return split_bead(star, i)
+        case ("merge", i):
+            return merge_beads(star, i)
+        case ("rotate", i, path):
+            return rotate_inner_edge(star, i, path)
     raise ValueError(f"unknown tree move: {move!r}")
 
 

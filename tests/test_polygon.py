@@ -1085,6 +1085,16 @@ def test_quiver_vertex_needs_a_diagonal_of_the_triangulation():
         assert str(vertex_error.value) == f"{d} is not a diagonal of the triangulation"
 
 
+@pytest.mark.parametrize("d", [Arc([0], 2), Radius(0, [PLAIN]), [1, 2]], ids=repr)
+@pytest.mark.parametrize("call", [flip, quiver_vertex, factor_out, tree_move_for_flip])
+def test_an_unhashable_diagonal_is_not_a_diagonal_of_the_triangulation(call, d):
+    # the lookup hashes d: an unhashable endpoint, tag or diagonal is a
+    # ValueError, as Triangulation(n, [d]) gives, not a TypeError
+    with pytest.raises(ValueError) as err:
+        call(fan_triangulation(5), d)
+    assert str(err.value) == f"{d} is not a diagonal of the triangulation"
+
+
 # -- a seeded flip walk: flips against mutations and tree moves, at every step
 
 

@@ -670,13 +670,34 @@ def test_bead_moves_reject_out_of_range_indices(move):
         apply_tree_move(star, move)
 
 
+# bead 0 can be split, merged and rotated at "L": each move below would
+# apply, were its shape not checked
+_SPLITTABLE = (((LEAF, LEAF), LEAF), LEAF)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: apply_tree_move((LEAF, LEAF, LEAF), ("spin", 0)), "unknown tree move: ('spin', 0)"),
+        # a move of the wrong length is unknown, not an IndexError or a
+        # move that drops its extra entry
+        *[
+            (lambda move=move: apply_tree_move(_SPLITTABLE, move), f"unknown tree move: {move!r}")
+            for move in [(), None, ("split",), ("rotate", 0), ("split", 0, "x"), ("merge", 0, 1)]
+        ],
+        *[
+            (lambda path=path: rotate_inner_edge(_SPLITTABLE, 0, path),
+             f"a path must be a string of L and R steps, got {path!r}")
+            for path in [["L"], ("L",), 5]
+        ],
         (lambda: tree_key(()), "star tree needs at least one bead"),
     ],
-    ids=["apply_tree_move", "tree_key"],
+    ids=[
+        "apply_tree_move",
+        *(f"apply_tree_move-{m}" for m in ["empty", "None", "split", "rotate", "split-x", "merge-1"]),
+        *(f"rotate_inner_edge-{p}" for p in ["list", "tuple", "int"]),
+        "tree_key",
+    ],
 )
 def test_star_functions_keep_their_one_line_errors(call, message):
     with pytest.raises(ValueError) as err:

@@ -12,7 +12,10 @@ run it keeps the ``env`` line and the final JSON line.
 seeds, S, and per workload the runs and each metric's values and median.
 If the file already holds runs of the same commit at the same S, the new
 seeds are added to them, so two checkouts can be recorded in alternation,
-one seed at a time.  Stdlib only.
+one seed at a time.  Before any run it refuses a seed given twice or
+already recorded, which would count twice in every median, and uncommitted
+changes under ``src/`` or ``bench/``, whose runs the commit would misstate.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*argv: str) -> str:
+    """The stripped stdout of ``git argv`` in the checkout."""
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def run(workload: str, seed: int, seconds: float) -> dict:
@@ -51,19 +60,24 @@ def summary(runs: list[dict]) -> dict:
 
 
 def main(argv: list[str]) -> int:
+    usage = "usage: python3 tools/bench_record.py LABEL SEED..."
     if len(argv) < 2 or not all(s.isdigit() for s in argv[1:]):
-        sys.exit("usage: python3 tools/bench_record.py LABEL SEED...")
+        sys.exit(usage)
     label, seeds = argv[0], [int(s) for s in argv[1:]]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                            text=True, check=True).stdout.strip()
+    commit = git("rev-parse", "HEAD")
+    if git("status", "--porcelain", "--", "src", "bench"):
+        sys.exit(f"{usage} (src/ or bench/ has uncommitted changes; commit them first)")
     path = ROOT / f"BENCH_{label}.json"
     record = json.loads(path.read_text()) if path.exists() else {}
     if (record.get("commit"), record.get("seconds")) != (commit, seconds):
         record = {"commit": commit, "seconds": seconds, "seeds": [],
                   "workloads": {w: {"runs": []} for w in workloads}}
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1 or s in record["seeds"]})
+    if repeated:
+        sys.exit(f"{usage} (seeds {repeated} are given twice or already in {path.name})")
     for seed in seeds:
         for workload in workloads:
             runs = record["workloads"][workload]["runs"]
