@@ -85,17 +85,13 @@ def main() -> None:
         if got != [(2704, "ok"), (9252, "ok")]:
             sys.exit(f"verify9_10.json should report 2704 and 9252 quiver classes, both ok, got {got!r}")
 
-        # n = 15 is the tree count's target bound, past its default 14
-        dquiver(tmp, "verify", "15", "15", "--tree-bound", "15", "--json", "verify15.json")
-        (report,) = json.loads((work / "verify15.json").read_text())
-        if not (report["tree_count"] == 5170604 and report["status"] == "ok"):
-            sys.exit(f"verify15.json should report 5170604 tree classes and ok, got {report!r}")
-
-        # n = 16, one past it: the count builds bead tables up to 14 leaves
-        dquiver(tmp, "verify", "16", "16", "--tree-bound", "16", "--json", "verify16.json")
-        (report,) = json.loads((work / "verify16.json").read_text())
-        if not (report["tree_count"] == 18784170 and report["status"] == "ok"):
-            sys.exit(f"verify16.json should report 18784170 tree classes and ok, got {report!r}")
+        # n = 16 is the tree route's verify bound: the count builds bead
+        # tables up to 14 leaves; n = 17 is past it
+        for n, want in [(15, 5170604), (16, 18784170), (17, "skipped")]:
+            dquiver(tmp, "verify", str(n), str(n), "--json", f"verify{n}.json")
+            (report,) = json.loads((work / f"verify{n}.json").read_text())
+            if not (report["tree_count"] == want and report["status"] == "ok"):
+                sys.exit(f"verify{n}.json should report tree count {want!r} and ok, got {report!r}")
 
         with open(work / "d100000.txt", "w") as out:
             dquiver(tmp, "count", "100000", "--type", "D", stdout=out)

@@ -22,6 +22,7 @@ function here is pure, so concurrent callers need no locking.
 
 from __future__ import annotations
 
+import copyreg
 from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -64,7 +65,8 @@ class _Value:
     ``class Cls(_Value, fields=(...))`` keeps them as ``_fields`` and ``_key``,
     which reads them as one tuple in one C call, so equality and hashing never
     loop in Python.  The repr is ``Cls(f=v, ...)``; a constructor writes the
-    fields past the read-only ``__setattr__``.
+    fields past the read-only ``__setattr__``.  Copies and pickles hold the
+    fields and nothing else.
     """
 
     def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
@@ -86,6 +88,11 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # only the fields: a value cached beside them, such as a quiver's
+        # ``b``, is not copied or pickled
+        return copyreg.__newobj__, (type(self),), {f: vars(self)[f] for f in self._fields}
 
 
 class Quiver(_Value, fields=("rank", "_arrows")):

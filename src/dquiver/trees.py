@@ -23,7 +23,7 @@ too.  Three local moves on star trees match diagonal flips:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain
 
 from .errors import BoundExceededError, _check_int, _check_type
@@ -162,17 +162,27 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     Any prefix completes with leaf beads, the greatest code, so no branch is
     a dead end, and a least rotation that starts with the leaf is all leaves.
 
-    The last bead takes all the leaves left, so the rule fixes it to one run
-    of ``tables[left]``: ``visit(prefix, table, lo, tail)`` stands for the
-    stars ``(*prefix, table[j], *tail)``, j >= lo, with ``prefix`` valid
-    during the call only.  After any bead above the floor, the leaf bead, the
-    greatest, ends a Lyndon word: those stars are one run with the leaf tail
-    ``tables[1]``, after the floor's recursion.  Runs, and their stars, come
-    bead by bead by (leaf count, code).  The n-leaf beads, single-bead stars,
-    are not runs.  ``tables[n - 1]`` is read only as the last run, so a
-    visitor that counts may be given any sequence of its length there.
+    ``visit(prefix, table, lo, tails)`` stands for the stars ``(*prefix,
+    table[j], *tail)``, j >= lo, the tails in order for each j, with
+    ``prefix`` valid during the call only.  The last bead takes all the
+    leaves left, so the rule fixes it to one run of ``tables[left]`` with
+    the empty tail.  After any bead above the floor, the bead p places back,
+    the prefix is a Lyndon word and the next floor is the first bead, which
+    is never the leaf here.  So with one leaf left the leaf tail ``(L,)``
+    completes a least rotation, and with two leaves left ``(L, L)`` always
+    does and ``((LL),)`` exactly when ``(LL)`` is above the first bead:
+    only the floor recurses, and the beads above it are one run with those
+    tails, after the floor's recursion.  At the top level every first bead
+    with n - 2 leaves, below both the leaf and ``(LL)``, is one run with both
+    tails (at n = 4 the bead is ``(LL)`` itself, and the periodic ``((LL),
+    (LL))`` is kept), and every first bead with n - 1 leaves one run with
+    the leaf tail.  Runs, and their stars, come bead by bead by (leaf count,
+    code).  The n-leaf beads, single-bead stars, are not runs.
+    ``tables[n - 1]`` is read only as the last run, so a visitor that counts
+    may be given any sequence of its length there.
     """
     prefix: list = []
+    ones = ((tables[1][0],),)
 
     def extend(left: int, p: int) -> None:
         # prefix is a prenecklace whose longest Lyndon prefix has length p
@@ -181,32 +191,38 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
         for m in range(1, left):
             table = tables[m]
             lo = bisect_left(table, floor)
-            # before the leaf bead only floor recurses; the beads above it are the run below
-            hi = len(table) if m < left - 1 else lo + (lo < len(table) and table[lo] == floor)
+            # with one or two leaves left only floor recurses; the beads above it are one run
+            hi = len(table) if m < left - 2 else lo + (lo < len(table) and table[lo] == floor)
             for bead in table[lo:hi]:
                 prefix.append(bead)
                 extend(left - m, p if bead == floor else t + 1)
                 prefix.pop()
-        if left > 1:
-            visit(prefix, table, hi, tables[1])
+            if m >= left - 2:
+                visit(prefix, table, hi, ones if m == left - 1 else twos)
         # a last bead above floor makes a Lyndon word; floor itself keeps p
         table = tables[left]
         lo = bisect_left(table, floor)
         if lo < len(table) and table[lo] == floor and (t + 1) % p:
             lo += 1
-        visit(prefix, table, lo, ())
+        visit(prefix, table, lo, ((),))
 
     try:
         # the all-leaf star, the one whose first bead is the leaf; at n = 2 the last run
         if n > 2:
-            visit([*tables[1]] * (n - 1), tables[1], 0, ())
-        for m in range(2, n - 1):
-            for bead in tables[m]:
-                prefix.append(bead)
-                extend(n - m, 1)
-                prefix.pop()
+            visit([*tables[1]] * (n - 1), tables[1], 0, ((),))
+        if n > 3:
+            leaf, pair = tables[1][0], tables[2][0]
+            both = ((leaf, leaf), (pair,))
+            for m in range(2, n - 2):
+                for bead in tables[m]:
+                    # (LL) is above every first bead but itself
+                    twos = both if pair > bead else both[:1]
+                    prefix.append(bead)
+                    extend(n - m, 1)
+                    prefix.pop()
+            visit(prefix, tables[n - 2], 0, both)
         # each first bead with n - 1 leaves, then the leaf; (L, L) at n = 2
-        visit(prefix, tables[n - 1], 0, tables[1])
+        visit(prefix, tables[n - 1], 0, ones)
     finally:
         # extend refers to itself, a cycle that would keep the tables alive
         # until the next full garbage collection
@@ -225,12 +241,14 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
         return {b"[L]": (LEAF,)}
     classes: dict[bytes, StarTree] = {}
 
-    def add(prefix: list, table: tuple, lo: int, tail: tuple) -> None:
+    def add(prefix: list, table: tuple, lo: int, tails: tuple) -> None:
         head = b"[" + b"".join([code + b"," for code, _ in prefix])
-        end = b"".join([b"," + code for code, _ in tail]) + b"]"
-        front, back = [bead for _, bead in prefix], [bead for _, bead in tail]
+        front = [bead for _, bead in prefix]
+        ends = [(b"".join([b"," + code for code, _ in tail]) + b"]", [bead for _, bead in tail])
+                for tail in tails]
         for code, bead in table[lo:]:
-            classes[head + code + end] = (*front, bead, *back)
+            for end, back in ends:
+                classes[head + code + end] = (*front, bead, *back)
 
     # the beads as (code, tree) pairs, which compare as their codes
     tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
@@ -261,9 +279,9 @@ def star_tree_class_count(n: int) -> int:
 
     total = 0
 
-    def add(prefix: list, table: array, lo: int, tail: Sequence) -> None:
+    def add(prefix: list, table: array, lo: int, tails: tuple) -> None:
         nonlocal total
-        total += len(table) - lo
+        total += (len(table) - lo) * len(tails)
 
     tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
     # add reads only the length of the last run, that of the n - 1 leaf beads

@@ -1037,9 +1037,9 @@ def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypat
     [
         (5, "  5         26         26       26       26  ok"),
         (12, " 12     112720    skipped  skipped   112720  ok"),
-        # verify counts trees past enumerate's tree bound 12, up to 14
+        # verify counts trees past enumerate's tree bound 12, up to 16
         (13, " 13     400024    skipped  skipped   400024  ok"),
-        (15, " 15    5170604    skipped  skipped  skipped  ok"),
+        (15, " 15    5170604    skipped  skipped  5170604  ok"),
     ],
 )
 def test_verify_counts_the_tree_route_without_its_class_map(capsys, monkeypatch, n, row):

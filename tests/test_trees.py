@@ -114,7 +114,7 @@ def test_enumeration_counts(n, count):
 def test_enumeration_matches_necklace_formula():
     for n in range(1, 10):
         assert len(enumerate_star_trees(n)) == necklace_count(n)
-    for n in range(1, 15):
+    for n in range(1, 16):
         assert star_tree_class_count(n) == necklace_count(n)
 
 
@@ -503,13 +503,14 @@ def test_the_count_peaks_below_2_mb():
 
 
 def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
+    leaf, pair = (b"L", LEAF), (b"(LL)", (LEAF, LEAF))
     for n in range(1, 12):
-        tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
-        stars, oracle, tails = [], [], []
+        tables, _ = _bead_tables(n, leaf, _join_codes, tuple)
+        stars, oracle, seen = [], [], set()
 
-        def expand(prefix, table, lo, tail):
-            stars.extend((*prefix, bead, *tail) for bead in table[lo:])
-            tails.append(tail)
+        def expand(prefix, table, lo, tails):
+            stars.extend((*prefix, bead, *tail) for bead in table[lo:] for tail in tails)
+            seen.update(tails)
 
         def expand_per_bead(prefix, table, lo):
             oracle.extend((*prefix, bead) for bead in table[lo:])
@@ -517,10 +518,11 @@ def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
         _least_rotations(n, expand, tables)
         least_rotations_per_bead(n, expand_per_bead, tables)
         assert stars == oracle
-        # a tail is the leaf bead or nothing; below n = 3 the top-level run,
-        # whose tail is the leaf, is the only one
-        leaf = ((b"L", LEAF),)
-        assert set(tails) == ({(), leaf} if n > 2 else {leaf})
+        # a tail is nothing, the leaf, two leaves or (LL); below n = 3 the
+        # top-level run, whose tail is the leaf, is the only one, and the
+        # two-leaf tails follow a first bead of at least two leaves
+        want = {(), (leaf,), (leaf, leaf), (pair,)} if n > 3 else {(), (leaf,)} if n == 3 else {(leaf,)}
+        assert seen == want
 
 
 def test_periodic_stars_that_end_in_the_leaf_after_the_floor_are_kept():
