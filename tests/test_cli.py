@@ -971,12 +971,12 @@ def _first_dropped(real):
     def fake(n, visit, tables):
         dropped = False
 
-        def shortened(prefix, table, lo, tail):
+        def shortened(prefix, table, lo, tails):
             nonlocal dropped
             if not dropped and lo < len(table):
                 dropped = True
                 lo += 1
-            visit(prefix, table, lo, tail)
+            visit(prefix, table, lo, tails)
 
         real(n, shortened, tables)
 
