@@ -11,9 +11,9 @@ both with no output.  ``convert`` must turn the plain n = 5 fan into the
 oriented 5-cycle, in JSON and in DOT, and ``mutate`` must rotate an inner
 edge of a star tree and flip a diagonal of that fan into the bytes kept
 here as ``ROTATED_STAR`` and ``FLIPPED_FAN5``.  Then it
-feeds each JSON reader one malformed file, and asks for DOT from a
-conversion that gives no quiver; each must exit 2 with one ``error:`` line
-and write no output.  After ``pip install -e .``, run it from anywhere as
+feeds each JSON reader one malformed file, and the tree reader one more
+that is not UTF-8, and asks for DOT from a conversion that gives no
+quiver; each must exit 2 with one ``error:`` line and write no output.  After ``pip install -e .``, run it from anywhere as
 ``python .github/check_console.py``.  It exits 0 when every check holds,
 and otherwise with the message of the first that fails.
 """
@@ -170,10 +170,12 @@ def main() -> None:
              ["convert", "--from", "triangulation", "--to", "tree"]),
             ("three_element_bead.json", {"beads": [["L", "L", "L"]]},
              ["convert", "--from", "tree", "--to", "triangulation"]),
+            # bytes: a file that is not UTF-8
+            ("not_utf8.json", b"\xff{", ["convert", "--from", "tree", "--to", "triangulation"]),
             # --format applies only to --to quiver
             ("fan5.json", fan, ["convert", "--from", "triangulation", "--to", "tree", "--format", "dot"]),
         ]:
-            (work / name).write_text(json.dumps(obj))
+            (work / name).write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
             run = subprocess.run(["dquiver", *argv, name, "--out", "out.json"],
                                  cwd=tmp, capture_output=True, text=True)
             lines = run.stderr.splitlines()

@@ -297,6 +297,8 @@ def _load_json(path: str):
         ) from exc
     except RecursionError as exc:
         raise ValueError(f"{path}: JSON nested too deeply to read") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_convert(args) -> int:

@@ -327,23 +327,26 @@ def _radius_config(n: int, mask: int) -> tuple[str, tuple[int, ...]]:
     )
 
 
-class Triangulation:
+class Triangulation(_Value, fields=("n", "mask")):
     """A maximal set of n pairwise non-crossing diagonals.
 
-    Instances are immutable by convention.  ``mask`` has bit i set for the
-    i-th diagonal of the n-gon's table; equality and hashing use it.
-    ``Triangulation(n, diagonals)`` checks its input once: each diagonal,
-    the cardinality, pairwise compatibility and the radius tag structure.
-    Every triangulation the package builds itself comes from a mask that is
-    one by construction, through ``Triangulation._of``, which reads only
-    the radius shape.
+    A value (``quiver._Value``) of n and ``mask``, which has bit i set for
+    the i-th diagonal of the n-gon's table.  ``Triangulation(n, diagonals)``
+    checks its input once: each diagonal, the cardinality, pairwise
+    compatibility and the radius tag structure.  Every triangulation the
+    package builds itself comes from a mask that is one by construction,
+    through ``Triangulation._of``, which reads only the radius shape.
     ``sorted_diagonals``, the region decomposition and the quiver are
     derived on first use and kept; ``diagonals`` is built on each access, so
     that an instance stays 88 bytes (``sys.getsizeof``) in the enumerations
-    that hold thousands.
+    that hold thousands.  The slots stay writable to fill those views in
+    place, since a read-only ``__setattr__`` adds about 0.5 us to each
+    ``_of``; so n and ``mask`` are immutable by convention only.
     """
 
     __slots__ = ("n", "mask", "config", "radius_bases", "_sorted", "_decomposition", "_quiver")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         _check_int("punctured polygon", "n", n, 3)
@@ -391,16 +394,6 @@ class Triangulation:
     @property
     def diagonals(self) -> frozenset[Diagonal]:
         return frozenset(self.sorted_diagonals)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Triangulation)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(d) for d in self.sorted_diagonals)

@@ -22,7 +22,6 @@ function here is pure, so concurrent callers need no locking.
 
 from __future__ import annotations
 
-import copyreg
 from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
@@ -60,17 +59,23 @@ def _check_rank(rank: int) -> None:
 
 
 class _Value:
-    """An immutable value, equal and hashed by the fields its class names once.
+    """A value, equal and hashed by the fields its class names once.
 
     ``class Cls(_Value, fields=(...))`` keeps them as ``_fields`` and ``_key``,
     which reads them as one tuple in one C call, so equality and hashing never
-    loop in Python.  The repr is ``Cls(f=v, ...)``; a constructor writes the
-    fields past the read-only ``__setattr__``.  Copies and pickles hold the
-    fields and nothing else.
+    loop in Python.  The repr is ``Cls(f=v, ...)``, and ``__setattr__`` is
+    read-only.  A copy or a pickle is ``Cls._of(*fields)``, the constructor
+    unless a class has its own, so it holds the fields and nothing else.
     """
+
+    __slots__ = ()
 
     def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
         cls._fields, cls._key = fields, attrgetter(*fields)
+
+    @classmethod
+    def _of(cls, *fields):
+        return cls(*fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -90,9 +95,8 @@ class _Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # only the fields: a value cached beside them, such as a quiver's
-        # ``b``, is not copied or pickled
-        return copyreg.__newobj__, (type(self),), {f: vars(self)[f] for f in self._fields}
+        # the fields alone: a quiver's ``b`` and a triangulation's views stay behind
+        return type(self)._of, self._key(self)
 
 
 class Quiver(_Value, fields=("rank", "_arrows")):

@@ -484,6 +484,23 @@ def test_deeply_nested_input_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("convert", "--from", "triangulation", "--to", "quiver"),
+     ("convert", "--from", "tree", "--to", "triangulation"),
+     ("mutate", "--what", "quiver", "--at", "0"),
+     ("mutate", "--what", "triangulation", "--at", "0"),
+     ("mutate", "--what", "tree", "--at", "split:0")],
+)
+def test_input_that_is_not_utf8_names_its_file(capsys, tmp_path, argv):
+    # the decoder's message alone would not say which file it could not read
+    src, dst = tmp_path / "bad.json", tmp_path / "out.json"
+    src.write_bytes(b"\xff{")
+    code, out, err = run(capsys, *argv, str(src), "--out", str(dst))
+    assert code == 2 and out == "" and not dst.exists()
+    assert err == f"error: {src}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
     "what, obj",
     [("triangulation", {"n": 4, "diagonals": [
         {"radius": 0.0, "tag": "plain"}, {"radius": 1, "tag": "plain"},
