@@ -13,9 +13,10 @@ edge of a star tree and flip a diagonal of that fan into the bytes kept
 here as ``ROTATED_STAR`` and ``FLIPPED_FAN5``.  Then it
 feeds each JSON reader one malformed file, and the tree reader one more
 that is not UTF-8, and asks for DOT from a conversion that gives no
-quiver; each must exit 2 with one ``error:`` line and write no output.  After ``pip install -e .``, run it from anywhere as
-``python .github/check_console.py``.  It exits 0 when every check holds,
-and otherwise with the message of the first that fails.
+quiver; each must exit 2 with one ``error:`` line and write no output.
+After ``pip install -e .``, run it from anywhere as ``python
+.github/check_console.py``.  It exits 0 when every check holds, and
+otherwise with the message of the first that fails.
 """
 
 import hashlib

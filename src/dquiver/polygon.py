@@ -340,7 +340,7 @@ class Triangulation(_Value, fields=("n", "mask")):
     derived on first use and kept; ``diagonals`` is built on each access, so
     that an instance stays 88 bytes (``sys.getsizeof``) in the enumerations
     that hold thousands.  The slots stay writable to fill those views in
-    place, since a read-only ``__setattr__`` adds about 0.5 us to each
+    place, since a read-only ``__setattr__`` adds 0.5-0.9 us to each
     ``_of``; so n and ``mask`` are immutable by convention only.
     """
 

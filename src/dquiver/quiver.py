@@ -63,7 +63,7 @@ class _Value:
 
     ``class Cls(_Value, fields=(...))`` keeps them as ``_fields`` and ``_key``,
     which reads them as one tuple in one C call, so equality and hashing never
-    loop in Python.  The repr is ``Cls(f=v, ...)``, and ``__setattr__`` is
+    loop in Python.  The repr is ``Cls(f=v, ...)``, and attributes are
     read-only.  A copy or a pickle is ``Cls._of(*fields)``, the constructor
     unless a class has its own, so it holds the fields and nothing else.
     """
