@@ -195,7 +195,7 @@ _ROUTES = dict(zip(
         (10, 9, _triangulation_texts, "triangulation_class_count", "triangulations",
          lambda n, o: polygon.triangulation_classes(n),
          lambda n, o: polygon.triangulation_class_count(n)),
-        (16, 12, _star_texts, "tree_count", "trees",
+        (17, 12, _star_texts, "tree_count", "trees",
          lambda n, o: trees.star_tree_classes(n),
          lambda n, o: trees.star_tree_class_count(n)),
     ]),

@@ -22,7 +22,7 @@ too.  Three local moves on star trees match diagonal flips:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain
 
@@ -147,7 +147,16 @@ def _bead_tables(n: int, leaf, join: Callable, table: Callable) -> tuple[list, I
     return tables, beads(n)
 
 
-def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
+def _tails(tables: list, most: int) -> list[list[tuple]]:
+    """``tails[r]``, 0 <= r <= most: the sequences of beads with r leaves in
+    all, bead by bead in (leaf count, code) order, read from ``tables``."""
+    tails: list[list[tuple]] = [[()]]
+    for r in range(1, most + 1):
+        tails.append([(bead, *tail) for m in range(1, r + 1) for bead in tables[m] for tail in tails[r - m]])
+    return tails
+
+
+def _least_rotations(n: int, visit: Callable[..., None], tables: list, view: Callable) -> None:
     """Hand ``visit`` every star tree class with two or more beads, as runs.
 
     ``tables[m]`` holds the m-leaf beads in code order, as items that compare
@@ -156,73 +165,87 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list) -> None:
     as a prenecklace (Cattell, Ruskey, Sawada, Serra and Miers, *Fast
     algorithms to generate necklaces, unlabeled necklaces and irreducible
     polynomials over GF(2)*, 2000): with p the length of the longest Lyndon
-    prefix, the next bead is never less than the bead p places back.  So no
-    bead is less than the first, and a complete star is its own least
-    rotation exactly when p divides its bead count; periodic stars are kept.
-    Any prefix completes with leaf beads, the greatest code, so no branch is
-    a dead end, and a least rotation that starts with the leaf is all leaves.
+    prefix, the next bead is never less than the floor, the bead p places
+    back; a bead above the floor makes the prefix a Lyndon word, and the
+    floor itself keeps p.  So no bead is less than the first, and a complete
+    star is its own least rotation exactly when p divides its bead count;
+    periodic stars are kept.  Any prefix completes with leaf beads, the
+    greatest code, so no branch is a dead end, and a least rotation that
+    starts with the leaf is all leaves.
 
     ``visit(prefix, table, lo, tails)`` stands for the stars ``(*prefix,
-    table[j], *tail)``, j >= lo, the tails in order for each j, with
-    ``prefix`` valid during the call only.  The last bead takes all the
-    leaves left, so the rule fixes it to one run of ``tables[left]`` with
-    the empty tail.  After any bead above the floor, the bead p places back,
-    the prefix is a Lyndon word and the next floor is the first bead, which
-    is never the leaf here.  So with one leaf left the leaf tail ``(L,)``
-    completes a least rotation, and with two leaves left ``(L, L)`` always
-    does and ``((LL),)`` exactly when ``(LL)`` is above the first bead:
-    only the floor recurses, and the beads above it are one run with those
-    tails, after the floor's recursion.  At the top level every first bead
-    with n - 2 leaves, below both the leaf and ``(LL)``, is one run with both
-    tails (at n = 4 the bead is ``(LL)`` itself, and the periodic ``((LL),
-    (LL))`` is kept), and every first bead with n - 1 leaves one run with
-    the leaf tail.  Runs, and their stars, come bead by bead by (leaf count,
-    code).  The n-leaf beads, single-bead stars, are not runs.
-    ``tables[n - 1]`` is read only as the last run, so a visitor that counts
-    may be given any sequence of its length there.
+    table[j], *tail)``, j >= lo, with ``tail`` each tail whose beads are all
+    above the star's first bead, ``prefix[0]`` or, with an empty prefix,
+    ``table[j]``; for each j the tails come in their order.  ``tails`` is
+    ``view`` of the bead sequences with r leaves, for some r, bead by bead
+    in (leaf count, code) order, made once per r; r = 0 is the empty tail.
+    ``prefix`` is valid during the call only.
+
+    The tails rule.  When the prefix is a Lyndon word, its floor is its
+    first bead b0.  A bead with fewer leaves than b0 cannot equal it, so once
+    fewer leaves are left than b0 has, the next bead, at least the floor and
+    not equal to it, is above b0, and the prefix is a Lyndon word again with
+    the floor b0.  By induction every completion keeps the prenecklace rule
+    iff all of its beads are above b0, and then the star is a Lyndon word,
+    so p is its bead count and it is kept.  The prefix is a Lyndon word after
+    any bead above the floor, and at the top level after the first bead.  So
+    the beads above the floor with fewer than |b0| leaves left after them are
+    one run, after the floor's own recursion, with the tails of those leaves
+    above b0; and the first beads with more than n/2 leaves are one
+    top-level run per leaf count.  Only the floor, and the states with at
+    least |b0| leaves left, recurse; they keep the stars in which b0 recurs,
+    such as the periodic ``((LL), (LL))`` at n = 4.  The last bead takes all
+    the leaves left, so the prenecklace rule fixes it to one run of
+    ``tables[left]`` with the empty tail.
+
+    Runs, and their stars, come bead by bead by (leaf count, code).  The
+    n-leaf beads, single-bead stars, are not runs.  ``tables[n - 1]`` is read
+    only as the top-level run whose one tail is the leaf, above every other
+    bead, so a visitor that counts may be given there any sequence of its
+    length whose items are all below the leaf.
     """
     prefix: list = []
-    ones = ((tables[1][0],),)
+    # a tail follows a first bead with more leaves, so has fewer than n / 2
+    views = [view(tails) for tails in _tails(tables, (n - 1) // 2)]
 
     def extend(left: int, p: int) -> None:
-        # prefix is a prenecklace whose longest Lyndon prefix has length p
+        # prefix is a prenecklace whose longest Lyndon prefix has length p,
+        # and k leaves are on its first bead
         t = len(prefix)
         floor = prefix[t - p]
         for m in range(1, left):
             table = tables[m]
             lo = bisect_left(table, floor)
-            # with one or two leaves left only floor recurses; the beads above it are one run
-            hi = len(table) if m < left - 2 else lo + (lo < len(table) and table[lo] == floor)
+            if left - m < k:
+                # the beads above floor are one run: only floor recurses
+                hi = lo + (lo < len(table) and table[lo] == floor)
+            else:
+                hi = len(table)
             for bead in table[lo:hi]:
                 prefix.append(bead)
                 extend(left - m, p if bead == floor else t + 1)
                 prefix.pop()
-            if m >= left - 2:
-                visit(prefix, table, hi, ones if m == left - 1 else twos)
+            if left - m < k:
+                visit(prefix, table, hi, views[left - m])
         # a last bead above floor makes a Lyndon word; floor itself keeps p
         table = tables[left]
         lo = bisect_left(table, floor)
         if lo < len(table) and table[lo] == floor and (t + 1) % p:
             lo += 1
-        visit(prefix, table, lo, ((),))
+        visit(prefix, table, lo, views[0])
 
     try:
-        # the all-leaf star, the one whose first bead is the leaf; at n = 2 the last run
-        if n > 2:
-            visit([*tables[1]] * (n - 1), tables[1], 0, ((),))
-        if n > 3:
-            leaf, pair = tables[1][0], tables[2][0]
-            both = ((leaf, leaf), (pair,))
-            for m in range(2, n - 2):
-                for bead in tables[m]:
-                    # (LL) is above every first bead but itself
-                    twos = both if pair > bead else both[:1]
-                    prefix.append(bead)
-                    extend(n - m, 1)
-                    prefix.pop()
-            visit(prefix, tables[n - 2], 0, both)
-        # each first bead with n - 1 leaves, then the leaf; (L, L) at n = 2
-        visit(prefix, tables[n - 1], 0, ones)
+        # the all-leaf star, the one whose first bead is the leaf
+        if n > 1:
+            visit([*tables[1]] * (n - 1), tables[1], 0, views[0])
+        for k in range(2, n):
+            if 2 * k > n:
+                visit(prefix, tables[k], 0, views[n - k])
+                continue
+            for bead in tables[k]:
+                prefix.append(bead)
+                extend(n - k, 1)
+                prefix.pop()
     finally:
         # extend refers to itself, a cycle that would keep the tables alive
         # until the next full garbage collection
@@ -240,19 +263,25 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     if n == 1:
         return {b"[L]": (LEAF,)}
     classes: dict[bytes, StarTree] = {}
-
-    def add(prefix: list, table: tuple, lo: int, tails: tuple) -> None:
-        head = b"[" + b"".join([code + b"," for code, _ in prefix])
-        front = [bead for _, bead in prefix]
-        ends = [(b"".join([b"," + code for code, _ in tail]) + b"]", [bead for _, bead in tail])
-                for tail in tails]
-        for code, bead in table[lo:]:
-            for end, back in ends:
-                classes[head + code + end] = (*front, bead, *back)
-
     # the beads as (code, tree) pairs, which compare as their codes
     tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
-    _least_rotations(n, add, tables)
+    def view(tails: list) -> list:
+        # each tail as its least bead, the end of its key and its beads;
+        # (b"M",) is above every bead, as the empty tail's least bead
+        return [(min(tail, default=(b"M",)), b"".join([b"," + code for code, _ in tail]) + b"]",
+                 [bead for _, bead in tail]) for tail in tails]
+
+    def add(prefix: list, table: tuple, lo: int, tails: list) -> None:
+        head = b"[" + b"".join([code + b"," for code, _ in prefix])
+        front = [bead for _, bead in prefix]
+        for item in table[lo:]:
+            code, bead = item
+            first = prefix[0] if prefix else item
+            for least, end, back in tails:
+                if least > first:
+                    classes[head + code + end] = (*front, bead, *back)
+
+    _least_rotations(n, add, tables, view)
     # a single bead is its own least rotation
     for code, bead in singles:
         classes[b"[" + code + b"]"] = (bead,)
@@ -268,6 +297,14 @@ def star_tree_class_count(n: int) -> int:
     codes.  64-bit keys reach n = 33; no larger table could ever be built.
     Only the beads with up to n - 2 leaves are built; those with n - 1 and n
     are counted as pairs of a left and a right subtree.
+
+    Each run of ``_least_rotations`` is counted, not expanded.  A tail is
+    above the star's first bead iff its least bead is, so the view of the
+    r-leaf tails is their least beads in key order, the empty tail's a key
+    above every bead.  A run after a prefix counts its beads times the tails
+    whose least bead is above ``prefix[0]``, one bisection.  A top-level run,
+    whose first bead is the run's own bead, counts for each tail the beads
+    below its least bead, one bisection per tail.
     """
     _check_int("star_tree_class_count", "n", n, 1)
     if n < 3:
@@ -277,16 +314,25 @@ def star_tree_class_count(n: int) -> int:
     # imported here, so that importing the package does not load it
     from array import array
 
+    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    # the n - 1 leaf beads are read only as the run whose tail is the leaf
+    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
     total = 0
 
-    def add(prefix: list, table: array, lo: int, tails: tuple) -> None:
-        nonlocal total
-        total += (len(table) - lo) * len(tails)
+    def view(tails: list) -> list[int]:
+        # the tails' least beads in key order; 1 << 2n - 3 is above every key,
+        # as the empty tail's least bead
+        return sorted(min(tail, default=1 << 2 * n - 3) for tail in tails)
 
-    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
-    # add reads only the length of the last run, that of the n - 1 leaf beads
-    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
-    _least_rotations(n, add, tables)
+    def add(prefix: list, table: array, lo: int, leasts: list[int]) -> None:
+        nonlocal total
+        if prefix:
+            total += (len(table) - lo) * (len(leasts) - bisect_right(leasts, prefix[0]))
+        else:
+            # the first bead is table[j]: each tail counts the beads below its least
+            total += sum(bisect_left(table, least, lo) - lo for least in leasts)
+
+    _least_rotations(n, add, tables, view)
     # the single-bead classes
     return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
 

@@ -6,7 +6,8 @@ crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, the clique search
 with no pruning and the class search over it that keeps each clique equal
 to its least packed image, the star tree count on tables of bead codes,
-the star generation that recurses once per bead,
+the star generation that recurses once per bead and the one whose
+runs had only leaf and two-leaf tails,
 Euler's totient by trial division, the bytearray sieve of Eratosthenes
 over every integer, the central binomial one prime at a time, the quiver BFS that canonicalizes every exchange-graph edge between
 classes and the one that closes squares of them, both over classes rather
@@ -16,6 +17,7 @@ than opposite pairs, and dataclass twins of the package's value classes.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from dquiver.quiver import (
     is_connected,
     mutation_class_representatives,
 )
-from dquiver.trees import star_tree_classes
+from dquiver.trees import LEAF, _bead_tables, _join_codes, _join_keys, star_tree_classes
 
 
 def mutation_class(seed: Quiver, *, max_classes: int = 10_000_000) -> set[bytes]:
@@ -454,6 +456,99 @@ def least_rotations_per_bead(n: int, visit: Callable[..., None], tables: list) -
             prefix.append(bead)
             extend(n - m, 1)
             prefix.pop()
+
+
+
+def least_rotations_with_leaf_tails(n: int, visit: Callable[..., None], tables: list) -> None:
+    """The star classes with two or more beads, as runs whose tails are
+    nothing, the leaf, ``(L, L)`` or ``((LL),)``.
+
+    The generation that ``trees._least_rotations`` replaced, and its oracle.
+    ``visit(prefix, table, lo, tails)`` stands for the stars ``(*prefix,
+    table[j], *tail)``, j >= lo, the tails in order for each j.  After a
+    bead above the floor, the bead p places back, the prefix is a Lyndon
+    word and the next floor is the first bead, never the leaf here: with one
+    leaf left ``(L,)`` completes a least rotation, and with two ``(L, L)``
+    always does and ``((LL),)`` exactly when ``(LL)`` is above the first
+    bead.  At the top level every first bead with n - 2 leaves is one run
+    with both two-leaf tails, and every first bead with n - 1 leaves one run
+    with the leaf tail.  ``tables[n - 1]`` is read only as the last run.
+    """
+    prefix: list = []
+    ones = ((tables[1][0],),)
+
+    def extend(left: int, p: int) -> None:
+        t = len(prefix)
+        floor = prefix[t - p]
+        for m in range(1, left):
+            table = tables[m]
+            lo = bisect_left(table, floor)
+            hi = len(table) if m < left - 2 else lo + (lo < len(table) and table[lo] == floor)
+            for bead in table[lo:hi]:
+                prefix.append(bead)
+                extend(left - m, p if bead == floor else t + 1)
+                prefix.pop()
+            if m >= left - 2:
+                visit(prefix, table, hi, ones if m == left - 1 else twos)
+        table = tables[left]
+        lo = bisect_left(table, floor)
+        if lo < len(table) and table[lo] == floor and (t + 1) % p:
+            lo += 1
+        visit(prefix, table, lo, ((),))
+
+    if n > 2:
+        visit([*tables[1]] * (n - 1), tables[1], 0, ((),))
+    if n > 3:
+        leaf, pair = tables[1][0], tables[2][0]
+        both = ((leaf, leaf), (pair,))
+        for m in range(2, n - 2):
+            for bead in tables[m]:
+                twos = both if pair > bead else both[:1]
+                prefix.append(bead)
+                extend(n - m, 1)
+                prefix.pop()
+        visit(prefix, tables[n - 2], 0, both)
+    visit(prefix, tables[n - 1], 0, ones)
+
+
+def star_tree_class_count_with_leaf_tails(n: int) -> int:
+    """``trees.star_tree_class_count`` on ``least_rotations_with_leaf_tails``:
+    the runs counted on integer bead keys, as the package counted them."""
+    if n < 3:
+        return n
+    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
+    total = 0
+
+    def add(prefix: list, table: array, lo: int, tails: tuple) -> None:
+        nonlocal total
+        total += (len(table) - lo) * len(tails)
+
+    least_rotations_with_leaf_tails(n, add, tables)
+    return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
+
+
+def star_tree_classes_with_leaf_tails(n: int) -> dict[bytes, tuple]:
+    """``trees.star_tree_classes`` on ``least_rotations_with_leaf_tails``,
+    classes in the order that generation wrote them."""
+    if n == 1:
+        return {b"[L]": (LEAF,)}
+    classes: dict[bytes, tuple] = {}
+
+    def add(prefix: list, table: tuple, lo: int, tails: tuple) -> None:
+        head = b"[" + b"".join([code + b"," for code, _ in prefix])
+        front = [bead for _, bead in prefix]
+        ends = [(b"".join([b"," + code for code, _ in tail]) + b"]", [bead for _, bead in tail])
+                for tail in tails]
+        for code, bead in table[lo:]:
+            for end, back in ends:
+                classes[head + code + end] = (*front, bead, *back)
+
+    tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+    least_rotations_with_leaf_tails(n, add, tables)
+    for code, bead in singles:
+        classes[b"[" + code + b"]"] = (bead,)
+    return classes
 
 
 # -- counting ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import errno
 import hashlib
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from decimal import Decimal
 from pathlib import Path
 
@@ -985,7 +987,7 @@ def _accept_every_image(real):
 def _first_dropped(real):
     """``_least_rotations`` with the first star of its first nonempty run lost."""
 
-    def fake(n, visit, tables):
+    def fake(n, visit, tables, view):
         dropped = False
 
         def shortened(prefix, table, lo, tails):
@@ -995,9 +997,29 @@ def _first_dropped(real):
                 lo += 1
             visit(prefix, table, lo, tails)
 
-        real(n, shortened, tables)
+        real(n, shortened, tables, view)
 
     return fake
+
+
+def _rewritten(*edits):
+    """The function compiled from its own source with each ``(old, new)``
+    of ``edits``, ``old`` found once, read as ``new``."""
+
+    def fake(real):
+        source = textwrap.dedent(inspect.getsource(real))
+        for old, new in edits:
+            assert source.count(old) == 1
+            source = source.replace(old, new)
+        scope = dict(vars(sys.modules[real.__module__]))
+        exec(compile(source, real.__code__.co_filename, "exec"), scope)
+        return scope[real.__name__]
+
+    return fake
+
+
+def _last_two_leaf_tail_dropped(real):
+    return lambda tables, most: [tails[:-1] if r == 2 else tails for r, tails in enumerate(real(tables, most))]
 
 
 @pytest.mark.parametrize(
@@ -1012,6 +1034,12 @@ def _first_dropped(real):
         # class reaches enumerate and verify alike
         (5, trees, "_least_rotations", _first_dropped, "trees"),
         (4, trees, "_least_rotations", _first_dropped, "trees"),
+        # a top-level run whose tails have as many leaves as the first bead,
+        # so that a tail's least bead may equal it: ((LL), (LL)) is lost
+        (4, trees, "_least_rotations", _rewritten(("2 * k > n", "2 * k >= n"), ("(n - 1) // 2", "n // 2")),
+         "trees"),
+        # with ((LL),) lost, so is (b, (LL)) for each first bead b of 3 leaves
+        (5, trees, "_tails", _last_two_leaf_tail_dropped, "trees"),
     ],
 )
 def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n, module, name, fake, route):
@@ -1054,7 +1082,7 @@ def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypat
     [
         (5, "  5         26         26       26       26  ok"),
         (12, " 12     112720    skipped  skipped   112720  ok"),
-        # verify counts trees past enumerate's tree bound 12, up to 16
+        # verify counts trees past enumerate's tree bound 12, up to 17
         (13, " 13     400024    skipped  skipped   400024  ok"),
         (15, " 15    5170604    skipped  skipped  5170604  ok"),
     ],

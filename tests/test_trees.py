@@ -51,7 +51,10 @@ from helpers import (
     bead_code_tables,
     enumerate_star_trees,
     least_rotations_per_bead,
+    least_rotations_with_leaf_tails,
     star_tree_class_count_by_codes,
+    star_tree_class_count_with_leaf_tails,
+    star_tree_classes_with_leaf_tails,
 )
 
 COMB5 = ((((LEAF, LEAF), LEAF), LEAF), LEAF)
@@ -502,27 +505,78 @@ def test_the_count_peaks_below_2_mb():
     assert peak < 2 << 20
 
 
-def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
-    leaf, pair = (b"L", LEAF), (b"(LL)", (LEAF, LEAF))
-    for n in range(1, 12):
-        tables, _ = _bead_tables(n, leaf, _join_codes, tuple)
-        stars, oracle, seen = [], [], set()
+def _expand(stars, seen=None):
+    """A visitor that writes out the stars of each run, given the tails as
+    they are: for each bead, the tails whose beads are all above the star's
+    first bead."""
 
-        def expand(prefix, table, lo, tails):
-            stars.extend((*prefix, bead, *tail) for bead in table[lo:] for tail in tails)
-            seen.update(tails)
+    def expand(prefix, table, lo, tails):
+        for bead in table[lo:]:
+            first = prefix[0] if prefix else bead
+            kept = [tail for tail in tails if all(first < other for other in tail)]
+            stars.extend((*prefix, bead, *tail) for tail in kept)
+            if seen is not None:
+                seen.update(kept)
+
+    return expand
+
+
+def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
+    for n in range(1, 12):
+        tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+        stars, oracle, seen = [], [], set()
+        expand = _expand(stars, seen)
 
         def expand_per_bead(prefix, table, lo):
             oracle.extend((*prefix, bead) for bead in table[lo:])
 
-        _least_rotations(n, expand, tables)
+        _least_rotations(n, expand, tables, list)
         least_rotations_per_bead(n, expand_per_bead, tables)
         assert stars == oracle
-        # a tail is nothing, the leaf, two leaves or (LL); below n = 3 the
-        # top-level run, whose tail is the leaf, is the only one, and the
-        # two-leaf tails follow a first bead of at least two leaves
-        want = {(), (leaf,), (leaf, leaf), (pair,)} if n > 3 else {(), (leaf,)} if n == 3 else {(leaf,)}
-        assert seen == want
+        # a tail is any bead sequence with fewer leaves than the first bead,
+        # so with up to (n - 1) // 2 leaves; each is above the comb of n - r
+        # leaves, whose code opens n - r - 1 brackets.  At n = 1 nothing runs
+        items = {bead: (_serialize_bead(bead), bead) for m in range(1, (n + 1) // 2) for bead in _binary_trees_oracle(m)}
+        want = {tuple(map(items.get, tail)) for r in range((n + 1) // 2) for tail in _bead_sequences(r)}
+        assert seen == (want if n > 1 else set())
+
+
+def test_the_runs_expand_to_the_stars_of_both_older_generations_in_order():
+    for n in range(1, 13):
+        tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+        stars, per_bead, leaf_tails = [], [], []
+
+        def expand_per_bead(prefix, table, lo):
+            per_bead.extend((*prefix, bead) for bead in table[lo:])
+
+        def expand_leaf_tails(prefix, table, lo, tails):
+            leaf_tails.extend((*prefix, bead, *tail) for bead in table[lo:] for tail in tails)
+
+        _least_rotations(n, _expand(stars), tables, list)
+        least_rotations_per_bead(n, expand_per_bead, tables)
+        least_rotations_with_leaf_tails(n, expand_leaf_tails, tables)
+        assert stars == per_bead == leaf_tails
+
+
+def test_the_count_matches_the_leaf_tail_count():
+    for n in range(1, 16):
+        assert star_tree_class_count(n) == star_tree_class_count_with_leaf_tails(n)
+
+
+def test_star_tree_classes_match_the_leaf_tail_map_in_order():
+    for n in range(1, 12):
+        assert list(star_tree_classes(n).items()) == list(star_tree_classes_with_leaf_tails(n).items())
+
+
+@pytest.mark.parametrize("n, visits", [(12, 1805), (14, 10402)])
+def test_the_count_visits_few_runs(n, visits):
+    # the tables the count builds; the runs with two-leaf tails at most
+    # visited 11 971 times at n = 12
+    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
+    calls = []
+    _least_rotations(n, lambda *run: calls.append(run[-1]), tables, len)
+    assert len(calls) == visits
 
 
 def test_periodic_stars_that_end_in_the_leaf_after_the_floor_are_kept():
