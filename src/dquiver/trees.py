@@ -265,6 +265,7 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
     classes: dict[bytes, StarTree] = {}
     # the beads as (code, tree) pairs, which compare as their codes
     tables, singles = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+
     def view(tails: list) -> list:
         # each tail as its least bead, the end of its key and its beads;
         # (b"M",) is above every bead, as the empty tail's least bead
