@@ -24,17 +24,21 @@ always has exactly n of them.  Its radii come in one of two shapes:
 config "A" (two or more radii with the same tag at distinct vertices) or
 config "B" (exactly two radii at one vertex with opposite tags).
 
-Internally a triangulation is a bitmask over a per-n diagonal index
-(``_diagonal_table``): bit i stands for the i-th diagonal in
-``diagonal_sort_key`` order.  The table holds each diagonal's
+Internally a triangulation is a bitmask over a per-n diagonal index: bit
+i stands for the i-th diagonal in ``diagonal_sort_key`` order.  One
+function, ``_index``, states that layout, by arithmetic: the arcs first,
+then the radii as the top 2n indices, ``n(n - 2) + 2a`` plus one when
+notched.  No dict maps a diagonal to its index, so no diagonal is hashed
+to find its bit.  The table (``_diagonal_table``) holds each diagonal's
 compatibility mask (from ``crossing_number``), the index permutations for
 one rotation step and for tag inversion, and each diagonal's serialization
 token, so validation, ``flip``, ``rotate``, ``invert_tags`` and
-``class_key`` are mask and index arithmetic.  A triangulation's radius
-bits are the top 2n indices, ``n(n - 2) + 2a`` plus one when notched, and
-its ``config`` and ``radius_bases`` are read off them.  Input is checked
-once, by the public constructor ``Triangulation(n, diagonals)``; ``flip``,
-the symmetries and the enumerations build through the unchecked
+``class_key`` are mask and index arithmetic.  A triangulation's
+``config`` and ``radius_bases`` are read off its radius bits.  The values
+share their base, ``errors._Value``, with ``quiver.Quiver``; this module
+imports ``quiver`` only for ``quiver_of``.  Input is checked once, by
+the public constructor ``Triangulation(n, diagonals)``; ``flip``, the
+symmetries and the enumerations build through the unchecked
 ``Triangulation._of``.  The 2n images under rotation and tag inversion are
 walked in one place, ``_images``, which ``rotate``, ``class_key`` and the
 packed orbits of the class search read.
@@ -60,8 +64,8 @@ from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 
-from .errors import BoundExceededError, _check_int, _check_type
-from .quiver import Quiver, _Value
+from .errors import BoundExceededError, _check_int, _check_type, _Value
+from .quiver import Quiver
 
 # largest n of a JSON triangulation, read or written: checking it builds
 # the n-gon's diagonal table and a compatibility row for every rotation
@@ -107,7 +111,7 @@ __all__ = [
 ]
 
 
-# Arc and Radius are immutable values, equal and hashed by their fields (``quiver._Value``).
+# Arc and Radius are immutable values, equal and hashed by their fields (``errors._Value``).
 # object.__setattr__ keeps attribute reads faster than vars(self) would.
 class Arc(_Value, fields=("a", "b")):
     def __init__(self, a: int, b: int) -> None:
@@ -194,11 +198,11 @@ def crossing_number(d1: Diagonal, d2: Diagonal, n: int) -> int:
 def all_diagonals(n: int) -> list[Diagonal]:
     """Every diagonal of the punctured n-gon: n(n-2) arcs plus 2n radii."""
     _check_int("punctured polygon", "n", n, 3)
+    # in index order (``_index``), which is ``diagonal_sort_key`` order
     out: list[Diagonal] = [
-        Arc(a, (a + k) % n) for a in range(n) for k in range(2, n)
+        Arc(a, b) for a in range(n) for b in range(n) if (b - a) % n >= 2
     ]
     out.extend(Radius(a, tag) for a in range(n) for tag in _TAGS)
-    out.sort(key=diagonal_sort_key)
     return out
 
 
@@ -236,25 +240,37 @@ def _arc_index(n: int, a: int, b: int) -> int:
     return a * (n - 2) + b - (b > a) - (b > (a + 1) % n)
 
 
+def _index(n: int, d: Diagonal) -> int:
+    """Index of the checked diagonal ``d`` in the n-gon's table: the one statement of the layout.
+
+    The n(n - 2) arcs come first, by ``_arc_index``; radius (a, tag) is
+    n(n - 2) + 2a, plus one when it is notched.
+    """
+    if isinstance(d, Arc):
+        return _arc_index(n, d.a, d.b)
+    return n * (n - 2) + 2 * d.a + (d.tag == NOTCHED)
+
+
 class _DiagonalTable:
     """Index of the diagonals of the punctured n-gon for mask arithmetic.
 
-    ``diagonals`` is in ``diagonal_sort_key`` order, so ascending bit order
-    is ``sorted_diagonals`` order.  ``step`` and ``inverse`` are the index
-    permutations of one clockwise rotation step and of tag inversion, and
-    ``tokens`` holds each diagonal's serialization token.  Compatibility
-    rows are filled one rotation orbit at a time, on first use: the orbit's
-    member at vertex 0 gets its row from ``crossing_number``, whose interval
-    rule reads positions counterclockwise from vertex 0 directly, and the
-    other members get it by rotation, so no all-pairs table is ever built.
+    Diagonal i is ``diagonals[i]``, and ``_index`` maps it back to i by
+    arithmetic.  The index is in ``diagonal_sort_key`` order, so ascending
+    bit order is ``sorted_diagonals`` order.  ``step`` and ``inverse`` are
+    the index permutations of one clockwise rotation step and of tag
+    inversion, and ``tokens`` holds each diagonal's serialization token.
+    Compatibility rows are filled one rotation orbit at a time, on first
+    use: the orbit's member at vertex 0 gets its row from
+    ``crossing_number``, whose interval rule reads positions
+    counterclockwise from vertex 0 directly, and the other members get it by
+    rotation, so no all-pairs table is ever built.
     """
 
-    __slots__ = ("n", "diagonals", "index", "step", "inverse", "tokens", "_rows")
+    __slots__ = ("n", "diagonals", "step", "inverse", "tokens", "_rows")
 
     def __init__(self, n: int):
         self.n = n
         self.diagonals = tuple(all_diagonals(n))
-        self.index = {d: i for i, d in enumerate(self.diagonals)}
         arcs = n * (n - 2)
         # one step takes arc (a, b) to (a - 1, b - 1) and radius (a, tag) to
         # (a - 1, tag); the radii are the top 2n indices, two per base
@@ -286,7 +302,7 @@ class _DiagonalTable:
         for k, j in enumerate(self.step):
             back[j] = k
         move = itemgetter(*back)
-        i = self.index[root]
+        i = _index(n, root)
         # rotation preserves crossing numbers, so one step moves the row of
         # diagonal i onto the row of diagonal step[i]
         for _ in range(n):
@@ -309,8 +325,8 @@ def _diagonal_table(n: int) -> _DiagonalTable:
 def _radius_config(n: int, mask: int) -> tuple[str, tuple[int, ...]]:
     """Return ("A", sorted bases) or ("B", (base,)); raise if malformed.
 
-    Reads the radius bits of a triangulation mask: radius (a, tag) is bit
-    n(n - 2) + 2a, plus one when it is notched.
+    Reads the radius bits of a triangulation mask, its top 2n bits in the
+    layout of ``_index``.
     """
     radii = mask >> n * (n - 2)
     plain = radii & ((1 << 2 * n) - 1) // 3
@@ -330,12 +346,13 @@ def _radius_config(n: int, mask: int) -> tuple[str, tuple[int, ...]]:
 class Triangulation(_Value, fields=("n", "mask")):
     """A maximal set of n pairwise non-crossing diagonals.
 
-    A value (``quiver._Value``) of n and ``mask``, which has bit i set for
-    the i-th diagonal of the n-gon's table.  ``Triangulation(n, diagonals)``
-    checks its input once: each diagonal, the cardinality, pairwise
-    compatibility and the radius tag structure.  Every triangulation the
-    package builds itself comes from a mask that is one by construction,
-    through ``Triangulation._of``, which reads only the radius shape.
+    A value (``errors._Value``) of n and ``mask``, which has bit
+    ``_index(n, d)`` set for each of its diagonals d.
+    ``Triangulation(n, diagonals)`` checks its input once: each diagonal,
+    the cardinality, pairwise compatibility and the radius tag structure.
+    Every triangulation the package builds itself comes from a mask that is
+    one by construction, through ``Triangulation._of``, which reads only the
+    radius shape.
     ``sorted_diagonals``, the region decomposition and the quiver are
     derived on first use and kept; ``diagonals`` is built on each access, so
     that an instance stays 88 bytes (``sys.getsizeof``) in the enumerations
@@ -350,17 +367,18 @@ class Triangulation(_Value, fields=("n", "mask")):
 
     def __init__(self, n: int, diagonals: Iterable[Diagonal]):
         _check_int("punctured polygon", "n", n, 3)
-        # each diagonal is checked before it is hashed: a JSON endpoint or tag
-        # such as [0] is unhashable, and raises ValueError here, not TypeError
-        ds = list(diagonals)
-        for d in ds:
+        # each diagonal is checked before its index is read
+        indices = set()
+        for d in diagonals:
             check_diagonal(d, n)
-        ds = frozenset(ds)
-        # checked before the table is built, whose size grows as n^2
-        if len(ds) != n:
-            raise ValueError(f"a triangulation of the {n}-gon needs {n} diagonals, got {len(ds)}")
+            indices.add(_index(n, d))
+        # counted before the mask and the table are built, whose sizes grow as n^2
+        if len(indices) != n:
+            raise ValueError(
+                f"a triangulation of the {n}-gon needs {n} diagonals, got {len(indices)}"
+            )
         table = _diagonal_table(n)
-        mask = _mask(table.index[d] for d in ds)
+        mask = _mask(indices)
         for i in _bits(mask):
             crossed = mask & ~table.row(i)
             if crossed:
@@ -403,9 +421,11 @@ class Triangulation(_Value, fields=("n", "mask")):
 def _member_bit(t: Triangulation, d: Diagonal) -> int:
     """The mask bit of ``d`` in t; ValueError unless d is one of t's diagonals."""
     try:
-        i = _diagonal_table(t.n).index.get(d)
-    except TypeError:  # unhashable: a list, or an endpoint or tag that is one
+        check_diagonal(d, t.n)
+    except ValueError:
         i = None
+    else:
+        i = _index(t.n, d)
     if i is None or not t.mask >> i & 1:
         raise ValueError(f"{d} is not a diagonal of the triangulation")
     return 1 << i
@@ -647,6 +667,7 @@ def mu(d: Diagonal) -> Diagonal:
 
 def close_to_border(d: Diagonal, n: int) -> bool:
     """True iff ``d`` is an arc of span 2 (it cuts off a single vertex)."""
+    check_diagonal(d, n)
     return isinstance(d, Arc) and span(d, n) == 2
 
 

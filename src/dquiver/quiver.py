@@ -25,9 +25,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from operator import attrgetter
 
-from .errors import BoundExceededError, _check_int, _check_type
+from .errors import BoundExceededError, _check_int, _check_type, _Value
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -56,47 +55,6 @@ def _check_rank(rank: int) -> None:
     _check_type("rank", rank)
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
-
-
-class _Value:
-    """A value, equal and hashed by the fields its class names once.
-
-    ``class Cls(_Value, fields=(...))`` keeps them as ``_fields`` and ``_key``,
-    which reads them as one tuple in one C call, so equality and hashing never
-    loop in Python.  The repr is ``Cls(f=v, ...)``, and attributes are
-    read-only.  A copy or a pickle is ``Cls._of(*fields)``, the constructor
-    unless a class has its own, so it holds the fields and nothing else.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, fields: tuple[str, ...]) -> None:
-        cls._fields, cls._key = fields, attrgetter(*fields)
-
-    @classmethod
-    def _of(cls, *fields):
-        return cls(*fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key(self)))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        # the fields alone: a quiver's ``b`` and a triangulation's views stay behind
-        return type(self)._of, self._key(self)
 
 
 class Quiver(_Value, fields=("rank", "_arrows")):

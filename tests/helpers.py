@@ -34,6 +34,7 @@ from dquiver.polygon import (
     _DiagonalTable,
     _bits,
     _diagonal_table,
+    _index,
     _mask,
     _orbit_images,
     check_diagonal,
@@ -285,7 +286,7 @@ def is_triangulation(n: int, ds: Iterable[Diagonal]) -> bool:
     if len(set(lst)) != n or len(lst) != n:
         return False
     table = _diagonal_table(n)
-    mask = _mask(table.index[d] for d in lst)
+    mask = _mask(_index(n, d) for d in lst)
     return all(not mask & ~table.row(i) for i in _bits(mask))
 
 

@@ -1117,6 +1117,9 @@ def test_verify_refuses_a_tree_count_past_64_bit_bead_keys(capsys, monkeypatch, 
 )
 @pytest.mark.parametrize("build", ["count", "classes"], ids=["count", "map"])
 def test_each_route_runs_only_in_its_own_module(what, module, build):
+    # from a cold start, so that building the diagonal table is profiled
+    # too, whatever ran before
+    polygon._diagonal_table.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

@@ -22,6 +22,7 @@ from dquiver.polygon import (
     _decomposition,
     _diagonal_table,
     _images,
+    _index,
     _mask,
     _orbit_images,
     _orbits,
@@ -375,6 +376,10 @@ def test_close_to_border():
     assert close_to_border(Arc(4, 1), 5)
     assert not close_to_border(Arc(0, 3), 5)
     assert not close_to_border(Radius(0, PLAIN), 5)
+    # checked as check_diagonal checks it, not reinterpreted
+    for d, n in [(Arc(0, 7), 5), (Arc(0, 2), 2.5), (Arc(0.0, 2), 5), (Arc(0, 1), 5), ([0, 2], 5)]:
+        with pytest.raises(ValueError):
+            close_to_border(d, n)
 
 
 def test_factor_out_fan_example():
@@ -529,8 +534,36 @@ def _packed(t, images):
 def test_step_and_inverse_match_tau_and_mu():
     for n in range(3, 41):
         table = _diagonal_table(n)
-        assert table.step == tuple(table.index[mu(tau(d, n))] for d in table.diagonals)
-        assert table.inverse == tuple(table.index[mu(d)] for d in table.diagonals)
+        assert table.step == tuple(_index(n, mu(tau(d, n))) for d in table.diagonals)
+        assert table.inverse == tuple(_index(n, mu(d)) for d in table.diagonals)
+
+
+def test_all_diagonals_are_listed_in_index_order():
+    # the layout has one statement, _index: all_diagonals lists the
+    # diagonals in its order, which is diagonal_sort_key order
+    for n in range(3, 13):
+        ds = all_diagonals(n)
+        assert ds == sorted(ds, key=diagonal_sort_key)
+        assert [_index(n, d) for d in ds] == list(range(n * (n - 2) + 2 * n))
+
+
+@pytest.mark.parametrize("build", [triangulation_class_count, triangulation_classes])
+def test_the_class_search_hashes_no_diagonal_from_a_cold_start(build):
+    # _index finds each diagonal's bit by arithmetic, so building the table
+    # and searching it hash and compare no Arc or Radius
+    polygon._diagonal_table.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        build(7)
+    finally:
+        sys.setprofile(None)
+    assert "_fill_orbit" in entered and not entered & {"__hash__", "__eq__"}
 
 
 def test_the_diagonal_table_cache_keeps_at_most_eight_tables():
@@ -599,6 +632,9 @@ def test_radius_config_matches_the_oracle_on_every_radius_set():
          "diagonals cross: Radius(a=0, tag='plain') and Radius(a=2, tag='notched')"),
         (4, [Arc(0, 2), Radius(0, PLAIN), Radius(0, NOTCHED), Radius(2, PLAIN)],
          "diagonals cross: Radius(a=0, tag='notched') and Radius(a=2, tag='plain')"),
+        # distinct diagonals are counted: five given, four distinct
+        (5, [Radius(a, PLAIN) for a in range(4)] + [Radius(0, PLAIN)],
+         "a triangulation of the 5-gon needs 5 diagonals, got 4"),
     ],
 )
 def test_mask_validation_messages(n, diagonals, message):
@@ -762,12 +798,10 @@ def test_constructor_agrees_with_pairwise_oracle():
 def test_flip_asserts_unless_exactly_two_completions(monkeypatch, corruption):
     real = _diagonal_table(5)
     if corruption == "hide the replacement":
-        change = lambda row: row & ~(1 << real.index[Arc(4, 1)])
+        change = lambda row: row & ~(1 << _index(5, Arc(4, 1)))
     else:
-        change = lambda row: row | 1 << real.index[Arc(0, 2)]
-    broken = SimpleNamespace(
-        diagonals=real.diagonals, index=real.index, row=lambda i: change(real.row(i))
-    )
+        change = lambda row: row | 1 << _index(5, Arc(0, 2))
+    broken = SimpleNamespace(diagonals=real.diagonals, row=lambda i: change(real.row(i)))
     t = fan_triangulation(5)
     monkeypatch.setattr(polygon, "_diagonal_table", lambda n: broken)
     with pytest.raises(AssertionError, match="exactly two completions"):
@@ -1085,13 +1119,36 @@ def test_quiver_vertex_needs_a_diagonal_of_the_triangulation():
         assert str(vertex_error.value) == f"{d} is not a diagonal of the triangulation"
 
 
-@pytest.mark.parametrize("d", [Arc([0], 2), Radius(0, [PLAIN]), [1, 2]], ids=repr)
+# each of these holds an int diagonal that a bool or float one equals, as
+# Radius(True, PLAIN) == Radius(1, PLAIN); the fan holds the radii
+_HOLDERS = [
+    fan_triangulation(5),
+    Triangulation(5, [Arc(0, 2)] + [Radius(a, PLAIN) for a in (2, 3, 4, 0)]),
+    Triangulation(5, [Arc(4, 1)] + [Radius(a, PLAIN) for a in (1, 2, 3, 4)]),
+]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Arc([0], 2),
+        Radius(0, [PLAIN]),
+        [1, 2],
+        Radius(True, PLAIN),
+        Radius(1.0, PLAIN),
+        Arc(0.0, 2),
+        Arc(4, 1.0),
+    ],
+    ids=repr,
+)
 @pytest.mark.parametrize("call", [flip, quiver_vertex, factor_out, tree_move_for_flip])
 def test_an_unhashable_diagonal_is_not_a_diagonal_of_the_triangulation(call, d):
-    # the lookup hashes d: an unhashable endpoint, tag or diagonal is a
-    # ValueError, as Triangulation(n, [d]) gives, not a TypeError
+    # d is checked as Triangulation(n, [d]) checks it: an unhashable
+    # endpoint, tag or diagonal is a ValueError, not a TypeError, and a bool
+    # or float endpoint is not read as the int one that t holds
+    t = next((t for t in _HOLDERS if d in t.sorted_diagonals), _HOLDERS[0])
     with pytest.raises(ValueError) as err:
-        call(fan_triangulation(5), d)
+        call(t, d)
     assert str(err.value) == f"{d} is not a diagonal of the triangulation"
 
 

@@ -1,18 +1,19 @@
 """The package's values: ``Arc``, ``Radius``, ``Quiver`` and ``Triangulation``.
 
-All four share one base, ``quiver._Value``.  The first three are plain
-classes, so that importing the package does not load ``dataclasses``.  They
-must behave as the frozen dataclasses they replace: the same repr, equality
-and hash, keyword construction, no assignment or deletion, no ordering, and
-copies and pickles equal to the original; pickles written before the three
-shared one base class still load.  Every diagonal for n <= 6 and every D_6
-class representative is checked against its dataclass twin from
-``helpers``.  A ``Triangulation`` is equal and hashed by its n and mask, as
-``hash((n, mask))``, and stays a slotted 88-byte object; every triangulation
-for n = 3..5 copies and pickles, at every protocol, to an equal value, and
-pickles written while it had its own ``__eq__`` and ``__hash__`` still load.
-A copy or a pickle holds the fields only, never a quiver's cached ``b`` or
-a triangulation's sorted diagonals, decomposition or quiver.
+All four share one base, ``errors._Value``, in the module every route may
+use.  The first three are plain classes, so that importing the package does
+not load ``dataclasses``.  They must behave as the frozen dataclasses they
+replace: the same repr, equality and hash, keyword construction, no
+assignment or deletion, no ordering, and copies and pickles equal to the
+original; pickles written before the three shared one base class still load.
+Every diagonal for n <= 6 and every D_6 class representative is checked
+against its dataclass twin from ``helpers``.  A ``Triangulation`` is equal
+and hashed by its n and mask, as ``hash((n, mask))``, and stays a slotted
+88-byte object; every triangulation for n = 3..5 copies and pickles, at
+every protocol, to an equal value, and pickles written while it had its own
+``__eq__`` and ``__hash__`` still load.  A copy or a pickle holds the fields
+only, never a quiver's cached ``b`` or a triangulation's sorted diagonals,
+decomposition or quiver.
 """
 
 import copy
@@ -32,7 +33,8 @@ from dquiver.polygon import (
     fan_triangulation,
     quiver_of,
 )
-from dquiver.quiver import Quiver, _Value, dynkin_a, dynkin_d, mutation_class_representatives
+from dquiver.errors import _Value
+from dquiver.quiver import Quiver, dynkin_a, dynkin_d, mutation_class_representatives
 from helpers import twin, twin_of
 
 DIAGONALS = list(dict.fromkeys(d for n in range(3, 7) for d in all_diagonals(n)))
@@ -198,6 +200,7 @@ def test_the_triangulations_cover_both_radius_configs():
 
 def test_a_triangulation_is_a_slotted_value_of_n_and_mask():
     assert issubclass(Triangulation, _Value) and Triangulation._fields == ("n", "mask")
+    assert _Value.__module__ == "dquiver.errors"
     assert "__eq__" not in vars(Triangulation) and "__hash__" not in vars(Triangulation)
     t = fan_triangulation(5)
     assert sys.getsizeof(t) == 88 and not hasattr(t, "__dict__")
