@@ -300,6 +300,24 @@ def test_counts_take_only_int(count, n, monkeypatch):
         count(n)
 
 
+@pytest.mark.parametrize("count, n, remainder", [
+    *((catalan, i, 1) for i in (1, 2, 7, 30)),
+    *((necklace_count, n, n) for n in (1, 2, 6, 12, 31)),
+    *((d_count, n, n) for n in (5, 6, 12)),
+    # the first term's Catalan division is the first to fail
+    *((a_count, n, 1) for n in (1, 3, 9, 20)),
+    *((d_cluster_count, n, n - 2) for n in (3, 4, 10, 31)),
+])
+def test_an_inexact_division_raises_instead_of_truncating(count, n, remainder, monkeypatch):
+    # one too many in every central binomial leaves a known remainder in
+    # the count's division
+    monkeypatch.setattr(counting, "_central_binomial", lambda d, primes: _central_binomial(d, primes) + 1)
+    with pytest.raises(ArithmeticError, match="expected exact division") as error:
+        count(n)
+    a, b = map(int, str(error.value).rsplit(" got ", 1)[1].split(" / "))
+    assert a % b == remainder
+
+
 def _record_prime_tables(monkeypatch):
     tables = []
 
