@@ -86,9 +86,11 @@ def main() -> None:
         if got != [(2704, "ok"), (9252, "ok")]:
             sys.exit(f"verify9_10.json should report 2704 and 9252 quiver classes, both ok, got {got!r}")
 
-        # n = 17 is the tree route's verify bound: the count builds bead
-        # tables up to 15 leaves; n = 18 is past it
-        for n, want in [(15, 5170604), (16, 18784170), (17, 68635478), (18, "skipped")]:
+        # n = 19 is the tree route's verify bound: the count builds bead
+        # tables up to 13 leaves and ranks keys among the larger beads;
+        # n = 20 is past it
+        for n, want in [(15, 5170604), (16, 18784170), (17, 68635478), (18, 252088496), (19, 930138522),
+                        (20, "skipped")]:
             dquiver(tmp, "verify", str(n), str(n), "--json", f"verify{n}.json")
             (report,) = json.loads((work / f"verify{n}.json").read_text())
             if not (report["tree_count"] == want and report["status"] == "ok"):

@@ -156,29 +156,34 @@ def _tails(tables: list, most: int) -> list[list[tuple]]:
     return tails
 
 
-def _least_rotations(n: int, visit: Callable[..., None], tables: list, view: Callable) -> None:
+def _least_rotations(n: int, visit: Callable[..., None], tables: list, view: Callable, sizes: list[int],
+                     bounds: Callable[[int, object], tuple[int, int]]) -> None:
     """Hand ``visit`` every star tree class with two or more beads, as runs.
 
-    ``tables[m]`` holds the m-leaf beads in code order, as items that compare
-    as their codes, so comparing stars bead by bead orders their rotations
-    as their serializations, as ``tree_key`` does.  The beads are generated
-    as a prenecklace (Cattell, Ruskey, Sawada, Serra and Miers, *Fast
-    algorithms to generate necklaces, unlabeled necklaces and irreducible
-    polynomials over GF(2)*, 2000): with p the length of the longest Lyndon
-    prefix, the next bead is never less than the floor, the bead p places
-    back; a bead above the floor makes the prefix a Lyndon word, and the
-    floor itself keeps p.  So no bead is less than the first, and a complete
-    star is its own least rotation exactly when p divides its bead count;
-    periodic stars are kept.  Any prefix completes with leaf beads, the
-    greatest code, so no branch is a dead end, and a least rotation that
-    starts with the leaf is all leaves.
+    The m-leaf beads, in code order, are items that compare as their codes,
+    so comparing stars bead by bead orders their rotations as their
+    serializations, as ``tree_key`` does.  ``sizes[m]`` is their number and
+    ``bounds(m, bead)`` the positions where ``bead`` goes among them, on its
+    left and on its right, which differ iff ``bead`` has m leaves.
+    ``tables[m]`` lists them, and is read only where m-leaf beads recurse one
+    by one.  The beads are generated as a prenecklace (Cattell, Ruskey,
+    Sawada, Serra and Miers, *Fast algorithms to generate necklaces,
+    unlabeled necklaces and irreducible polynomials over GF(2)*, 2000): with
+    p the length of the longest Lyndon prefix, the next bead is never less
+    than the floor, the bead p places back; a bead above the floor makes the
+    prefix a Lyndon word, and the floor itself keeps p.  So no bead is less
+    than the first, and a complete star is its own least rotation exactly
+    when p divides its bead count; periodic stars are kept.  Any prefix
+    completes with leaf beads, the greatest code, so no branch is a dead
+    end, and a least rotation that starts with the leaf is all leaves.
 
-    ``visit(prefix, table, lo, tails)`` stands for the stars ``(*prefix,
-    table[j], *tail)``, j >= lo, with ``tail`` each tail whose beads are all
-    above the star's first bead, ``prefix[0]`` or, with an empty prefix,
-    ``table[j]``; for each j the tails come in their order.  ``tails`` is
-    ``view`` of the bead sequences with r leaves, for some r, bead by bead
-    in (leaf count, code) order, made once per r; r = 0 is the empty tail.
+    ``visit(prefix, m, lo, tails)`` stands for the stars ``(*prefix, bead,
+    *tail)``, with ``bead`` each m-leaf bead from position lo on and ``tail``
+    each tail whose beads are all above the star's first bead, ``prefix[0]``
+    or, with an empty prefix, ``bead``; for each bead the tails come in their
+    order.  A run with an empty prefix starts at position 0.  ``tails`` is
+    ``view`` of the bead sequences with r leaves, for some r, bead by bead in
+    (leaf count, code) order, made once per r; r = 0 is the empty tail.
     ``prefix`` is valid during the call only.
 
     The tails rule.  When the prefix is a Lyndon word, its floor is its
@@ -195,14 +200,11 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list, view: Cal
     top-level run per leaf count.  Only the floor, and the states with at
     least |b0| leaves left, recurse; they keep the stars in which b0 recurs,
     such as the periodic ``((LL), (LL))`` at n = 4.  The last bead takes all
-    the leaves left, so the prenecklace rule fixes it to one run of
-    ``tables[left]`` with the empty tail.
+    the leaves left, so the prenecklace rule fixes it to one run with the
+    empty tail.
 
     Runs, and their stars, come bead by bead by (leaf count, code).  The
-    n-leaf beads, single-bead stars, are not runs.  ``tables[n - 1]`` is read
-    only as the top-level run whose one tail is the leaf, above every other
-    bead, so a visitor that counts may be given there any sequence of its
-    length whose items are all below the leaf.
+    n-leaf beads, single-bead stars, are not runs.
     """
     prefix: list = []
     # a tail follows a first bead with more leaves, so has fewer than n / 2
@@ -214,33 +216,31 @@ def _least_rotations(n: int, visit: Callable[..., None], tables: list, view: Cal
         t = len(prefix)
         floor = prefix[t - p]
         for m in range(1, left):
-            table = tables[m]
-            lo = bisect_left(table, floor)
-            if left - m < k:
-                # the beads above floor are one run: only floor recurses
-                hi = lo + (lo < len(table) and table[lo] == floor)
-            else:
-                hi = len(table)
-            for bead in table[lo:hi]:
-                prefix.append(bead)
-                extend(left - m, p if bead == floor else t + 1)
+            lo, hi = bounds(m, floor)
+            if lo < hi:
+                # floor itself keeps p
+                prefix.append(floor)
+                extend(left - m, p)
                 prefix.pop()
             if left - m < k:
-                visit(prefix, table, hi, views[left - m])
+                # the beads above floor are one run
+                visit(prefix, m, hi, views[left - m])
+            elif hi < sizes[m]:
+                for bead in tables[m][hi:]:
+                    prefix.append(bead)
+                    extend(left - m, t + 1)
+                    prefix.pop()
         # a last bead above floor makes a Lyndon word; floor itself keeps p
-        table = tables[left]
-        lo = bisect_left(table, floor)
-        if lo < len(table) and table[lo] == floor and (t + 1) % p:
-            lo += 1
-        visit(prefix, table, lo, views[0])
+        lo, hi = bounds(left, floor)
+        visit(prefix, left, hi if (t + 1) % p else lo, views[0])
 
     try:
         # the all-leaf star, the one whose first bead is the leaf
         if n > 1:
-            visit([*tables[1]] * (n - 1), tables[1], 0, views[0])
+            visit([*tables[1]] * (n - 1), 1, 0, views[0])
         for k in range(2, n):
             if 2 * k > n:
-                visit(prefix, tables[k], 0, views[n - k])
+                visit(prefix, k, 0, views[n - k])
                 continue
             for bead in tables[k]:
                 prefix.append(bead)
@@ -272,21 +272,76 @@ def star_tree_classes(n: int) -> dict[bytes, StarTree]:
         return [(min(tail, default=(b"M",)), b"".join([b"," + code for code, _ in tail]) + b"]",
                  [bead for _, bead in tail]) for tail in tails]
 
-    def add(prefix: list, table: tuple, lo: int, tails: list) -> None:
+    def bounds(m: int, item: tuple) -> tuple[int, int]:
+        table = tables[m]
+        return bisect_left(table, item), bisect_right(table, item)
+
+    def add(prefix: list, m: int, lo: int, tails: list) -> None:
         head = b"[" + b"".join([code + b"," for code, _ in prefix])
         front = [bead for _, bead in prefix]
-        for item in table[lo:]:
+        for item in tables[m][lo:]:
             code, bead = item
             first = prefix[0] if prefix else item
             for least, end, back in tails:
                 if least > first:
                     classes[head + code + end] = (*front, bead, *back)
 
-    _least_rotations(n, add, tables, view)
+    _least_rotations(n, add, tables, view, [*map(len, tables)], bounds)
     # a single bead is its own least rotation
     for code, bead in singles:
         classes[b"[" + code + b"]"] = (bead,)
     return classes
+
+
+def _fillings(n: int) -> list[list[int]]:
+    """``fill[r][s]``, 0 <= s <= r + 1 <= n + 1: the ways to fill s open slots
+    of a bead's code with r leaves.
+
+    Read left to right, a code fills one open slot with each symbol, and a
+    node, "(", opens two: so ``fill[r][s] = fill[r - 1][s - 1] + fill[r][s +
+    1]``, the next symbol "L" or "(", and ``fill[m][1]``, the m-leaf beads,
+    is the Catalan number C_{m - 1}.
+    """
+    fill = [[1, 0]]
+    for r in range(1, n + 1):
+        row = [0] * (r + 2)
+        for s in range(r, 0, -1):
+            row[s] = fill[r - 1][s - 1] + row[s + 1]
+        fill.append(row)
+    return fill
+
+
+def _rank(key: int, m: int, fill: list[list[int]], width: int) -> tuple[int, int]:
+    """``bisect_left`` and ``bisect_right`` of ``key`` on the m-leaf bead keys
+    ``width`` bits wide, without the table.
+
+    The m-leaf keys compare as their words of 2m - 1 bits.  One walk of the
+    top 2m - 1 bits of ``key`` counts the words below them: at each 1 bit,
+    those with a 0 there, which fill s + 1 slots with r leaves when r
+    leaves and s slots are left (Zaks, *Lexicographic generation of ordered
+    trees*, 1980; Ruskey, *Combinatorial Generation*, 2003).  The walk stops
+    where no word goes on as the bits read do.  ``key`` is an m-leaf key iff
+    its top bits are a word and the others are 0.
+    """
+    if key >> width:
+        # above every key
+        return fill[m][1], fill[m][1]
+    shift = width - 2 * m + 1
+    word = key >> shift
+    below, r, s, whole = 0, m, 1, False
+    for i in range(2 * m - 2, -1, -1):
+        if word >> i & 1:
+            below += fill[r][s + 1]
+            r -= 1
+            s -= 1
+            if not s:
+                whole = not r
+                break
+        else:
+            s += 1
+            if s > r:
+                break
+    return below + (whole and key != word << shift), below + whole
 
 
 def star_tree_class_count(n: int) -> int:
@@ -295,9 +350,19 @@ def star_tree_class_count(n: int) -> int:
     A bead's key is its code without ")", "(" as bit 0 and "L" as 1,
     left-aligned in 2n - 3 bits.  Two codes never first differ at a ")",
     which closes a node after its second child in both, so keys compare as
-    codes.  64-bit keys reach n = 33; no larger table could ever be built.
-    Only the beads with up to n - 2 leaves are built; those with n - 1 and n
-    are counted as pairs of a left and a right subtree.
+    codes.  The tables are 64-bit arrays, whose keys of 2n - 3 bits fit up to
+    n = 33; a larger n is refused before any work.
+
+    The cut.  Only the beads with at most c = max(n - 6, n // 2) leaves are
+    built, as key tables; for a larger leaf count m the number of beads is
+    ``fill[m][1]``, and a key's positions are its ``_rank``.  That suffices,
+    since ``_least_rotations`` lists beads only where it recurses through
+    them one by one: the first beads of at most n / 2 leaves, the tails, of
+    fewer, and the beads above a floor with at least |b0| leaves left after
+    them, b0 the first bead; a floor that recurses is taken from the prefix.
+    Beads above a floor are above b0 and have m <= n - 2|b0| leaves, so
+    m <= n - 6 when |b0| >= 3.  When |b0| = 2, b0 is (LL), and only the
+    leaf is above it.
 
     Each run of ``_least_rotations`` is counted, not expanded.  A tail is
     above the star's first bead iff its least bead is, so the view of the
@@ -305,7 +370,7 @@ def star_tree_class_count(n: int) -> int:
     above every bead.  A run after a prefix counts its beads times the tails
     whose least bead is above ``prefix[0]``, one bisection.  A top-level run,
     whose first bead is the run's own bead, counts for each tail the beads
-    below its least bead, one bisection per tail.
+    below its least bead, one position query per tail.
     """
     _check_int("star_tree_class_count", "n", n, 1)
     if n < 3:
@@ -315,27 +380,35 @@ def star_tree_class_count(n: int) -> int:
     # imported here, so that importing the package does not load it
     from array import array
 
-    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
-    # the n - 1 leaf beads are read only as the run whose tail is the leaf
-    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
+    width, cut = 2 * n - 3, max(n - 6, n // 2)
+    fill = _fillings(n)
+    sizes = [row[1] for row in fill]
+    tables, _ = _bead_tables(cut + 1, 1 << width - 1, _join_keys, lambda beads: array("Q", beads))
     total = 0
+
+    def bounds(m: int, key: int) -> tuple[int, int]:
+        # bisection up to the cut, the rank above it
+        if m > cut:
+            return _rank(key, m, fill, width)
+        table = tables[m]
+        return bisect_left(table, key), bisect_right(table, key)
 
     def view(tails: list) -> list[int]:
         # the tails' least beads in key order; 1 << 2n - 3 is above every key,
         # as the empty tail's least bead
-        return sorted(min(tail, default=1 << 2 * n - 3) for tail in tails)
+        return sorted(min(tail, default=1 << width) for tail in tails)
 
-    def add(prefix: list, table: array, lo: int, leasts: list[int]) -> None:
+    def add(prefix: list, m: int, lo: int, leasts: list[int]) -> None:
         nonlocal total
         if prefix:
-            total += (len(table) - lo) * (len(leasts) - bisect_right(leasts, prefix[0]))
+            total += (sizes[m] - lo) * (len(leasts) - bisect_right(leasts, prefix[0]))
         else:
-            # the first bead is table[j]: each tail counts the beads below its least
-            total += sum(bisect_left(table, least, lo) - lo for least in leasts)
+            # the first bead is the run's own: each tail counts the beads below its least
+            total += sum(bounds(m, least)[0] for least in leasts)
 
-    _least_rotations(n, add, tables, view)
+    _least_rotations(n, add, tables, view, sizes, bounds)
     # the single-bead classes
-    return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
+    return total + sum(sizes[k] * sizes[n - k] for k in range(1, n))
 
 
 # -- the dual star tree of a triangulation -----------------------------------

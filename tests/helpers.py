@@ -5,9 +5,10 @@ obviously-right oracles that the package's fast paths are tested against:
 crossing numbers on the 2n-gon double cover, the flip closure of the fan,
 the pairwise triangulation predicate, the serializer, the clique search
 with no pruning and the class search over it that keeps each clique equal
-to its least packed image, the star tree count on tables of bead codes,
-the star generation that recurses once per bead and the one whose
-runs had only leaf and two-leaf tails,
+to its least packed image, the star tree counts on tables of bead codes
+and on key tables built up to n - 2 leaves, the star generation that
+recurses once per bead and the one whose runs had only leaf and two-leaf
+tails,
 Euler's totient by trial division, the bytearray sieve of Eratosthenes
 over every integer, the central binomial one prime at a time, the quiver BFS that canonicalizes every exchange-graph edge between
 classes and the one that closes squares of them, both over classes rather
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +52,7 @@ from dquiver.quiver import (
     is_connected,
     mutation_class_representatives,
 )
-from dquiver.trees import LEAF, _bead_tables, _join_codes, _join_keys, star_tree_classes
+from dquiver.trees import LEAF, _bead_tables, _join_codes, _join_keys, _least_rotations, star_tree_classes
 
 
 def mutation_class(seed: Quiver, *, max_classes: int = 10_000_000) -> set[bytes]:
@@ -424,6 +425,35 @@ def star_tree_class_count_by_codes(n: int) -> int:
             count += extend(n - m, 1)
             prefix.pop()
     return count + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
+
+
+def star_tree_class_count_on_tables(n: int) -> int:
+    """``trees.star_tree_class_count`` on key tables built up to n - 2 leaves,
+    every position found by bisection: the count that ranks above the cut
+    replaced.  The n - 1 leaf beads are placed only against the leaf, above
+    them all, so a ``range`` of their number stands in for their table."""
+    if n < 3:
+        return n
+    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
+    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
+    total = 0
+
+    def bounds(m: int, key: int) -> tuple[int, int]:
+        return bisect_left(tables[m], key), bisect_right(tables[m], key)
+
+    def view(tails: list) -> list[int]:
+        return sorted(min(tail, default=1 << 2 * n - 3) for tail in tails)
+
+    def add(prefix: list, m: int, lo: int, leasts: list[int]) -> None:
+        nonlocal total
+        table = tables[m]
+        if prefix:
+            total += (len(table) - lo) * (len(leasts) - bisect_right(leasts, prefix[0]))
+        else:
+            total += sum(bisect_left(table, least, lo) - lo for least in leasts)
+
+    _least_rotations(n, add, tables, view, [*map(len, tables)], bounds)
+    return total + sum(len(tables[k]) * len(tables[n - k]) for k in range(1, n))
 
 
 def least_rotations_per_bead(n: int, visit: Callable[..., None], tables: list) -> None:

@@ -987,17 +987,17 @@ def _accept_every_image(real):
 def _first_dropped(real):
     """``_least_rotations`` with the first star of its first nonempty run lost."""
 
-    def fake(n, visit, tables, view):
+    def fake(n, visit, tables, view, sizes, bounds):
         dropped = False
 
-        def shortened(prefix, table, lo, tails):
+        def shortened(prefix, m, lo, tails):
             nonlocal dropped
-            if not dropped and lo < len(table):
+            if not dropped and lo < sizes[m]:
                 dropped = True
                 lo += 1
-            visit(prefix, table, lo, tails)
+            visit(prefix, m, lo, tails)
 
-        real(n, shortened, tables, view)
+        real(n, shortened, tables, view, sizes, bounds)
 
     return fake
 
@@ -1040,6 +1040,9 @@ def _last_two_leaf_tail_dropped(real):
          "trees"),
         # with ((LL),) lost, so is (b, (LL)) for each first bead b of 3 leaves
         (5, trees, "_tails", _last_two_leaf_tail_dropped, "trees"),
+        # every position the count ranks, above its cut of 3 leaves, one too
+        # high
+        (7, trees, "_rank", _rewritten(("0, m, 1, False", "1, m, 1, False")), "trees"),
     ],
 )
 def test_verify_fails_each_route_on_its_own_disagreement(capsys, monkeypatch, n, module, name, fake, route):
@@ -1082,7 +1085,7 @@ def test_a_tree_class_lost_in_generation_reaches_enumerate_too(capsys, monkeypat
     [
         (5, "  5         26         26       26       26  ok"),
         (12, " 12     112720    skipped  skipped   112720  ok"),
-        # verify counts trees past enumerate's tree bound 12, up to 17
+        # verify counts trees past enumerate's tree bound 12, up to 19
         (13, " 13     400024    skipped  skipped   400024  ok"),
         (15, " 15    5170604    skipped  skipped  5170604  ok"),
     ],

@@ -1,7 +1,9 @@
 import json
+import math
 import re
 import tracemalloc
 from array import array
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -25,10 +27,12 @@ from dquiver.quiver import delete_vertex, dynkin_d, mutate
 from dquiver.trees import (
     LEAF,
     _bead_tables,
+    _fillings,
     _join_codes,
     _join_keys,
     _least_rotation,
     _least_rotations,
+    _rank,
     _serialize_bead,
     apply_tree_move,
     canonical_star,
@@ -53,6 +57,7 @@ from helpers import (
     least_rotations_per_bead,
     least_rotations_with_leaf_tails,
     star_tree_class_count_by_codes,
+    star_tree_class_count_on_tables,
     star_tree_class_count_with_leaf_tails,
     star_tree_classes_with_leaf_tails,
 )
@@ -117,7 +122,8 @@ def test_enumeration_counts(n, count):
 def test_enumeration_matches_necklace_formula():
     for n in range(1, 10):
         assert len(enumerate_star_trees(n)) == necklace_count(n)
-    for n in range(1, 16):
+    # up to 19, the verify bound, past the tables the count once built
+    for n in range(1, 20):
         assert star_tree_class_count(n) == necklace_count(n)
 
 
@@ -478,12 +484,14 @@ def test_the_count_never_builds_the_n_minus_1_leaf_beads(monkeypatch):
 
         monkeypatch.setattr(trees, name, join)
     for n in range(3, 14):
-        # the count builds the tables up to n - 2 leaves and streams nothing;
-        # the leaf table is not joined, so at n = 3 nothing is
+        # the count builds the tables up to the cut, max(n - 6, n // 2)
+        # leaves, and streams nothing; the leaf table is not joined, so at
+        # n = 3 nothing is
+        cut = max(n - 6, n // 2)
         asked.clear()
         star_tree_class_count(n)
-        assert sorted(set(asked)) == list(range(2, n - 1))
-        assert max(asked, default=1) == n - 2
+        assert sorted(set(asked)) == list(range(2, cut + 1))
+        assert max(asked, default=1) == cut < n - 1
         # the class map still builds the n - 1 leaf table, whose beads it
         # writes, and streams the n-leaf beads, the single-bead classes
         asked.clear()
@@ -505,13 +513,86 @@ def test_the_count_peaks_below_2_mb():
     assert peak < 2 << 20
 
 
-def _expand(stars, seen=None):
+def test_the_fillings_count_bead_sequences():
+    # filling s open slots with r leaves writes s beads of r leaves in all,
+    # so fill[r][s] counts those sequences, and fill[m][1], the m-leaf
+    # beads, is the Catalan number C_{m - 1}
+    fill = _fillings(20)
+    for r in range(9):
+        by_beads = [0] * (r + 2)
+        for star in _bead_sequences(r):
+            by_beads[len(star)] += 1
+        assert fill[r] == by_beads
+    assert [row[1] for row in fill] == [0] + [math.comb(2 * m - 2, m - 1) // m for m in range(1, 21)]
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_the_rank_is_bisection_on_the_built_key_tables(n):
+    width = 2 * n - 3
+    tables, _ = _bead_tables(n, 1 << width - 1, _join_keys, lambda beads: array("Q", beads))
+    fill = _fillings(n)
+    # every key of every leaf count below n, and the empty tail's key above them all
+    keys = [key for table in tables for key in table] + [1 << width]
+    for m in range(1, n):
+        table = tables[m]
+        wrong = [key for key in keys if _rank(key, m, fill, width) != (bisect_left(table, key), bisect_right(table, key))]
+        assert wrong == []
+
+
+def test_the_runs_list_beads_only_up_to_the_cut():
+    # _least_rotations reads tables[m] only where m-leaf beads recurse one by
+    # one, never above max(n - 6, n // 2) leaves; every other read is a
+    # position, which the count ranks above that cut
+    class Listed(list):
+        def __getitem__(self, m):
+            listed.add(m)
+            return super().__getitem__(m)
+
+    for n in range(3, 14):
+        tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
+
+        def bounds(m, item):
+            return bisect_left(tables[m], item), bisect_right(tables[m], item)
+
+        listed = set()
+        _least_rotations(n, lambda *run: None, Listed(tables), list, [*map(len, tables)], bounds)
+        assert max(listed) <= max(n - 6, n // 2)
+
+
+def test_the_count_matches_the_count_on_built_tables():
+    for n in range(1, 17):
+        assert star_tree_class_count(n) == star_tree_class_count_on_tables(n)
+
+
+def test_the_count_peaks_below_1_mb_at_17():
+    # 0.44 MB on the key tables up to the cut, 11 leaves, with Python 3.11;
+    # the tables up to 15 leaves peaked at 82 MB
+    star_tree_class_count(3)
+    tracemalloc.start()
+    try:
+        assert star_tree_class_count(17) == 68635478
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _runs(n, visit, tables, view=list):
+    """``_least_rotations`` on whole tables, every position by bisection."""
+
+    def bounds(m, item):
+        return bisect_left(tables[m], item), bisect_right(tables[m], item)
+
+    _least_rotations(n, visit, tables, view, [*map(len, tables)], bounds)
+
+
+def _expand(stars, tables, seen=None):
     """A visitor that writes out the stars of each run, given the tails as
     they are: for each bead, the tails whose beads are all above the star's
     first bead."""
 
-    def expand(prefix, table, lo, tails):
-        for bead in table[lo:]:
+    def expand(prefix, m, lo, tails):
+        for bead in tables[m][lo:]:
             first = prefix[0] if prefix else bead
             kept = [tail for tail in tails if all(first < other for other in tail)]
             stars.extend((*prefix, bead, *tail) for tail in kept)
@@ -525,12 +606,12 @@ def test_runs_with_a_leaf_tail_expand_to_the_per_bead_stars_in_order():
     for n in range(1, 12):
         tables, _ = _bead_tables(n, (b"L", LEAF), _join_codes, tuple)
         stars, oracle, seen = [], [], set()
-        expand = _expand(stars, seen)
+        expand = _expand(stars, tables, seen)
 
         def expand_per_bead(prefix, table, lo):
             oracle.extend((*prefix, bead) for bead in table[lo:])
 
-        _least_rotations(n, expand, tables, list)
+        _runs(n, expand, tables)
         least_rotations_per_bead(n, expand_per_bead, tables)
         assert stars == oracle
         # a tail is any bead sequence with fewer leaves than the first bead,
@@ -552,7 +633,7 @@ def test_the_runs_expand_to_the_stars_of_both_older_generations_in_order():
         def expand_leaf_tails(prefix, table, lo, tails):
             leaf_tails.extend((*prefix, bead, *tail) for bead in table[lo:] for tail in tails)
 
-        _least_rotations(n, _expand(stars), tables, list)
+        _runs(n, _expand(stars, tables), tables)
         least_rotations_per_bead(n, expand_per_bead, tables)
         least_rotations_with_leaf_tails(n, expand_leaf_tails, tables)
         assert stars == per_bead == leaf_tails
@@ -569,13 +650,21 @@ def test_star_tree_classes_match_the_leaf_tail_map_in_order():
 
 
 @pytest.mark.parametrize("n, visits", [(12, 1805), (14, 10402)])
-def test_the_count_visits_few_runs(n, visits):
-    # the tables the count builds; the runs with two-leaf tails at most
-    # visited 11 971 times at n = 12
-    tables, _ = _bead_tables(n - 1, 1 << 2 * n - 4, _join_keys, lambda beads: array("Q", beads))
-    tables.append(range(sum(len(tables[k]) * len(tables[n - 1 - k]) for k in range(1, n - 1))))
+def test_the_count_visits_few_runs(monkeypatch, n, visits):
+    # the count's own runs, on its tables and positions; the runs with
+    # two-leaf tails at most visited 11 971 times at n = 12
     calls = []
-    _least_rotations(n, lambda *run: calls.append(run[-1]), tables, len)
+
+    def spied(n, visit, *rest):
+        def counted(*run):
+            calls.append(run)
+            visit(*run)
+
+        real(n, counted, *rest)
+
+    real = trees._least_rotations
+    monkeypatch.setattr(trees, "_least_rotations", spied)
+    assert star_tree_class_count(n) == necklace_count(n)
     assert len(calls) == visits
 
 
